@@ -263,19 +263,3 @@ def build_gains(
         p_ue_w=dbm_to_w(params.ue_power_dbm),
         bandwidth_hz=params.bandwidth_hz,
     )
-
-
-def node_gain_matrix(gains: GainTable) -> np.ndarray:
-    """Full (B+N) x (B+N) linear gain matrix, nodes ordered BSs then UEs."""
-    B, N = gains.n_cells, gains.n_ues
-    m = np.zeros((B + N, B + N))
-    m[:B, :B] = gains.g_bs
-    m[:B, B:] = gains.g_dl
-    m[B:, :B] = gains.g_dl.T
-    m[B:, B:] = gains.g_ue
-    return m
-
-
-def dump_csv(gains: GainTable, path: str) -> None:
-    """Matrix dump: row = source node, column = destination, linear gain."""
-    np.savetxt(path, node_gain_matrix(gains), delimiter=",")

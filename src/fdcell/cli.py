@@ -141,11 +141,11 @@ def apply_key(spec: ExperimentSpec, key: str, raw: str) -> ExperimentSpec:
     return spec
 
 
-def parse_config(path: str) -> ExperimentSpec:
-    """Read a `key = value` config file; empty file means all defaults."""
+def parse_config(path: str, spec: ExperimentSpec | None = None) -> ExperimentSpec:
+    """Apply a `key = value` config file on top of spec (default: all defaults)."""
     if not os.path.exists(path):
         raise FileNotFoundError(path)
-    spec = ExperimentSpec(base=RunConfig())
+    spec = ExperimentSpec(base=RunConfig()) if spec is None else spec
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.split("#", 1)[0].strip()
@@ -167,8 +167,6 @@ def _validate_spec(spec: ExperimentSpec) -> None:
         spec.base = spec.base.validated()
     except ConfigError as e:
         raise RangeError(str(e)) from e
-    if not 0 < spec.base.beta < 1:
-        raise RangeError(f"beta must be in (0, 1), got {spec.base.beta}")
 
 
 PRESETS = {
@@ -198,17 +196,17 @@ def apply_preset(spec: ExperimentSpec, name: str) -> ExperimentSpec:
 
 
 def _spec_from_args(args) -> ExperimentSpec:
-    """defaults < preset < config file < command-line flags."""
-    spec = ExperimentSpec(base=RunConfig())
+    """defaults < preset < config file < command-line flags.
+
+    FDCELL_SEED applies only when no seed is given anywhere.
+    """
+    if args.jobs < 1:
+        raise RangeError(f"--jobs must be >= 1, got {args.jobs}")
+    spec = ExperimentSpec(base=RunConfig(seed=None))
     if args.preset:
         spec = apply_preset(spec, args.preset)
     if args.config:
-        file_spec = parse_config(args.config)
-        file_spec.variants = spec.variants if args.preset else file_spec.variants
-        if args.preset:
-            file_spec.sweep_cancellation = spec.sweep_cancellation
-            file_spec.base = replace(file_spec.base, scenario=spec.base.scenario)
-        spec = file_spec
+        spec = parse_config(args.config, spec)
     for key in ("scenario", "variant", "slots", "drops", "seed"):
         v = getattr(args, key, None)
         if v is not None:
@@ -217,8 +215,9 @@ def _spec_from_args(args) -> ExperimentSpec:
         spec = apply_key(spec, "cancellation", args.cancellation)
     if getattr(args, "out", None) is not None:
         spec.output_dir = args.out
-    if spec.base.seed == 0 and os.environ.get("FDCELL_SEED"):
-        spec.base = replace(spec.base, seed=_parse_int("FDCELL_SEED", os.environ["FDCELL_SEED"]))
+    if spec.base.seed is None:
+        env = os.environ.get("FDCELL_SEED")
+        spec.base = replace(spec.base, seed=_parse_int("FDCELL_SEED", env) if env else 0)
     _validate_spec(spec)
     return spec
 

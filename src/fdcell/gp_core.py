@@ -7,6 +7,13 @@ over a box is a smooth convex problem. That weighted form is the native
 objective here because the power allocator produces real (non-integer)
 weights; classic standard-form GPs reduce to it with unit weights.
 
+One kernel, lse_blocks, evaluates the log-sum-exp, softmax and
+gradient of a whole stack of posynomials at once: each posynomial is a
+block of a padded (J, M, n) exponent tensor, pad terms carry log
+coefficient -inf. lse_hessian adds up their weighted Hessians. The GP
+objective, the barrier and phase-I terms, and the power allocator
+(power_alloc) all evaluate through it.
+
 Solver: projected Newton over the box for unconstrained-in-x problems;
 posynomial <= 1 constraints go through a log-barrier path with a
 smoothed-max phase I; monomial = 1 constraints are eliminated by
@@ -111,60 +118,64 @@ def posynomial_arrays(p: Posynomial, n: int):
     return A, c
 
 
-def _lse_vgh(A: np.ndarray, c: np.ndarray, y: np.ndarray, need_hess: bool = True):
-    """Value, gradient and Hessian of lse(A y + c)."""
-    z = A @ y + c
-    m = z.max()
+def _lse_softmax(z: np.ndarray):
+    """Log-sum-exp over the last axis and the matching softmax."""
+    m = z.max(axis=-1, keepdims=True)
     e = np.exp(z - m)
-    s = e.sum()
-    val = m + np.log(s)
-    p = e / s
-    g = p @ A
-    if not need_hess:
-        return val, g, None
-    H = (A * p[:, None]).T @ A - np.outer(g, g)
-    return val, g, H
+    s = e.sum(axis=-1, keepdims=True)
+    return (m + np.log(s))[..., 0], e / s
+
+
+def lse_blocks(A: np.ndarray, c: np.ndarray, y: np.ndarray):
+    """Log-sum-exp of every block z_j = A_j y + c_j of a padded tensor.
+
+    A is (J, M, n) and c is (J, M); pad terms carry c = -inf and drop
+    out of the softmax. Returns (lse (J,), softmax p (J, M), gradients
+    (J, n)); the gradient of block j is p_j A_j.
+    """
+    lse, p = _lse_softmax(A @ y + c)
+    return lse, p, (p[:, None, :] @ A)[:, 0]
+
+
+def lse_hessian(A: np.ndarray, p: np.ndarray, G: np.ndarray, w: np.ndarray):
+    """sum_j w_j * Hessian_j from the softmax and gradients of lse_blocks."""
+    n = A.shape[2]
+    Aw = A * (w[:, None] * p)[:, :, None]
+    return Aw.reshape(-1, n).T @ A.reshape(-1, n) - (G * w[:, None]).T @ G
+
+
+def _pad_blocks(blocks):
+    """Stack (A_j (m_j x n), c_j) pairs into the padded (A, c) tensors."""
+    n = blocks[0][0].shape[1]
+    M = max(A.shape[0] for A, _ in blocks)
+    A_pad = np.zeros((len(blocks), M, n))
+    c_pad = np.full((len(blocks), M), -np.inf)
+    for j, (A, c) in enumerate(blocks):
+        A_pad[j, : len(c)] = A
+        c_pad[j, : len(c)] = c
+    return A_pad, c_pad
 
 
 class WeightedLogObjective:
     """F(y) = sum_j w_j * lse(A_j y + c_j) + lin . y + const.
 
-    Blocks are stored padded into one tensor; pad rows carry c = -inf and
-    zero exponents so they drop out of the softmax.
+    A (J, M, n) and c (J, M) are the padded blocks of lse_blocks.
     """
 
-    def __init__(self, blocks, lin=None, const=0.0, n=None):
-        # blocks: list of (w, A(m x n), c(m,))
-        if n is None:
-            n = blocks[0][1].shape[1] if blocks else len(lin)
-        self.n = n
-        J = len(blocks)
-        M = max((b[1].shape[0] for b in blocks), default=1)
-        self.A = np.zeros((J, M, n))
-        self.c = np.full((J, M), -np.inf)
-        self.w = np.zeros(J)
-        for j, (w, A, c) in enumerate(blocks):
-            m = A.shape[0]
-            self.A[j, :m] = A
-            self.c[j, :m] = c
-            self.w[j] = w
-        self.lin = np.zeros(n) if lin is None else np.asarray(lin, dtype=float)
+    def __init__(self, A, c, w, lin=None, const=0.0):
+        self.A = A
+        self.c = c
+        self.w = np.asarray(w, dtype=float)
+        self.lin = np.zeros(A.shape[2]) if lin is None else np.asarray(lin, dtype=float)
         self.const = float(const)
 
     def __call__(self, y: np.ndarray, need_hess: bool = True):
-        z = np.einsum("jmn,n->jm", self.A, y) + self.c
-        m = z.max(axis=1, keepdims=True)
-        e = np.exp(z - m)
-        s = e.sum(axis=1)
-        val = float(self.w @ (m.ravel() + np.log(s)) + self.lin @ y + self.const)
-        p = e / s[:, None]
-        gj = np.einsum("jm,jmn->jn", p, self.A)
-        grad = self.w @ gj + self.lin
+        lse, p, G = lse_blocks(self.A, self.c, y)
+        val = float(self.w @ lse + self.lin @ y + self.const)
+        grad = self.w @ G + self.lin
         if not need_hess:
             return val, grad, None
-        H = np.einsum("j,jm,jmn,jmk->nk", self.w, p, self.A, self.A)
-        H -= np.einsum("j,jn,jk->nk", self.w, gj, gj)
-        return val, grad, H
+        return val, grad, lse_hessian(self.A, p, G, self.w)
 
 
 def projected_grad_norm(y, g, lo, hi, atol=1e-10):
@@ -236,7 +247,8 @@ class _BarrierObjective:
     """F(y) - (1/t) sum_i ln(-g_i(y)) with g_i = lse(A_i y + c_i).
 
     Normalized so the gradient keeps F's scale as t grows; the duality
-    gap bound is still (number of constraints)/t.
+    gap bound is still (number of constraints)/t. cons is the padded
+    (A, c) pair of all constraints.
     """
 
     def __init__(self, base, cons, t):
@@ -246,15 +258,14 @@ class _BarrierObjective:
 
     def __call__(self, y, need_hess=True):
         val, grad, H = self.base(y, need_hess)
-        for A, c in self.cons:
-            gv, gg, gH = _lse_vgh(A, c, y, need_hess)
-            if gv >= 0:
-                big = 1e30
-                return big, grad, H if need_hess else None
-            val -= self.inv_t * np.log(-gv)
-            grad = grad + self.inv_t * gg / (-gv)
-            if need_hess:
-                H = H + self.inv_t * (np.outer(gg, gg) / gv**2 + gH / (-gv))
+        gv, p, G = lse_blocks(*self.cons, y)
+        if np.any(gv >= 0):
+            return 1e30, grad, H
+        r = self.inv_t / -gv
+        val -= self.inv_t * float(np.log(-gv).sum())
+        grad = grad + r @ G
+        if need_hess:
+            H = H + lse_hessian(self.cons[0], p, G, r) + (G * (r / -gv)[:, None]).T @ G
         return val, grad, H
 
 
@@ -266,25 +277,14 @@ class _SmoothedMax:
         self.tau = tau
 
     def __call__(self, y, need_hess=True):
-        vals, grads, hesss = [], [], []
-        for A, c in self.cons:
-            v, g, H = _lse_vgh(A, c, y, need_hess)
-            vals.append(v)
-            grads.append(g)
-            hesss.append(H)
-        vals = np.array(vals)
-        m = vals.max()
-        e = np.exp((vals - m) / self.tau)
-        s = e.sum()
-        p = e / s
-        val = m + self.tau * np.log(s)
-        G = np.stack(grads)
-        grad = p @ G
-        if not need_hess:
-            return val, grad, None
-        H = sum(pi * Hi for pi, Hi in zip(p, hesss))
-        H = H + ((G * p[:, None]).T @ G - np.outer(grad, grad)) / self.tau
-        return val, grad, H
+        vals, p, G = lse_blocks(*self.cons, y)
+        val, q = _lse_softmax(vals / self.tau)
+        grad = q @ G
+        H = None
+        if need_hess:
+            H = lse_hessian(self.cons[0], p, G, q)
+            H += ((G * q[:, None]).T @ G - np.outer(grad, grad)) / self.tau
+        return self.tau * val, grad, H
 
 
 def _substitute_equalities(prob: GPProblem, n: int):
@@ -393,23 +393,23 @@ def solve_gp(prob: GPProblem, tol: float = 1e-6):
     for A, c in cons:
         if np.any(A):
             clean.append((A, c))
-        elif np.logaddexp.reduce(c) > 0:
+        elif _lse_softmax(c)[0] > 0:
             return np.exp(recover((lo_y + hi_y) / 2)), STATUS_INFEASIBLE
-    cons = clean
-    base = WeightedLogObjective([(1.0, obj_A, obj_c)], n=len(lo_y))
+    base = WeightedLogObjective(obj_A[None], obj_c[None], np.ones(1))
     y0 = (lo_y + hi_y) / 2.0
 
-    if not cons:
+    if not clean:
         y, status, _ = minimize_box(base, y0, lo_y, hi_y, tol=tol)
         return np.exp(recover(y)), status
+    cons = _pad_blocks(clean)
 
     # phase I: drive max_i lse_i below zero through a smoothed max
     y = y0
-    feasible = max(_lse_vgh(A, c, y, False)[0] for A, c in cons) < -1e-9
+    feasible = lse_blocks(*cons, y)[0].max() < -1e-9
     if not feasible:
         for tau in (1.0, 0.1, 0.01, 1e-3):
             y, _, _ = minimize_box(_SmoothedMax(cons, tau), y, lo_y, hi_y, tol=1e-10)
-            if max(_lse_vgh(A, c, y, False)[0] for A, c in cons) < -1e-9:
+            if lse_blocks(*cons, y)[0].max() < -1e-9:
                 feasible = True
                 break
         if not feasible:
@@ -419,7 +419,7 @@ def solve_gp(prob: GPProblem, tol: float = 1e-6):
     status = STATUS_CONVERGED
     for _ in range(64):
         y, st, _ = minimize_box(_BarrierObjective(base, cons, t), y, lo_y, hi_y, tol=tol)
-        if len(cons) / t < tol:
+        if len(clean) / t < tol:
             status = st
             break
         t *= mu
@@ -427,24 +427,3 @@ def solve_gp(prob: GPProblem, tol: float = 1e-6):
         status = STATUS_MAX_ITER
     return np.exp(recover(y)), status
 
-
-def problem_to_text(prob: GPProblem) -> str:
-    """Plain-text dump: one monomial per line as coeff then id:exponent pairs."""
-    lines = []
-
-    def fmt(m):
-        pairs = " ".join(f"{k}:{m.exponents[k]:g}" for k in sorted(m.exponents))
-        return f"{m.coeff:.17g} {pairs}".rstrip()
-
-    lines.append("minimize")
-    lines.extend(fmt(t) for t in prob.objective.terms)
-    for p in prob.constraints_le:
-        lines.append("st_le_1")
-        lines.extend(fmt(t) for t in p.terms)
-    for m in prob.constraints_eq:
-        lines.append("st_eq_1")
-        lines.append(fmt(m))
-    for k in sorted(prob.var_bounds):
-        l, h = prob.var_bounds[k]
-        lines.append(f"bound {k} {l:.17g} {h:.17g}")
-    return "\n".join(lines) + "\n"

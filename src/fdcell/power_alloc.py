@@ -10,10 +10,10 @@ with a projected Newton. Re-condensing at each new iterate yields a
 monotone successive approximation that stops once the power vector
 moves less than epsilon.
 
-Every monomial in these problems is either a constant (noise) or linear
-in a single power, so instead of generic exponent matrices the problem
-stores one variable index per term; values, gradients, Hessians and the
-condensation reduce to gather/scatter operations.
+Each link's numerator and denominator is one row of a padded term
+tensor (noise, then one term per link's power), gathered from the gain
+table in one pass. Values, gradients, Hessians and the condensation
+exponents all come from the log-sum-exp kernel of gp_core.
 
 The allocator wraps the loop with the scheduler-facing policy: start at
 maximum power, prune the weakest selection on solver failure, zero out
@@ -35,6 +35,8 @@ from .gp_core import (
     STATUS_MAX_ITER,
     Monomial,
     Posynomial,
+    WeightedLogObjective,
+    lse_blocks,
     minimize_box,
 )
 from .scheduler import DL, UL, PFState, Selection, chi
@@ -49,10 +51,6 @@ class AllocConfig:
     energy_kappa: float = 0.0       # > 0 enables the log-power penalty
     epsilon: float | None = None    # SP termination on ||P_s - P_{s-1}||_2
     max_outer: int = 30
-    inner_tol: float = 1e-8
-    inner_max_iter: int = 200
-    trim_se_cap: bool = True
-    safeguard: bool = True
 
 
 def pf_weights(st: PFState, selection: Selection):
@@ -68,56 +66,17 @@ def pf_weights(st: PFState, selection: Selection):
     return w_dl, w_ul
 
 
-def _lse_rows(idx: np.ndarray, c: np.ndarray, y: np.ndarray):
-    """Row-wise lse and softmax of z[l,m] = y[idx[l,m]] + c[l,m].
-
-    idx entries of -1 denote constant terms; padded entries carry
-    c = -inf and drop out of the softmax.
-    """
-    yx = np.append(y, 0.0)
-    z = yx[idx] + c
-    m = z.max(axis=1)
-    e = np.exp(z - m[:, None])
-    s = e.sum(axis=1)
-    return m + np.log(s), e / s[:, None]
-
-
-class LinkLseObjective:
-    """F(y) = sum_l w_l * lse_l(y) + lin . y + const over one-hot terms."""
-
-    def __init__(self, idx, c, w, lin, const=0.0):
-        self.idx = idx              # (L, M) with -1 for constant rows
-        self.c = c                  # (L, M), -inf padded
-        self.w = w                  # (L,)
-        self.lin = lin              # (n,)
-        self.const = const
-        self.n = len(lin)
-        L, M = idx.shape
-        self._rows = np.repeat(np.arange(L), M)
-
-    def __call__(self, y, need_hess=True):
-        lse, p = _lse_rows(self.idx, self.c, y)
-        val = float(self.w @ lse + self.lin @ y + self.const)
-        wp = self.w[:, None] * p
-        acc = np.bincount(self.idx.ravel() + 1, weights=wp.ravel(), minlength=self.n + 2)
-        grad = acc[1 : self.n + 1] + self.lin
-        if not need_hess:
-            return val, grad, None
-        G = np.zeros((len(self.w), self.n + 1))
-        np.add.at(G, (self._rows, self.idx.ravel()), p.ravel())
-        G = G[:, : self.n]
-        H = np.diag(acc[1 : self.n + 1]) - (G * self.w[:, None]).T @ G
-        return val, grad, H
-
-
 @dataclass
 class PowerProblem:
     """Per-slot power problem over the active links.
 
     Variable order: downlink links by cell, then uplink links by cell.
-    num holds the interference+noise terms of each link as (variable
-    index, log coefficient) rows; den additionally has the signal term.
-    `lin` carries the energy penalty exponents (zero when plain).
+    Row l of c_num holds the log coefficients of link l's interference
+    plus noise: term 0 is the receiver noise, term 1+k is link k's power
+    (-inf where k does not reach l's receiver). c_den is the same row
+    plus the link's own signal. Both share the exponent tensor A, which
+    picks power k for term 1+k. `lin` carries the energy penalty
+    exponents (zero when plain).
     """
 
     cells_dl: np.ndarray
@@ -126,10 +85,9 @@ class PowerProblem:
     ues_ul: np.ndarray
     w: np.ndarray               # (L,) rescaled weights
     w_scale: float              # multiply w by this to recover the raw weights
-    idx_num: np.ndarray         # (L, M) int
-    c_num: np.ndarray           # (L, M)
-    idx_den: np.ndarray         # (L, M+1)
-    c_den: np.ndarray
+    A: np.ndarray               # (L, M, n) term exponents
+    c_num: np.ndarray           # (L, M) log coefficients, -inf padded
+    c_den: np.ndarray           # (L, M)
     lin: np.ndarray             # (n,) energy penalty in log space (rescaled)
     p_max: np.ndarray           # (n,)
     p_floor: np.ndarray         # (n,)
@@ -147,8 +105,8 @@ class PowerProblem:
     def true_objective(self, p: np.ndarray) -> float:
         """Weighted log objective at powers p (lower is better)."""
         y = np.log(p)
-        lse_n, _ = _lse_rows(self.idx_num, self.c_num, y)
-        lse_d, _ = _lse_rows(self.idx_den, self.c_den, y)
+        lse_n = lse_blocks(self.A, self.c_num, y)[0]
+        lse_d = lse_blocks(self.A, self.c_den, y)[0]
         return float(self.w @ (lse_n - lse_d) + self.lin @ y)
 
 
@@ -169,61 +127,36 @@ def build_power_problem(
         return None
     ues_dl = dec.dl_ue[cells_dl]
     ues_ul = dec.ul_ue[cells_ul]
-    var_of_dl = {int(c): i for i, c in enumerate(cells_dl)}
-    var_of_ul = {int(c): len(cells_dl) + i for i, c in enumerate(cells_ul)}
 
     w_dl, w_ul = pf_weights(st, selection)
     w = np.concatenate([w_dl[cells_dl], w_ul[cells_ul]])
     w_scale = float(w.max())
     w = w / w_scale
 
-    rows_per_link = []
-    for r in ues_dl:                      # downlink receivers
-        rows = [(-1, g.noise_ue_w)]
-        for i in cells_dl:
-            if g.ue_cell[r] != i:
-                rows.append((var_of_dl[int(i)], g.g_dl[i, r]))
-        for i, u in zip(cells_ul, ues_ul):
-            if dec.fd_ue and u == r:
-                coeff = g.gamma         # own receiver residual, not UE-UE gain
-            else:
-                coeff = g.g_ue[u, r]
-            if coeff > 0:
-                rows.append((var_of_ul[int(i)], coeff))
-        rows_per_link.append(rows)
-    for b, u in zip(cells_ul, ues_ul):    # uplink receivers (the BSs)
-        rows = [(-1, g.noise_bs_w)]
-        if g.gamma > 0 and int(b) in var_of_dl:
-            rows.append((var_of_dl[int(b)], g.gamma))
-        for i in cells_dl:
-            if i != b and g.g_bs[i, b] > 0:
-                rows.append((var_of_dl[int(i)], g.g_bs[i, b]))
-        for i, ui in zip(cells_ul, ues_ul):
-            if i != b and g.g_dl[b, ui] > 0:
-                rows.append((var_of_ul[int(i)], g.g_dl[b, ui]))
-        rows_per_link.append(rows)
-
-    signal = [
-        (var_of_dl[int(c)], g.g_dl[c, r]) for c, r in zip(cells_dl, ues_dl)
-    ] + [
-        (var_of_ul[int(c)], g.g_dl[c, u]) for c, u in zip(cells_ul, ues_ul)
-    ]
-
-    L = n
-    M = max(len(r) for r in rows_per_link)
-    idx_num = np.full((L, M), -1, dtype=int)
-    c_num = np.full((L, M), -np.inf)
-    idx_den = np.full((L, M + 1), -1, dtype=int)
-    c_den = np.full((L, M + 1), -np.inf)
-    for l, rows in enumerate(rows_per_link):
-        for m, (var, coeff) in enumerate(rows):
-            idx_num[l, m] = var
-            c_num[l, m] = np.log(coeff)
-        idx_den[l, : len(rows)] = idx_num[l, : len(rows)]
-        c_den[l, : len(rows)] = c_num[l, : len(rows)]
-        var, coeff = signal[l]
-        idx_den[l, len(rows)] = var
-        c_den[l, len(rows)] = np.log(coeff)
+    # gain[l, k]: transmitter of link k -> receiver of link l; the
+    # diagonal is each link's own signal
+    ue_ue = g.g_ue[np.ix_(ues_ul, ues_dl)].T
+    if dec.fd_ue:
+        # a UE on both directions hears its own residual, not a UE-UE gain
+        ue_ue = np.where(ues_dl[:, None] == ues_ul[None, :], g.gamma, ue_ue)
+    bs_bs = np.where(
+        cells_ul[:, None] == cells_dl[None, :],
+        g.gamma,
+        g.g_bs[np.ix_(cells_dl, cells_ul)].T,
+    )
+    gain = np.block(
+        [
+            [g.g_dl[np.ix_(cells_dl, ues_dl)].T, ue_ue],
+            [bs_bs, g.g_dl[np.ix_(cells_ul, ues_ul)]],
+        ]
+    )
+    noise = np.concatenate(
+        [np.full(len(cells_dl), g.noise_ue_w), np.full(len(cells_ul), g.noise_bs_w)]
+    )
+    with np.errstate(divide="ignore"):
+        c_den = np.log(np.column_stack([noise, gain]))
+    c_num = c_den.copy()
+    np.fill_diagonal(c_num[:, 1:], -np.inf)
 
     lin = np.zeros(n)
     if cfg.energy_kappa > 0:
@@ -250,9 +183,8 @@ def build_power_problem(
         ues_ul=ues_ul,
         w=w,
         w_scale=w_scale,
-        idx_num=idx_num,
+        A=np.tile(np.eye(n + 1, n, -1), (n, 1, 1)),
         c_num=c_num,
-        idx_den=idx_den,
         c_den=c_den,
         lin=lin,
         p_max=p_max,
@@ -263,12 +195,12 @@ def build_power_problem(
     )
 
 
-def _rows_to_posynomial(idx: np.ndarray, c: np.ndarray) -> Posynomial:
+def _rows_to_posynomial(A: np.ndarray, c: np.ndarray) -> Posynomial:
     terms = []
-    for var, logc in zip(idx, c):
+    for a, logc in zip(A, c):
         if np.isneginf(logc):
             continue
-        exps = {} if var < 0 else {int(var): 1.0}
+        exps = {int(k): float(a[k]) for k in np.flatnonzero(a)}
         terms.append(Monomial(float(np.exp(logc)), exps))
     return Posynomial(terms)
 
@@ -293,30 +225,20 @@ class SPObjective:
 
 def build_sp_objective(prob: PowerProblem) -> SPObjective:
     """Posynomial-ratio form of the slot objective (for checks and dumps)."""
-    num = [_rows_to_posynomial(prob.idx_num[l], prob.c_num[l]) for l in range(len(prob.w))]
-    den = [_rows_to_posynomial(prob.idx_den[l], prob.c_den[l]) for l in range(len(prob.w))]
-    return SPObjective(num, den, prob.w.copy(), prob.lin.copy(), prob.w_scale)
-
-
-def energy_aware_objective(prob: PowerProblem) -> SPObjective:
-    """The log-power-penalized objective; penalty must be configured."""
     if prob.energy_kappa < 0:
         raise ConfigError("energy penalty must be non-negative")
-    return build_sp_objective(prob)
+    num = [_rows_to_posynomial(A, c) for A, c in zip(prob.A, prob.c_num)]
+    den = [_rows_to_posynomial(A, c) for A, c in zip(prob.A, prob.c_den)]
+    return SPObjective(num, den, prob.w.copy(), prob.lin.copy(), prob.w_scale)
 
 
 def _condense_den(prob: PowerProblem, y: np.ndarray):
     """AM-GM condensation of every denominator at the current iterate.
 
     Returns (a, k) with ln den_l(y') >= a_l . y' + k_l for all y',
-    tight at y.
+    tight at y; a_l is the gradient of lse_l at y.
     """
-    _, alpha = _lse_rows(prob.idx_den, prob.c_den, y)
-    L, n = alpha.shape[0], prob.n_vars
-    a = np.zeros((L, n + 1))
-    rows = np.repeat(np.arange(L), alpha.shape[1])
-    np.add.at(a, (rows, prob.idx_den.ravel()), alpha.ravel())
-    a = a[:, :n]
+    _, alpha, a = lse_blocks(prob.A, prob.c_den, y)
     pos = alpha > 0
     cc = np.where(pos, prob.c_den - np.log(np.where(pos, alpha, 1.0)), 0.0)
     k = np.einsum("lm,lm->l", alpha, cc)
@@ -339,16 +261,14 @@ def solve_power_sp(prob: PowerProblem, P0: np.ndarray, cfg: AllocConfig = AllocC
     outer = 0
     for outer in range(1, cfg.max_outer + 1):
         a, k = _condense_den(prob, y)
-        objective = LinkLseObjective(
-            prob.idx_num,
+        objective = WeightedLogObjective(
+            prob.A,
             prob.c_num,
             prob.w,
             lin=prob.lin - prob.w @ a,
             const=-float(prob.w @ k),
         )
-        y_new, inner_status, _ = minimize_box(
-            objective, y, lo, hi, tol=cfg.inner_tol, max_iter=cfg.inner_max_iter
-        )
+        y_new, inner_status, _ = minimize_box(objective, y, lo, hi)
         step = float(np.linalg.norm(np.exp(y_new) - np.exp(y)))
         steps.append(step)
         y = y_new
@@ -403,44 +323,27 @@ def _reduce_problem(prob: PowerProblem, fixed_p: np.ndarray, fixed: np.ndarray):
     """Condition the problem on the pinned variables.
 
     Pinned links keep transmitting at fixed_p: their rate rows leave the
-    objective (the cap makes them constant) and every reference to them
-    in the remaining rows folds into the row's constant coefficient.
-    Returns (sub_problem, free_mask) or (None, free_mask) when nothing
-    is left to optimize.
+    objective (the cap makes them constant) and every term they scale
+    in the remaining rows becomes a constant with their log power folded
+    into its coefficient. Returns (sub_problem, free_mask) or (None,
+    free_mask) when nothing is left to optimize.
     """
     free = ~fixed
     if not free.any():
         return None, free
-    n_free = int(free.sum())
-    new_index = np.full(prob.n_vars + 1, -1, dtype=int)
-    new_index[: prob.n_vars][free] = np.arange(n_free)
-
     nd = len(prob.cells_dl)
-    link_free = free                       # row l belongs to variable l
-    y_fix = np.where(fixed, np.log(np.where(fixed_p > 0, fixed_p, 1.0)), 0.0)
-
-    def transform(idx, c):
-        idx = idx[link_free].copy()
-        c = c[link_free].copy()
-        hit = (idx >= 0) & fixed[np.maximum(idx, 0)]
-        c[hit] += y_fix[idx[hit]]          # absorb fixed power into coeff
-        idx = np.where(hit, -1, idx)
-        idx = np.where(idx >= 0, new_index[np.maximum(idx, 0)], -1)
-        return idx, c
-
-    idx_num, c_num = transform(prob.idx_num, prob.c_num)
-    idx_den, c_den = transform(prob.idx_den, prob.c_den)
+    A = prob.A[free]                       # row l belongs to variable l
+    fold = A[:, :, fixed] @ np.log(fixed_p[fixed])
     sub = PowerProblem(
         cells_dl=prob.cells_dl[free[:nd]],
         cells_ul=prob.cells_ul[free[nd:]],
         ues_dl=prob.ues_dl[free[:nd]],
         ues_ul=prob.ues_ul[free[nd:]],
-        w=prob.w[link_free],
+        w=prob.w[free],
         w_scale=prob.w_scale,
-        idx_num=idx_num,
-        c_num=c_num,
-        idx_den=idx_den,
-        c_den=c_den,
+        A=A[:, :, free],
+        c_num=prob.c_num[free] + fold,
+        c_den=prob.c_den[free] + fold,
         lin=prob.lin[free],
         p_max=prob.p_max[free],
         p_floor=prob.p_floor[free],
@@ -588,27 +491,16 @@ def allocate_with_fallback(
         dec = sel.decision
         if not (np.any(dec.dl_ue >= 0) or np.any(dec.ul_ue >= 0)):
             return dec.copy(), diag
-        if cfg.trim_se_cap:
-            out, fixed, prob, status, info = _capped_solve(st, sel, g, cfg)
-        else:
-            prob = build_power_problem(st, sel, g, cfg)
-            p, status, info = solve_power_sp(prob, prob.p_max.copy(), cfg)
-            out = _apply_powers(dec, prob, p) if status == STATUS_CONVERGED else None
-            fixed = None
+        out, fixed, prob, status, info = _capped_solve(st, sel, g, cfg)
         diag["outer_iterations"] = info["outer_iterations"]
         diag["status"] = status
         if status == STATUS_CONVERGED:
-            if cfg.safeguard:
-                base = _apply_powers(dec, prob, prob.p_max)
-                if cfg.trim_se_cap:
-                    base = trim_to_se_cap(base, g)
-                if realized_objective(prob, out, g) > realized_objective(prob, base, g):
-                    out = base
-                    fixed = None
-                    diag["fallbacks"] += 1
+            base = trim_to_se_cap(_apply_powers(dec, prob, prob.p_max), g)
+            if realized_objective(prob, out, g) > realized_objective(prob, base, g):
+                out = base
+                fixed = None
+                diag["fallbacks"] += 1
             out = _floor_prune(out, prob, skip=fixed)
-            if cfg.trim_se_cap:
-                out = trim_to_se_cap(out, g)
-            return out, diag
+            return trim_to_se_cap(out, g), diag
         sel = _drop_weakest(sel)
         diag["pruned"] += 1

@@ -64,13 +64,6 @@ def chi(avg, rate, beta):
     return np.log1p((1.0 - beta) * np.asarray(rate) / (beta * np.asarray(avg))) / np.log(10.0)
 
 
-def marginal_utility(direction: str, b: int, k: int, inst_rate: float, st: PFState) -> float:
-    if k is None or k < 0:
-        return 0.0
-    avg = st.avg_dl[k] if direction == DL else st.avg_ul[k]
-    return float(chi(avg, inst_rate, st.beta))
-
-
 def _base_decision(Q, R, g: GainTable, powers, fd_ue: bool) -> SlotDecision:
     p_dl_w, p_ul_w = powers
     R = np.asarray(R)

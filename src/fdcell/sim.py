@@ -90,6 +90,12 @@ class RunConfig:
             raise ConfigError(f"beta must be in (0, 1), got {self.beta}")
         if self.bs_power_dbm < -30 or self.ue_power_dbm < -30:
             raise ConfigError("power caps below -30 dBm are out of range")
+        if self.ues_per_cell is not None and self.ues_per_cell < 1:
+            raise ConfigError(f"ues_per_cell must be >= 1, got {self.ues_per_cell}")
+        if self.energy_kappa < 0:
+            raise ConfigError(f"energy_kappa must be non-negative, got {self.energy_kappa}")
+        if self.cancellation_db is not None and self.cancellation_db < 0:
+            raise ConfigError(f"cancellation must be non-negative dB, got {self.cancellation_db}")
         if self.cancellation_db is not None and not np.isfinite(self.cancellation_db):
             return replace(self, cancellation_db=None)
         return self
@@ -273,11 +279,14 @@ def run_drop(cfg: RunConfig, drop_index: int) -> DropResult:
 
 
 def run_variant(cfg: RunConfig, jobs: int = 1) -> list:
-    """All drops for one config; drops are independent and parallelizable."""
+    """All drops for one config; drops are independent and parallelizable.
+
+    At most one worker process per drop.
+    """
     cfg = cfg.validated()
     if jobs <= 1 or cfg.drops == 1:
         return [run_drop(cfg, d) for d in range(cfg.drops)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, cfg.drops)) as pool:
         futures = [pool.submit(run_drop, cfg, d) for d in range(cfg.drops)]
         return [f.result() for f in futures]
 

@@ -42,16 +42,6 @@ class SlotDecision:
         )
 
 
-def empty_decision(n_cells: int, fd_ue: bool = False) -> SlotDecision:
-    return SlotDecision(
-        dl_ue=np.full(n_cells, NONE, dtype=int),
-        ul_ue=np.full(n_cells, NONE, dtype=int),
-        p_dl=np.zeros(n_cells),
-        p_ul=np.zeros(n_cells),
-        fd_ue=fd_ue,
-    )
-
-
 def validate(dec: SlotDecision, g: GainTable) -> None:
     """Assert the structural invariants of a decision."""
     B = g.n_cells
@@ -138,17 +128,3 @@ def slot_rates(dec: SlotDecision, g: GainTable, sub_min_floor: bool = False):
     rate_d = np.where(dec.dl_ue >= 0, rate_d, 0.0)
     rate_u = np.where(dec.ul_ue >= 0, rate_u, 0.0)
     return rate_d, rate_u
-
-
-def downlink_sinr(b: int, dec: SlotDecision, g: GainTable) -> float:
-    """SINR of cell b's downlink; the cell must have a downlink UE."""
-    if dec.dl_ue[b] < 0:
-        raise ValueError(f"cell {b} has no downlink assignment")
-    return float(slot_sinrs(dec, g)[0][b])
-
-
-def uplink_sinr(b: int, dec: SlotDecision, g: GainTable) -> float:
-    """SINR of cell b's uplink; the cell must have an uplink UE."""
-    if dec.ul_ue[b] < 0:
-        raise ValueError(f"cell {b} has no uplink assignment")
-    return float(slot_sinrs(dec, g)[1][b])

@@ -14,7 +14,9 @@ from fdcell.cli import (
     ExperimentSpec,
     RangeError,
     SchemaError,
+    _spec_from_args,
     apply_preset,
+    build_parser,
     main,
     parse_cancellation,
     parse_config,
@@ -92,11 +94,19 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
         ("beta = 1.5", EXIT_RANGE),
         ("cancellation = -10", EXIT_RANGE),
         ("scenario = Orbital", EXIT_RANGE),
+        ("energy_kappa = -1", EXIT_RANGE),
+        ("ues_per_cell = 0", EXIT_RANGE),
     ],
 )
 def test_exit_codes_for_config_problems(tmp_path, body, code):
     cfg = write_config(tmp_path / "c.conf", body + "\n")
     assert main(["run", "--config", cfg]) == code
+
+
+def test_jobs_below_one_is_a_range_error(tmp_path):
+    cfg = write_config(tmp_path / "c.conf", BASE_CONFIG)
+    for jobs in ("0", "-2"):
+        assert main(["run", "--config", cfg, "--jobs", jobs]) == EXIT_RANGE
 
 
 def test_exit_code_missing_config(tmp_path):
@@ -152,6 +162,23 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     out2 = tmp_path / "explicit"
     assert main(["run", "--config", cfg, "--seed", "3", "--out", str(out2)]) == EXIT_OK
     assert json.loads((out2 / "manifest.json").read_text())["config"]["seed"] == 3
+
+    # so does an explicit seed of 0, from a flag or from the config file
+    zero_cfg = write_config(tmp_path / "z.conf", BASE_CONFIG + "slots = 1\nseed = 0\n")
+    for argv in (["--config", cfg, "--seed", "0"], ["--config", zero_cfg]):
+        out3 = tmp_path / "zero"
+        assert main(["run", *argv, "--out", str(out3)]) == EXIT_OK
+        assert json.loads((out3 / "manifest.json").read_text())["config"]["seed"] == 0
+
+
+def test_config_file_overrides_preset(tmp_path):
+    cfg = write_config(tmp_path / "c.conf", "variants = HD\nscenario = Outdoor\n")
+    spec = _spec_from_args(build_parser().parse_args(
+        ["sweep", "--preset", "table5", "--config", cfg]
+    ))
+    assert spec.variants == ("HD",)
+    assert spec.base.scenario == "Outdoor"
+    assert spec.sweep_cancellation == DEFAULT_SWEEP
 
 
 def test_flags_override_config(tmp_path):

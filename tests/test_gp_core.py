@@ -8,6 +8,8 @@ from fdcell.gp_core import (
     STATUS_CONVERGED,
     STATUS_INFEASIBLE,
     WeightedLogObjective,
+    _BarrierObjective,
+    _SmoothedMax,
     condense,
     evaluate,
     minimize_box,
@@ -69,9 +71,69 @@ def test_posynomial_arrays_consistency():
         assert lse == pytest.approx(direct, rel=1e-12)
 
 
+def random_padded_blocks(rng, J=4, M=5, n=3):
+    """Ragged general-exponent blocks padded with c = -inf, zero exponents."""
+    A = rng.uniform(-2.0, 2.0, (J, M, n))
+    c = rng.normal(0.0, 1.0, (J, M))
+    for j in range(J):
+        m = int(rng.integers(1, M + 1))
+        A[j, m:] = 0.0
+        c[j, m:] = -np.inf
+    return A, c
+
+
+def reference_lse(A, c, y):
+    return np.array([np.logaddexp.reduce(Aj @ y + cj) for Aj, cj in zip(A, c)])
+
+
+def assert_fgh_matches_differences(f, y, value, h=1e-5):
+    """Value against a reference, gradient and Hessian against differences."""
+    val, grad, H = f(y)
+    assert val == pytest.approx(value, rel=1e-12)
+    assert f(y, need_hess=False)[2] is None
+    n = len(y)
+    fd_grad = np.zeros(n)
+    fd_hess = np.zeros((n, n))
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = h
+        fd_grad[i] = (f(y + e, False)[0] - f(y - e, False)[0]) / (2 * h)
+        fd_hess[:, i] = (f(y + e)[1] - f(y - e)[1]) / (2 * h)
+    np.testing.assert_allclose(grad, fd_grad, rtol=1e-6, atol=1e-7)
+    np.testing.assert_allclose(H, fd_hess, rtol=1e-6, atol=1e-7)
+    np.testing.assert_allclose(H, H.T, rtol=1e-12, atol=1e-12)
+
+
+def test_lse_kernel_objectives_match_finite_differences():
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        A, c = random_padded_blocks(rng)
+        y = rng.normal(0.0, 0.5, A.shape[2])
+        w = rng.uniform(0.1, 2.0, A.shape[0])
+        lin = rng.normal(0.0, 1.0, A.shape[2])
+        obj = WeightedLogObjective(A, c, w, lin=lin, const=0.3)
+        assert_fgh_matches_differences(
+            obj, y, w @ reference_lse(A, c, y) + lin @ y + 0.3
+        )
+
+        # constraints shifted to be strictly feasible at y
+        cA, cc = random_padded_blocks(rng)
+        cc = cc - (reference_lse(cA, cc, y).max() + 0.5)
+        g = reference_lse(cA, cc, y)
+        t = 7.0
+        barrier = _BarrierObjective(obj, (cA, cc), t)
+        assert_fgh_matches_differences(
+            barrier, y, obj(y)[0] - np.log(-g).sum() / t
+        )
+        tau = 0.3
+        assert_fgh_matches_differences(
+            _SmoothedMax((cA, cc), tau), y, tau * np.logaddexp.reduce(g / tau)
+        )
+
+
 def test_minimize_box_quadratic_like():
     # minimize lse of (y, -y): symmetric, optimum at y = 0 -> x = 1
-    obj = WeightedLogObjective([(1.0, np.array([[1.0], [-1.0]]), np.zeros(2))], n=1)
+    obj = WeightedLogObjective(np.array([[[1.0], [-1.0]]]), np.zeros((1, 2)), np.ones(1))
     y, status, _ = minimize_box(obj, np.array([1.5]), np.array([-3.0]), np.array([3.0]))
     assert status == STATUS_CONVERGED
     assert y[0] == pytest.approx(0.0, abs=1e-6)

@@ -18,7 +18,6 @@ from fdcell.power_alloc import (
     allocate_with_fallback,
     build_power_problem,
     build_sp_objective,
-    energy_aware_objective,
     pf_weights,
     realized_objective,
     solve_power_sp,
@@ -77,10 +76,12 @@ def test_problem_structure_single_link():
     assert prob.n_vars == 1
     assert prob.w.tolist() == [1.0]
     assert prob.w_scale == pytest.approx(0.01 / (0.99 * 1e7 * math.log(10.0)), rel=1e-12)
+    # term 0 is the noise, term 1 the link's power with exponent 1
+    np.testing.assert_array_equal(prob.A[0], [[0.0], [1.0]])
     # numerator: noise only; denominator: noise + own signal
-    assert prob.idx_num.tolist() == [[-1]]
     assert prob.c_num[0, 0] == pytest.approx(math.log(N_UE), rel=1e-12)
-    assert prob.idx_den.tolist() == [[-1, 0]]
+    assert prob.c_num[0, 1] == -np.inf
+    assert prob.c_den[0, 0] == prob.c_num[0, 0]
     assert prob.c_den[0, 1] == pytest.approx(math.log(1e-8), rel=1e-12)
     assert prob.p_max.tolist() == [P_BS]
     assert prob.p_floor[0] == pytest.approx(POWER_FLOOR_RATIO * P_BS, rel=1e-12)
@@ -96,42 +97,48 @@ def test_problem_fd_pair_interference_terms():
     dec = make_decision(g, dl=[0], ul=[1])
     prob = build_power_problem(st, selection_of(dec), g, AllocConfig())
     assert len(prob.w) == 2 and np.all(prob.w > 0)
+    # term 1+k of each row is link k's power; the own signal (diagonal)
+    # appears only in the denominator, the noise in both
+    assert prob.c_num[0, 0] == pytest.approx(math.log(N_UE), rel=1e-12)
+    assert prob.c_num[1, 0] == pytest.approx(math.log(N_BS), rel=1e-12)
+    for l, signal in ((0, 1e-8), (1, 8e-9)):
+        assert prob.c_num[l, 1 + l] == -np.inf
+        assert prob.c_den[l, 1 + l] == pytest.approx(math.log(signal), rel=1e-12)
     # uplink row (index 1): residual self-interference p_dl * gamma
-    row = 1
-    terms = {
-        int(v): c for v, c in zip(prob.idx_den[row], prob.c_den[row]) if np.isfinite(c)
-    }
-    assert terms[0] == pytest.approx(math.log(gamma), rel=1e-12)
+    assert prob.c_num[1, 1] == pytest.approx(math.log(gamma), rel=1e-12)
+    assert prob.c_den[1, 1] == prob.c_num[1, 1]
     # downlink row: partner uplink UE couples with the UE-UE gain
-    terms = {int(v): c for v, c in zip(prob.idx_num[0], prob.c_num[0]) if np.isfinite(c)}
-    assert terms[1] == pytest.approx(math.log(5e-12), rel=1e-12)
+    assert prob.c_num[0, 2] == pytest.approx(math.log(5e-12), rel=1e-12)
+    assert prob.c_den[0, 2] == prob.c_num[0, 2]
 
     # same-UE pair: the UE receiver sees its own residual, not a UE-UE gain
     dec_same = make_decision(g, dl=[0], ul=[0], fd_ue=True)
     prob_same = build_power_problem(st, selection_of(dec_same), g, AllocConfig())
-    terms = {
-        int(v): c
-        for v, c in zip(prob_same.idx_num[0], prob_same.c_num[0])
-        if np.isfinite(c)
-    }
-    assert terms[1] == pytest.approx(math.log(gamma), rel=1e-12)
+    assert prob_same.c_num[0, 2] == pytest.approx(math.log(gamma), rel=1e-12)
 
 
 def test_objective_matches_sinr_module(rng):
     st, sel, g = random_power_instance(rng, n_cells=3)
-    prob = build_power_problem(st, sel, g, AllocConfig())
-    u = rng.uniform(0.05, 1.0, size=prob.n_vars)
-    p = prob.p_floor * (prob.p_max / prob.p_floor) ** u
-    dec = sel.decision.copy()
-    dec.p_dl[prob.cells_dl] = p[: len(prob.cells_dl)]
-    dec.p_ul[prob.cells_ul] = p[len(prob.cells_dl):]
-    sinr_d, sinr_u = slot_sinrs(dec, g)
-    sinr = np.concatenate([sinr_d[prob.cells_dl], sinr_u[prob.cells_ul]])
-    expected = -float(prob.w @ np.log1p(sinr))
-    assert prob.true_objective(p) == pytest.approx(expected, rel=1e-10)
-    # posynomial-ratio view agrees with the one-hot arrays
-    obj = build_sp_objective(prob)
-    assert obj.value(p) == pytest.approx(math.exp(expected), rel=1e-9)
+    # same instance with cell 0 serving one FD-capable UE in both directions
+    same = sel.decision.copy()
+    same.fd_ue = True
+    same.dl_ue[0] = same.ul_ue[0] = 0
+    same.p_dl[0], same.p_ul[0] = g.p_bs_w, g.p_ue_w
+    for dec0 in (sel.decision, same):
+        sel0 = Selection(dec0, sel.du_dl, sel.du_ul)
+        prob = build_power_problem(st, sel0, g, AllocConfig())
+        u = rng.uniform(0.05, 1.0, size=prob.n_vars)
+        p = prob.p_floor * (prob.p_max / prob.p_floor) ** u
+        dec = dec0.copy()
+        dec.p_dl[prob.cells_dl] = p[: len(prob.cells_dl)]
+        dec.p_ul[prob.cells_ul] = p[len(prob.cells_dl):]
+        sinr_d, sinr_u = slot_sinrs(dec, g)
+        sinr = np.concatenate([sinr_d[prob.cells_dl], sinr_u[prob.cells_ul]])
+        expected = -float(prob.w @ np.log1p(sinr))
+        assert prob.true_objective(p) == pytest.approx(expected, rel=1e-10)
+        # posynomial-ratio view agrees with the gathered arrays
+        obj = build_sp_objective(prob)
+        assert obj.value(p) == pytest.approx(math.exp(expected), rel=1e-9)
 
 
 def test_single_link_solves_to_full_power():
@@ -222,14 +229,15 @@ def test_allocate_happy_path_equals_sp_output():
     dec = make_decision(g, dl=[0, 1])
     st = state_with([1e7, 1e7])
     sel = selection_of(dec)
-    cfg = AllocConfig(trim_se_cap=False, safeguard=False)
-    prob = build_power_problem(st, sel, g, cfg)
-    p_direct, status, _ = solve_power_sp(prob, prob.p_max.copy(), cfg)
+    prob = build_power_problem(st, sel, g, AllocConfig())
+    p_direct, status, _ = solve_power_sp(prob, prob.p_max.copy())
     assert status == STATUS_CONVERGED
-    out, diag = allocate_with_fallback(st, sel, g, cfg)
+    out, diag = allocate_with_fallback(st, sel, g)
     assert diag["pruned"] == 0
     assert diag["status"] == STATUS_CONVERGED
     assert diag["outer_iterations"] >= 1
+    assert diag["fallbacks"] == 0
+    np.testing.assert_array_equal(p_direct, prob.p_max)
     np.testing.assert_array_equal(active_powers(prob, out), p_direct)
 
 
@@ -418,7 +426,7 @@ def test_energy_penalty_threshold_and_monotone_power():
 
 def test_energy_aware_objective_value_and_validation(rng):
     prob, _ = energy_single_link(0.04)
-    obj = energy_aware_objective(prob)
+    obj = build_sp_objective(prob)
     p = np.array([0.01])
     assert obj.value(p) == pytest.approx(math.exp(prob.true_objective(p)), rel=1e-9)
 
@@ -430,7 +438,7 @@ def test_energy_aware_objective_value_and_validation(rng):
             AllocConfig(energy_kappa=-0.1),
         )
     with pytest.raises(ConfigError):
-        energy_aware_objective(dataclasses.replace(prob, energy_kappa=-1.0))
+        build_sp_objective(dataclasses.replace(prob, energy_kappa=-1.0))
 
 
 def test_empty_selection_short_circuits():

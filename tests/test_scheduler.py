@@ -13,7 +13,6 @@ from fdcell.scheduler import (
     get_utility,
     hd_select_ues,
     init_state,
-    marginal_utility,
     round_robin_select,
     select_ues,
     update_state,
@@ -61,12 +60,6 @@ def test_chi_oracle():
     assert chi(10e6, 0.0, 0.99) == 0.0
     rates = np.linspace(0.0, 60e6, 50)
     assert np.all(np.diff(chi(10e6, rates, 0.99)) > 0)
-
-
-def test_marginal_utility_unassigned():
-    st = fresh_state(2)
-    assert marginal_utility(DL, 0, NONE, 1e6, st) == 0.0
-    assert marginal_utility(DL, 0, None, 1e6, st) == 0.0
 
 
 def test_get_utility_empty_network_is_pure_gain():

@@ -1,5 +1,6 @@
 """Drop loop, aggregation, persistence, and seeding discipline."""
 
+import concurrent.futures
 import json
 
 import numpy as np
@@ -52,6 +53,9 @@ def test_config_validation_rejects_bad_values():
         dict(scenario="Orbital"),
         dict(variant="TDMA"),
         dict(bs_power_dbm=-31.0),
+        dict(cancellation_db=-10.0),
+        dict(energy_kappa=-1.0),
+        dict(ues_per_cell=0),
     ]:
         with pytest.raises(ConfigError):
             RunConfig(**bad).validated()
@@ -221,6 +225,33 @@ def test_run_variant_parallel_matches_sequential():
     for a, b in zip(seq, par):
         np.testing.assert_array_equal(a.bits_dl, b.bits_dl)
         np.testing.assert_array_equal(a.trace_p_ul, b.trace_p_ul)
+
+
+def test_run_variant_pool_has_at_most_one_worker_per_drop(monkeypatch):
+    workers = []
+
+    class InlinePool:
+        """Runs each drop in this process and records the requested size."""
+
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    cfg = RunConfig(variant="RR_HD", slots=2, drops=3, ues_per_cell=2, seed=9)
+    assert len(run_variant(cfg, jobs=64)) == 3
+    assert len(run_variant(cfg, jobs=2)) == 3
+    assert workers == [3, 2]
 
 
 def run_metrics(cfg):

@@ -6,13 +6,10 @@ from fdcell.channel import dbm_to_w
 from fdcell.sinr_rate import (
     MAX_SE,
     MIN_SE,
-    downlink_sinr,
-    empty_decision,
     rate_from_sinr,
     slot_link_terms,
     slot_rates,
     slot_sinrs,
-    uplink_sinr,
     validate,
 )
 
@@ -21,7 +18,7 @@ def test_single_cell_snr_oracle():
     # p G / N with no interferers: 24 dBm * 1e-8 / (-96 dBm) = 10^4 exactly
     g = toy_gains([[1e-8, 1e-8]], noise_ue_w=dbm_to_w(-96.0))
     dec = make_decision(g, dl=[0])
-    assert downlink_sinr(0, dec, g) == pytest.approx(1e4, rel=1e-9)
+    assert slot_sinrs(dec, g)[0][0] == pytest.approx(1e4, rel=1e-9)
 
 
 def test_symmetric_cells_equal_sinr():
@@ -35,8 +32,8 @@ def test_symmetric_cells_equal_sinr():
 def test_interference_lowers_sinr():
     gd = np.array([[1e-8, 1e-11], [1e-11, 1e-8]])
     g = toy_gains(gd, ue_cell=[0, 1])
-    alone = downlink_sinr(0, make_decision(g, dl=[0, None]), g)
-    both = downlink_sinr(0, make_decision(g, dl=[0, 1]), g)
+    alone = slot_sinrs(make_decision(g, dl=[0, None]), g)[0][0]
+    both = slot_sinrs(make_decision(g, dl=[0, 1]), g)[0][0]
     assert both < alone
 
 
@@ -44,7 +41,7 @@ def test_uplink_snr_perfect_cancellation():
     g = toy_gains([[1e-8, 1e-8]], gamma=0.0)
     dec = make_decision(g, ul=[1])
     expect = g.p_ue_w * 1e-8 / g.noise_bs_w
-    assert uplink_sinr(0, dec, g) == pytest.approx(expect, rel=1e-12)
+    assert slot_sinrs(dec, g)[1][0] == pytest.approx(expect, rel=1e-12)
 
 
 def test_self_interference_residual_dbm():
@@ -62,7 +59,7 @@ def test_fd_pair_couplings():
     g = toy_gains([[1e-8, 1e-8]], g_ue=g_ue, gamma=0.0)
     fd = make_decision(g, dl=[0], ul=[1])
     alone = make_decision(g, dl=[0])
-    assert downlink_sinr(0, fd, g) < downlink_sinr(0, alone, g)
+    assert slot_sinrs(fd, g)[0][0] < slot_sinrs(alone, g)[0][0]
 
 
 def test_fd_ue_self_interference():
@@ -90,11 +87,11 @@ def test_rate_window():
 def test_zero_power_assigned_link():
     g = toy_gains([[1e-8, 1e-8]])
     dec = make_decision(g, ul=[1], p_ul=0.0)
-    assert uplink_sinr(0, dec, g) == 0.0
+    assert slot_sinrs(dec, g)[1][0] == 0.0
     _, ru = slot_rates(dec, g)
     assert ru[0] == 0.0
-    with pytest.raises(ValueError):
-        uplink_sinr(0, make_decision(g), g)
+    # an unassigned link reads zero SINR
+    assert slot_sinrs(make_decision(g), g)[1][0] == 0.0
 
 
 def test_validate_rejects_bad_decisions():
@@ -107,7 +104,7 @@ def test_validate_rejects_bad_decisions():
         validate(same_ue, g)
     validate(make_decision(g, dl=[0], ul=[0], fd_ue=True), g)
 
-    ghost_power = empty_decision(1)
+    ghost_power = make_decision(g)
     ghost_power.p_dl[0] = 0.1
     with pytest.raises(AssertionError):
         validate(ghost_power, g)
