@@ -192,6 +192,7 @@ def apply_preset(spec: ExperimentSpec, name: str) -> ExperimentSpec:
     spec.base = replace(spec.base, scenario=p["scenario"])
     spec.variants = p["variants"]
     spec.sweep_cancellation = p["sweep"]
+    spec.base = replace(spec.base, cancellation_db=p["sweep"][0])
     return spec
 
 

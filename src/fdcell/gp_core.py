@@ -10,9 +10,11 @@ weights; classic standard-form GPs reduce to it with unit weights.
 One kernel, lse_blocks, evaluates the log-sum-exp, softmax and
 gradient of a whole stack of posynomials at once: each posynomial is a
 block of a padded (J, M, n) exponent tensor, pad terms carry log
-coefficient -inf. lse_hessian adds up their weighted Hessians. The GP
-objective, the barrier and phase-I terms, and the power allocator
-(power_alloc) all evaluate through it.
+coefficient -inf. When every block has the same exponents (the power
+allocator's rows differ only in their coefficients) one shared (M, n)
+exponent matrix stands in for the tensor. lse_hessian adds up their
+weighted Hessians. The GP objective, the barrier and phase-I terms, and
+the power allocator (power_alloc) all evaluate through it.
 
 Solver: projected Newton over the box for unconstrained-in-x problems;
 posynomial <= 1 constraints go through a log-barrier path with a
@@ -129,19 +131,28 @@ def _lse_softmax(z: np.ndarray):
 def lse_blocks(A: np.ndarray, c: np.ndarray, y: np.ndarray):
     """Log-sum-exp of every block z_j = A_j y + c_j of a padded tensor.
 
-    A is (J, M, n) and c is (J, M); pad terms carry c = -inf and drop
-    out of the softmax. Returns (lse (J,), softmax p (J, M), gradients
-    (J, n)); the gradient of block j is p_j A_j.
+    A is (J, M, n), or one (M, n) matrix shared by every block, and c is
+    (J, M); pad terms carry c = -inf and drop out of the softmax.
+    Returns (lse (J,), softmax p (J, M), gradients (J, n)); the gradient
+    of block j is p_j A_j.
     """
     lse, p = _lse_softmax(A @ y + c)
-    return lse, p, (p[:, None, :] @ A)[:, 0]
+    G = p @ A if A.ndim == 2 else (p[:, None, :] @ A)[:, 0]
+    return lse, p, G
 
 
 def lse_hessian(A: np.ndarray, p: np.ndarray, G: np.ndarray, w: np.ndarray):
-    """sum_j w_j * Hessian_j from the softmax and gradients of lse_blocks."""
+    """sum_j w_j * Hessian_j from the softmax and gradients of lse_blocks.
+
+    Hessian_j = A_j^T diag(p_j) A_j - G_j G_j^T; with a shared A the
+    first terms sum to A^T diag(w p) A.
+    """
+    Gw = (G * w[:, None]).T @ G
+    if A.ndim == 2:
+        return A.T @ (A * (w @ p)[:, None]) - Gw
     n = A.shape[2]
     Aw = A * (w[:, None] * p)[:, :, None]
-    return Aw.reshape(-1, n).T @ A.reshape(-1, n) - (G * w[:, None]).T @ G
+    return Aw.reshape(-1, n).T @ A.reshape(-1, n) - Gw
 
 
 def _pad_blocks(blocks):
@@ -159,14 +170,14 @@ def _pad_blocks(blocks):
 class WeightedLogObjective:
     """F(y) = sum_j w_j * lse(A_j y + c_j) + lin . y + const.
 
-    A (J, M, n) and c (J, M) are the padded blocks of lse_blocks.
+    A (J, M, n) or shared (M, n) and c (J, M) are the blocks of lse_blocks.
     """
 
     def __init__(self, A, c, w, lin=None, const=0.0):
         self.A = A
         self.c = c
         self.w = np.asarray(w, dtype=float)
-        self.lin = np.zeros(A.shape[2]) if lin is None else np.asarray(lin, dtype=float)
+        self.lin = np.zeros(A.shape[-1]) if lin is None else np.asarray(lin, dtype=float)
         self.const = float(const)
 
     def __call__(self, y: np.ndarray, need_hess: bool = True):
@@ -206,11 +217,11 @@ def minimize_box(fgh, y0, lo, hi, tol=1e-8, max_iter=200):
         free = ~active
         d = np.zeros(n)
         if free.any():
-            Hf = H[np.ix_(free, free)]
+            Hf = H[free][:, free]
             gf = g[free]
-            ridge = 1e-12 * (1.0 + np.trace(Hf) / max(free.sum(), 1))
+            Hf.flat[:: len(gf) + 1] += 1e-12 * (1.0 + np.trace(Hf) / len(gf))
             try:
-                df = np.linalg.solve(Hf + ridge * np.eye(free.sum()), -gf)
+                df = np.linalg.solve(Hf, -gf)
                 if df @ gf >= 0:
                     df = -gf
             except np.linalg.LinAlgError:

@@ -10,16 +10,21 @@ with a projected Newton. Re-condensing at each new iterate yields a
 monotone successive approximation that stops once the power vector
 moves less than epsilon.
 
-Each link's numerator and denominator is one row of a padded term
-tensor (noise, then one term per link's power), gathered from the gain
-table in one pass. Values, gradients, Hessians and the condensation
-exponents all come from the log-sum-exp kernel of gp_core.
+Everything works on the links x links gain matrix of the active links,
+gathered from the gain table in one pass: entry (l, k) is the gain from
+link k's transmitter to link l's receiver, the diagonal is each link's
+own signal, so every SINR is one matrix-vector product. Each link's
+numerator and denominator is one row of log term coefficients (noise,
+then one term per link's power) over one exponent matrix shared by all
+rows. Values, gradients, Hessians and the condensation exponents all
+come from the log-sum-exp kernel of gp_core.
 
 The allocator wraps the loop with the scheduler-facing policy: start at
 maximum power, prune the weakest selection on solver failure, zero out
 links parked at the numerical floor, never return a point worse than
 the starting one, and finally shed the power that only overshoots the
-spectral-efficiency cap.
+spectral-efficiency cap. That trim is a linear solve: the powers at
+which the links above the cap sit exactly at it.
 """
 
 from __future__ import annotations
@@ -39,8 +44,10 @@ from .gp_core import (
     lse_blocks,
     minimize_box,
 )
-from .scheduler import DL, UL, PFState, Selection, chi
-from .sinr_rate import MAX_SE, NONE, SlotDecision, slot_rates, slot_sinrs
+from .scheduler import DL, UL, PFState, Selection
+from .sinr_rate import MAX_SE, NONE, SlotDecision
+# unused here, but the benchmark tracer patches these names in this module
+from .sinr_rate import slot_rates, slot_sinrs  # noqa: F401
 
 POWER_FLOOR_RATIO = 1e-6      # floor = ratio * cap, GP needs positive vars
 SE_CAP_SINR = 2.0**MAX_SE - 1.0
@@ -71,36 +78,34 @@ class PowerProblem:
     """Per-slot power problem over the active links.
 
     Variable order: downlink links by cell, then uplink links by cell.
-    Row l of c_num holds the log coefficients of link l's interference
-    plus noise: term 0 is the receiver noise, term 1+k is link k's power
-    (-inf where k does not reach l's receiver). c_den is the same row
-    plus the link's own signal. Both share the exponent tensor A, which
-    picks power k for term 1+k. `lin` carries the energy penalty
-    exponents (zero when plain).
+    gain[l, k] is the gain from link k's transmitter to link l's
+    receiver (the diagonal is the link's own signal) and noise[l] the
+    noise at l's receiver. Row l of c_num holds the log coefficients of
+    link l's interference plus noise: term 0 is the noise, term 1+k is
+    link k's power (-inf where k does not reach l's receiver). c_den is
+    the same row plus the link's own signal. Every row shares the
+    exponent matrix A, which picks power k for term 1+k. `lin` carries
+    the energy penalty exponents (zero when plain).
     """
 
     cells_dl: np.ndarray
     cells_ul: np.ndarray
-    ues_dl: np.ndarray
-    ues_ul: np.ndarray
     w: np.ndarray               # (L,) rescaled weights
     w_scale: float              # multiply w by this to recover the raw weights
-    A: np.ndarray               # (L, M, n) term exponents
-    c_num: np.ndarray           # (L, M) log coefficients, -inf padded
-    c_den: np.ndarray           # (L, M)
-    lin: np.ndarray             # (n,) energy penalty in log space (rescaled)
-    p_max: np.ndarray           # (n,)
-    p_floor: np.ndarray         # (n,)
+    gain: np.ndarray            # (L, L) link gains
+    noise: np.ndarray           # (L,) receiver noise
+    A: np.ndarray               # (L+1, L) term exponents shared by every row
+    c_num: np.ndarray           # (L, L+1) log coefficients
+    c_den: np.ndarray           # (L, L+1)
+    lin: np.ndarray             # (L,) energy penalty in log space (rescaled)
+    p_max: np.ndarray           # (L,)
+    p_floor: np.ndarray         # (L,)
     epsilon: float
-    gains: GainTable
     energy_kappa: float = 0.0
 
     @property
     def n_vars(self) -> int:
         return len(self.p_max)
-
-    def link_labels(self):
-        return [(int(c), DL) for c in self.cells_dl] + [(int(c), UL) for c in self.cells_ul]
 
     def true_objective(self, p: np.ndarray) -> float:
         """Weighted log objective at powers p (lower is better)."""
@@ -110,31 +115,18 @@ class PowerProblem:
         return float(self.w @ (lse_n - lse_d) + self.lin @ y)
 
 
-def build_power_problem(
-    st: PFState,
-    selection: Selection,
-    g: GainTable,
-    cfg: AllocConfig = AllocConfig(),
-) -> PowerProblem | None:
-    """Assemble the SP arrays for the selection; None if nothing is active."""
-    if cfg.energy_kappa < 0:
-        raise ConfigError(f"energy_kappa must be non-negative, got {cfg.energy_kappa}")
-    dec = selection.decision
+def _link_gains(dec: SlotDecision, g: GainTable):
+    """Active links of a decision and their gains: (cells_dl, cells_ul, gain, noise).
+
+    Links are the downlinks by cell, then the uplinks by cell;
+    gain[l, k] is the gain from link k's transmitter to link l's
+    receiver, the diagonal each link's own signal, noise[l] the noise at
+    l's receiver.
+    """
     cells_dl = np.where(dec.dl_ue >= 0)[0]
     cells_ul = np.where(dec.ul_ue >= 0)[0]
-    n = len(cells_dl) + len(cells_ul)
-    if n == 0:
-        return None
     ues_dl = dec.dl_ue[cells_dl]
     ues_ul = dec.ul_ue[cells_ul]
-
-    w_dl, w_ul = pf_weights(st, selection)
-    w = np.concatenate([w_dl[cells_dl], w_ul[cells_ul]])
-    w_scale = float(w.max())
-    w = w / w_scale
-
-    # gain[l, k]: transmitter of link k -> receiver of link l; the
-    # diagonal is each link's own signal
     ue_ue = g.g_ue[np.ix_(ues_ul, ues_dl)].T
     if dec.fd_ue:
         # a UE on both directions hears its own residual, not a UE-UE gain
@@ -153,17 +145,52 @@ def build_power_problem(
     noise = np.concatenate(
         [np.full(len(cells_dl), g.noise_ue_w), np.full(len(cells_ul), g.noise_bs_w)]
     )
+    return cells_dl, cells_ul, gain, noise
+
+
+def _link_sinr(gain: np.ndarray, noise: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """SINR of every link at powers p over a links x links gain matrix."""
+    sig = np.diagonal(gain) * p
+    return sig / (noise + gain @ p - sig)
+
+
+def _log_terms(gain: np.ndarray, noise: np.ndarray):
+    """Shared exponent matrix A and the log coefficients (c_num, c_den)."""
     with np.errstate(divide="ignore"):
         c_den = np.log(np.column_stack([noise, gain]))
     c_num = c_den.copy()
     np.fill_diagonal(c_num[:, 1:], -np.inf)
+    n = len(noise)
+    return np.eye(n + 1, n, -1), c_num, c_den
+
+
+def build_power_problem(
+    st: PFState,
+    selection: Selection,
+    g: GainTable,
+    cfg: AllocConfig = AllocConfig(),
+) -> PowerProblem | None:
+    """Assemble the SP arrays for the selection; None if nothing is active."""
+    if cfg.energy_kappa < 0:
+        raise ConfigError(f"energy_kappa must be non-negative, got {cfg.energy_kappa}")
+    dec = selection.decision
+    cells_dl, cells_ul, gain, noise = _link_gains(dec, g)
+    n = len(noise)
+    if n == 0:
+        return None
+
+    w_dl, w_ul = pf_weights(st, selection)
+    w = np.concatenate([w_dl[cells_dl], w_ul[cells_ul]])
+    w_scale = float(w.max())
+    w = w / w_scale
+    A, c_num, c_den = _log_terms(gain, noise)
 
     lin = np.zeros(n)
     if cfg.energy_kappa > 0:
         dist = np.concatenate(
             [
-                g.dist_bs_ue_m[cells_dl, ues_dl],
-                g.dist_bs_ue_m[cells_ul, ues_ul],
+                g.dist_bs_ue_m[cells_dl, dec.dl_ue[cells_dl]],
+                g.dist_bs_ue_m[cells_ul, dec.ul_ue[cells_ul]],
             ]
         )
         c_energy = cfg.energy_kappa / np.maximum(dist, 1.0)
@@ -179,18 +206,17 @@ def build_power_problem(
     return PowerProblem(
         cells_dl=cells_dl,
         cells_ul=cells_ul,
-        ues_dl=ues_dl,
-        ues_ul=ues_ul,
         w=w,
         w_scale=w_scale,
-        A=np.tile(np.eye(n + 1, n, -1), (n, 1, 1)),
+        gain=gain,
+        noise=noise,
+        A=A,
         c_num=c_num,
         c_den=c_den,
         lin=lin,
         p_max=p_max,
         p_floor=POWER_FLOOR_RATIO * p_max,
         epsilon=float(eps),
-        gains=g,
         energy_kappa=cfg.energy_kappa,
     )
 
@@ -227,8 +253,8 @@ def build_sp_objective(prob: PowerProblem) -> SPObjective:
     """Posynomial-ratio form of the slot objective (for checks and dumps)."""
     if prob.energy_kappa < 0:
         raise ConfigError("energy penalty must be non-negative")
-    num = [_rows_to_posynomial(A, c) for A, c in zip(prob.A, prob.c_num)]
-    den = [_rows_to_posynomial(A, c) for A, c in zip(prob.A, prob.c_den)]
+    num = [_rows_to_posynomial(prob.A, c) for c in prob.c_num]
+    den = [_rows_to_posynomial(prob.A, c) for c in prob.c_den]
     return SPObjective(num, den, prob.w.copy(), prob.lin.copy(), prob.w_scale)
 
 
@@ -323,66 +349,86 @@ def _reduce_problem(prob: PowerProblem, fixed_p: np.ndarray, fixed: np.ndarray):
     """Condition the problem on the pinned variables.
 
     Pinned links keep transmitting at fixed_p: their rate rows leave the
-    objective (the cap makes them constant) and every term they scale
-    in the remaining rows becomes a constant with their log power folded
-    into its coefficient. Returns (sub_problem, free_mask) or (None,
-    free_mask) when nothing is left to optimize.
+    objective (the cap makes them constant) and the interference they
+    cause at the remaining links joins those links' noise. Returns
+    (sub_problem, free_mask) or (None, free_mask) when nothing is left
+    to optimize.
     """
     free = ~fixed
     if not free.any():
         return None, free
+    if not fixed.any():
+        return prob, free
     nd = len(prob.cells_dl)
-    A = prob.A[free]                       # row l belongs to variable l
-    fold = A[:, :, fixed] @ np.log(fixed_p[fixed])
+    rows = prob.gain[free]
+    gain = rows[:, free]
+    noise = prob.noise[free] + rows[:, fixed] @ fixed_p[fixed]
+    A, c_num, c_den = _log_terms(gain, noise)
     sub = PowerProblem(
         cells_dl=prob.cells_dl[free[:nd]],
         cells_ul=prob.cells_ul[free[nd:]],
-        ues_dl=prob.ues_dl[free[:nd]],
-        ues_ul=prob.ues_ul[free[nd:]],
         w=prob.w[free],
         w_scale=prob.w_scale,
-        A=A[:, :, free],
-        c_num=prob.c_num[free] + fold,
-        c_den=prob.c_den[free] + fold,
+        gain=gain,
+        noise=noise,
+        A=A,
+        c_num=c_num,
+        c_den=c_den,
         lin=prob.lin[free],
         p_max=prob.p_max[free],
         p_floor=prob.p_floor[free],
         epsilon=prob.epsilon,
-        gains=prob.gains,
         energy_kappa=prob.energy_kappa,
     )
     return sub, free
 
 
-def trim_to_se_cap(dec: SlotDecision, g: GainTable, max_rounds: int = 60) -> SlotDecision:
-    """Scale down powers that overshoot the spectral-efficiency cap.
+def trim_to_se_cap(dec: SlotDecision, g: GainTable) -> SlotDecision:
+    """Lower the powers of links above the spectral-efficiency cap to the cap.
 
-    A link above the cap keeps exactly its capped rate with power scaled
-    by cap/SINR; everyone else only sees less interference. Powers are
-    non-increasing across rounds so the loop terminates.
+    The links above the cap (set S) take the powers at which each one
+    sits exactly at the cap, given the others' powers: the fixed point
+    of Yates' standard interference function, found by solving
+    (diag(g_SS) - cap * G_SS) p_S = cap * (noise_S + G_SF p_F), where G
+    holds the interference gains (no diagonal). At the current powers
+    every link in S is at or above the cap and the noise is positive,
+    so the matrix is a nonsingular M-matrix (Perron-Frobenius) and p_S
+    is positive and no larger than before. A link above the cap thus
+    keeps exactly its capped rate, and everyone else only sees less
+    interference. Links that the lower powers lift above the cap join S
+    and the system is solved again, at most once per link. Links at or
+    below the cap keep their powers.
     """
-    out = dec.copy()
-    for _ in range(max_rounds):
-        sinr_d, sinr_u = slot_sinrs(out, g)
-        over_d = (out.dl_ue >= 0) & (sinr_d > SE_CAP_SINR * (1 + 1e-12))
-        over_u = (out.ul_ue >= 0) & (sinr_u > SE_CAP_SINR * (1 + 1e-12))
-        if not (over_d.any() or over_u.any()):
+    cells_dl, cells_ul, gain, noise = _link_gains(dec, g)
+    p = np.concatenate([dec.p_dl[cells_dl], dec.p_ul[cells_ul]])
+    sig = np.diagonal(gain)
+    over = np.zeros(len(p), dtype=bool)
+    while True:
+        newly = ~over & (_link_sinr(gain, noise, p) > SE_CAP_SINR * (1 + 1e-12))
+        if not newly.any():
             break
-        out.p_dl[over_d] *= SE_CAP_SINR / sinr_d[over_d]
-        out.p_ul[over_u] *= SE_CAP_SINR / sinr_u[over_u]
+        over |= newly
+        rest = ~over
+        M = -SE_CAP_SINR * gain[over][:, over]
+        M.flat[:: len(M) + 1] = sig[over]
+        rhs = SE_CAP_SINR * (noise[over] + gain[over][:, rest] @ p[rest])
+        # the clamp only absorbs rounding: the exact solution never rises
+        p[over] = np.minimum(np.linalg.solve(M, rhs), p[over])
+    out = dec.copy()
+    out.p_dl[cells_dl] = p[: len(cells_dl)]
+    out.p_ul[cells_ul] = p[len(cells_dl):]
     return out
 
 
-def realized_objective(prob: PowerProblem, dec: SlotDecision, g: GainTable) -> float:
+def realized_objective(prob: PowerProblem, dec: SlotDecision) -> float:
     """Problem objective at a decision, with rates saturated at the cap.
 
     Inactive links contribute no rate term and no power penalty; this is
     the quantity the cap conditioning actually improves, so safeguard
     comparisons happen on it.
     """
-    sinr_d, sinr_u = slot_sinrs(dec, g)
-    sinr = np.concatenate([sinr_d[prob.cells_dl], sinr_u[prob.cells_ul]])
     p = _extract_powers(dec, prob)
+    sinr = _link_sinr(prob.gain, prob.noise, p)
     on = p > 0
     cap = np.log1p(np.minimum(sinr[on], SE_CAP_SINR))
     val = -float(prob.w[on] @ cap)
@@ -419,29 +465,12 @@ def _capped_solve(st: PFState, sel: Selection, g: GainTable, cfg: AllocConfig):
         trimmed = trim_to_se_cap(dec, g)
         p = _extract_powers(trimmed, prob)
         info["cap_rounds"] += 1
-        sinr_d, sinr_u = slot_sinrs(trimmed, g)
-        at_cap = np.concatenate(
-            [
-                sinr_d[prob.cells_dl] >= SE_CAP_SINR * (1 - 1e-9),
-                sinr_u[prob.cells_ul] >= SE_CAP_SINR * (1 - 1e-9),
-            ]
-        )
+        at_cap = _link_sinr(prob.gain, prob.noise, p) >= SE_CAP_SINR * (1 - 1e-9)
         newly = at_cap & ~fixed
         if not newly.any():
             break
         fixed |= newly
     return trimmed, fixed, prob, STATUS_CONVERGED, info
-
-
-def _slot_utility(dec: SlotDecision, g: GainTable, st: PFState) -> float:
-    """Actual marginal PF utility of the slot at the decision's powers."""
-    rate_dl, rate_ul = slot_rates(dec, g)
-    u = 0.0
-    on = dec.dl_ue >= 0
-    u += float(np.sum(chi(st.avg_dl[dec.dl_ue[on]], rate_dl[on], st.beta)))
-    on = dec.ul_ue >= 0
-    u += float(np.sum(chi(st.avg_ul[dec.ul_ue[on]], rate_ul[on], st.beta)))
-    return u
 
 
 def _drop_weakest(selection: Selection) -> Selection:
@@ -485,7 +514,7 @@ def allocate_with_fallback(
     weakest candidates, and links the optimizer parks at the numerical
     floor are zeroed.
     """
-    diag = {"pruned": 0, "status": "idle", "outer_iterations": 0, "fallbacks": 0}
+    diag = {"pruned": 0, "status": "idle", "outer_iterations": 0, "cap_rounds": 0, "fallbacks": 0}
     sel = selection
     while True:
         dec = sel.decision
@@ -493,10 +522,11 @@ def allocate_with_fallback(
             return dec.copy(), diag
         out, fixed, prob, status, info = _capped_solve(st, sel, g, cfg)
         diag["outer_iterations"] = info["outer_iterations"]
+        diag["cap_rounds"] = info["cap_rounds"]
         diag["status"] = status
         if status == STATUS_CONVERGED:
             base = trim_to_se_cap(_apply_powers(dec, prob, prob.p_max), g)
-            if realized_objective(prob, out, g) > realized_objective(prob, base, g):
+            if realized_objective(prob, out) > realized_objective(prob, base):
                 out = base
                 fixed = None
                 diag["fallbacks"] += 1

@@ -218,7 +218,13 @@ def run_drop(cfg: RunConfig, drop_index: int) -> DropResult:
     trace_ul_ue = np.full((cfg.slots, B), -1, dtype=np.int32)
     trace_p_dl = np.zeros((cfg.slots, B))
     trace_p_ul = np.zeros((cfg.slots, B))
-    diag_tot = {"pruned": 0, "fallbacks": 0, "nonconverged_slots": 0}
+    diag_tot = {
+        "pruned": 0,
+        "fallbacks": 0,
+        "nonconverged_slots": 0,
+        "cap_rounds": 0,
+        "outer_iterations": 0,
+    }
 
     for t in range(cfg.slots):
         direction = DL if t % 2 == 0 else UL
@@ -254,6 +260,8 @@ def run_drop(cfg: RunConfig, drop_index: int) -> DropResult:
         if diag:
             diag_tot["pruned"] += diag.get("pruned", 0)
             diag_tot["fallbacks"] += diag.get("fallbacks", 0)
+            diag_tot["cap_rounds"] += diag.get("cap_rounds", 0)
+            diag_tot["outer_iterations"] += diag.get("outer_iterations", 0)
             if diag.get("status") not in ("converged", "idle"):
                 diag_tot["nonconverged_slots"] += 1
 

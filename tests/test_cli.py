@@ -236,6 +236,16 @@ def test_compare_missing_dir_exits_2(tmp_path):
     assert main(["compare", str(tmp_path / "no"), str(tmp_path / "pe")]) == EXIT_MISSING_FILE
 
 
+def test_run_preset_sets_first_cancellation():
+    spec = _spec_from_args(build_parser().parse_args(["run", "--preset", "table2"]))
+    assert spec.base.cancellation_db == 75.0
+    spec = _spec_from_args(
+        build_parser().parse_args(["run", "--preset", "table2", "--cancellation", "95"])
+    )
+    assert spec.base.cancellation_db == 95.0
+    assert spec.sweep_cancellation == (95.0,)
+
+
 def test_presets():
     spec = apply_preset(ExperimentSpec(base=RunConfig()), "table5")
     assert spec.base.scenario == "Indoor"

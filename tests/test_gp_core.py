@@ -12,6 +12,8 @@ from fdcell.gp_core import (
     _SmoothedMax,
     condense,
     evaluate,
+    lse_blocks,
+    lse_hessian,
     minimize_box,
     posynomial_arrays,
     projected_grad_norm,
@@ -129,6 +131,32 @@ def test_lse_kernel_objectives_match_finite_differences():
         assert_fgh_matches_differences(
             _SmoothedMax((cA, cc), tau), y, tau * np.logaddexp.reduce(g / tau)
         )
+
+
+def test_shared_exponent_matrix_matches_tiled_tensor():
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        J, M, n = 5, 6, 4
+        A = rng.uniform(-2.0, 2.0, (M, n))
+        c = rng.normal(0.0, 1.0, (J, M))
+        c[rng.random((J, M)) < 0.3] = -np.inf
+        c[:, 0] = rng.normal(0.0, 1.0, J)       # every block keeps a term
+        y = rng.normal(0.0, 0.5, n)
+        w = rng.uniform(0.1, 2.0, J)
+        tiled = np.tile(A, (J, 1, 1))
+        shared_out = lse_blocks(A, c, y)
+        tiled_out = lse_blocks(tiled, c, y)
+        for got, want in zip(shared_out, tiled_out):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            lse_hessian(A, shared_out[1], shared_out[2], w),
+            lse_hessian(tiled, tiled_out[1], tiled_out[2], w),
+            rtol=1e-12,
+            atol=1e-12,
+        )
+        # and the objective built on it agrees with the reference values
+        obj = WeightedLogObjective(A, c, w)
+        assert_fgh_matches_differences(obj, y, w @ reference_lse(tiled, c, y))
 
 
 def test_minimize_box_quadratic_like():

@@ -76,8 +76,11 @@ def test_problem_structure_single_link():
     assert prob.n_vars == 1
     assert prob.w.tolist() == [1.0]
     assert prob.w_scale == pytest.approx(0.01 / (0.99 * 1e7 * math.log(10.0)), rel=1e-12)
-    # term 0 is the noise, term 1 the link's power with exponent 1
-    np.testing.assert_array_equal(prob.A[0], [[0.0], [1.0]])
+    # one exponent matrix for every row: term 0 is the noise, term 1 the
+    # link's power with exponent 1
+    np.testing.assert_array_equal(prob.A, [[0.0], [1.0]])
+    np.testing.assert_array_equal(prob.gain, [[1e-8]])
+    np.testing.assert_array_equal(prob.noise, [N_UE])
     # numerator: noise only; denominator: noise + own signal
     assert prob.c_num[0, 0] == pytest.approx(math.log(N_UE), rel=1e-12)
     assert prob.c_num[0, 1] == -np.inf
@@ -97,6 +100,11 @@ def test_problem_fd_pair_interference_terms():
     dec = make_decision(g, dl=[0], ul=[1])
     prob = build_power_problem(st, selection_of(dec), g, AllocConfig())
     assert len(prob.w) == 2 and np.all(prob.w > 0)
+    # every row shares one exponent matrix: term 0 (noise) has none,
+    # term 1+k carries link k's power with exponent 1
+    np.testing.assert_array_equal(prob.A, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    np.testing.assert_array_equal(prob.noise, [N_UE, N_BS])
+    np.testing.assert_array_equal(prob.gain, [[1e-8, 5e-12], [gamma, 8e-9]])
     # term 1+k of each row is link k's power; the own signal (diagonal)
     # appears only in the denominator, the noise in both
     assert prob.c_num[0, 0] == pytest.approx(math.log(N_UE), rel=1e-12)
@@ -115,6 +123,7 @@ def test_problem_fd_pair_interference_terms():
     dec_same = make_decision(g, dl=[0], ul=[0], fd_ue=True)
     prob_same = build_power_problem(st, selection_of(dec_same), g, AllocConfig())
     assert prob_same.c_num[0, 2] == pytest.approx(math.log(gamma), rel=1e-12)
+    assert prob_same.gain[0, 1] == gamma
 
 
 def test_objective_matches_sinr_module(rng):
@@ -136,9 +145,33 @@ def test_objective_matches_sinr_module(rng):
         sinr = np.concatenate([sinr_d[prob.cells_dl], sinr_u[prob.cells_ul]])
         expected = -float(prob.w @ np.log1p(sinr))
         assert prob.true_objective(p) == pytest.approx(expected, rel=1e-10)
+        # the shared exponent matrix and the link-space SINR behind it
+        np.testing.assert_array_equal(prob.A, np.eye(prob.n_vars + 1, prob.n_vars, -1))
+        np.testing.assert_allclose(pa._link_sinr(prob.gain, prob.noise, p), sinr, rtol=1e-12)
         # posynomial-ratio view agrees with the gathered arrays
         obj = build_sp_objective(prob)
         assert obj.value(p) == pytest.approx(math.exp(expected), rel=1e-9)
+
+
+def test_reduce_problem_keeps_pinned_interference():
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        st, sel, g = random_power_instance(rng, n_cells=4)
+        prob = build_power_problem(st, sel, g, AllocConfig())
+        if prob.n_vars < 2:
+            continue
+        p = prob.p_max * rng.uniform(0.05, 1.0, size=prob.n_vars)
+        fixed = np.zeros(prob.n_vars, dtype=bool)
+        fixed[rng.choice(prob.n_vars, size=prob.n_vars // 2, replace=False)] = True
+        sub, free = pa._reduce_problem(prob, p, fixed)
+        dec = sel.decision.copy()
+        dec.p_dl[prob.cells_dl] = p[: len(prob.cells_dl)]
+        dec.p_ul[prob.cells_ul] = p[len(prob.cells_dl):]
+        sinr_d, sinr_u = slot_sinrs(dec, g)
+        sinr = np.concatenate([sinr_d[prob.cells_dl], sinr_u[prob.cells_ul]])
+        # the free links' rate terms, with the pinned links still interfering
+        expected = -float(prob.w[free] @ np.log1p(sinr[free]))
+        assert sub.true_objective(p[free]) == pytest.approx(expected, rel=1e-10)
 
 
 def test_single_link_solves_to_full_power():
@@ -305,6 +338,76 @@ def test_trim_to_se_cap_coupled_links_settle_below_cap():
     assert np.all(trimmed.p_dl <= dec.p_dl)
 
 
+def test_trim_to_se_cap_two_cell_fixed_point():
+    # symmetric coupling: the exact capped power is cap * N / (g - cap * x)
+    direct, cross = 1e-8, 1.5e-10
+    g = toy_gains([[direct, cross], [cross, direct]], ue_cell=[0, 1])
+    dec = make_decision(g, dl=[0, 1])
+    trimmed = trim_to_se_cap(dec, g)
+    sinr_d, _ = slot_sinrs(trimmed, g)
+    np.testing.assert_allclose(sinr_d, SE_CAP_SINR, rtol=1e-12)
+    exact = SE_CAP_SINR * N_UE / (direct - SE_CAP_SINR * cross)
+    assert exact == pytest.approx(0.0362, rel=1e-3)
+    np.testing.assert_allclose(trimmed.p_dl, exact, rtol=1e-12)
+
+
+def coupled_cap_instance(rng):
+    """Serving gains 1e-8..1e-6, cross gains 3e-11..3e-9: the coupling
+    cap * cross / serving ranges from about 0.002 to 20.
+
+    Two UEs per cell; cell 0 serves UE 0 in both directions (an uplink
+    link and a same-UE FD pair in every instance), other cells pick a
+    downlink and an uplink UE at random. Powers are 0.1-1x the maximum,
+    so some links start above the SE cap and some below.
+    """
+    B = int(rng.integers(2, 5))
+    N = 2 * B
+    ue_cell = np.repeat(np.arange(B), 2)
+    g_dl = 10 ** rng.uniform(-10.5, -8.5, size=(B, N))
+    g_dl[ue_cell, np.arange(N)] = 10 ** rng.uniform(-8.0, -6.0, size=N)
+    m = 10 ** rng.uniform(-10.5, -8.5, size=(B, B))
+    g_bs = (m + m.T) / 2.0
+    np.fill_diagonal(g_bs, 0.0)
+    m = 10 ** rng.uniform(-10.5, -8.5, size=(N, N))
+    g_ue = (m + m.T) / 2.0
+    np.fill_diagonal(g_ue, 0.0)
+    gamma = 10 ** rng.uniform(-10.5, -8.5)
+    g = toy_gains(g_dl, g_bs=g_bs, g_ue=g_ue, ue_cell=ue_cell, gamma=gamma)
+    dl = [2 * b if rng.random() < 0.7 else None for b in range(B)]
+    ul = [2 * b + 1 if rng.random() < 0.7 else None for b in range(B)]
+    dl[0] = ul[0] = 0
+    dec = make_decision(g, dl=dl, ul=ul, fd_ue=True)
+    dec.p_dl *= 10 ** rng.uniform(-1.0, 0.0, B)
+    dec.p_ul *= 10 ** rng.uniform(-1.0, 0.0, B)
+    return dec, g
+
+
+def test_trim_to_se_cap_property_random_instances():
+    rng = np.random.default_rng(29)
+    n_touched = n_kept = 0
+    for _ in range(40):
+        dec, g = coupled_cap_instance(rng)
+        before_d, before_u = slot_sinrs(dec, g)
+        trimmed = trim_to_se_cap(dec, g)
+        sinr_d, sinr_u = slot_sinrs(trimmed, g)
+        for on, p0, p1, before, sinr in (
+            (dec.dl_ue >= 0, dec.p_dl, trimmed.p_dl, before_d, sinr_d),
+            (dec.ul_ue >= 0, dec.p_ul, trimmed.p_ul, before_u, sinr_u),
+        ):
+            assert np.all(p1 <= p0)
+            touched = on & (p1 != p0)
+            assert np.all(touched[on & (before > SE_CAP_SINR * (1 + 1e-12))])
+            np.testing.assert_allclose(sinr[touched], SE_CAP_SINR, rtol=1e-12)
+            kept = on & ~touched
+            assert np.all(sinr[kept] <= SE_CAP_SINR * (1 + 1e-12))
+            n_touched += touched.sum()
+            n_kept += kept.sum()
+        again = trim_to_se_cap(trimmed, g)
+        np.testing.assert_array_equal(again.p_dl, trimmed.p_dl)
+        np.testing.assert_array_equal(again.p_ul, trimmed.p_ul)
+    assert n_touched > 0 and n_kept > 0
+
+
 def test_realized_objective_matches_true_below_cap(rng):
     g = toy_gains([[3e-11, 5e-13], [7e-13, 4e-11]], ue_cell=[0, 1], gamma=1e-9)
     dec = make_decision(g, dl=[0, None], ul=[None, 1])
@@ -315,7 +418,7 @@ def test_realized_objective_matches_true_below_cap(rng):
     dec2 = dec.copy()
     dec2.p_dl[prob.cells_dl] = p[: len(prob.cells_dl)]
     dec2.p_ul[prob.cells_ul] = p[len(prob.cells_dl):]
-    assert realized_objective(prob, dec2, g) == pytest.approx(
+    assert realized_objective(prob, dec2) == pytest.approx(
         prob.true_objective(p), rel=1e-12
     )
 
@@ -337,7 +440,7 @@ def test_allocate_respects_cap_and_never_beats_baseline():
         # floor-pruned links shed an O(log1p(floor SINR)) rate term after
         # the safeguard comparison, hence the per-link slack
         slack = 0.02 * (n_active + 1)
-        assert realized_objective(prob, out, g) <= realized_objective(prob, base, g) + slack
+        assert realized_objective(prob, out) <= realized_objective(prob, base) + slack
 
 
 def test_energy_kappa_zero_is_plain_problem():

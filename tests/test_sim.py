@@ -73,6 +73,12 @@ def test_drop_is_deterministic(small_fd_cfg, small_fd_drop):
     assert again.energy_ul_j == small_fd_drop.energy_ul_j
 
 
+def test_drop_reports_allocator_counters(small_fd_cfg, small_fd_drop):
+    d = small_fd_drop.diagnostics
+    assert d["cap_rounds"] >= 1
+    assert d["outer_iterations"] >= 1
+
+
 def test_network_depends_on_drop_not_variant():
     cfg_a = RunConfig(variant="HD", slots=1, ues_per_cell=2, seed=11)
     cfg_b = RunConfig(variant="FD", cancellation_db=75.0, slots=1, ues_per_cell=2, seed=11)
