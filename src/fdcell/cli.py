@@ -298,10 +298,15 @@ def _read_cdf_rates(run_dir: str):
 
 
 def cmd_compare(fd_dir: str, hd_dir: str) -> int:
-    """Recompute gains from persisted per-UE rates, without rerunning."""
+    """Recompute gains from persisted per-UE rates, without rerunning.
+
+    The baseline is the alphabetically first cdf_*.csv of hd_dir; its
+    path is printed first.
+    """
     fd = _read_cdf_rates(fd_dir)
     hd = _read_cdf_rates(hd_dir)
-    base = next(iter(hd.values()))
+    base_name, base = next(iter(hd.items()))
+    print(f"baseline: {os.path.join(hd_dir, f'cdf_{base_name}.csv')}")
     for name, (dl, ul) in sorted(fd.items()):
         gain_dl = (dl.mean() / base[0].mean() - 1.0) * 100.0
         gain_ul = (ul.mean() / base[1].mean() - 1.0) * 100.0

@@ -18,8 +18,7 @@ the power allocator (power_alloc) all evaluate through it.
 
 Solver: projected Newton over the box for unconstrained-in-x problems;
 posynomial <= 1 constraints go through a log-barrier path with a
-smoothed-max phase I; monomial = 1 constraints are eliminated by
-substitution before solving.
+smoothed-max phase I.
 """
 
 from __future__ import annotations
@@ -70,7 +69,6 @@ class Posynomial:
 class GPProblem:
     objective: Posynomial
     constraints_le: list = field(default_factory=list)   # Posynomial <= 1
-    constraints_eq: list = field(default_factory=list)   # Monomial  == 1
     var_bounds: dict = field(default_factory=dict)       # var id -> (lo, hi)
 
 
@@ -298,93 +296,6 @@ class _SmoothedMax:
         return self.tau * val, grad, H
 
 
-def _substitute_equalities(prob: GPProblem, n: int):
-    """Eliminate monomial equality constraints by variable substitution.
-
-    Returns (posynomials', constraints_le', kept_ids, recover) where
-    recover(x_kept) rebuilds the full positive vector.
-    """
-    # representation: every posynomial as (A, c) arrays over n vars
-    def to_arrays(p):
-        return posynomial_arrays(p, n)
-
-    obj_A, obj_c = to_arrays(prob.objective)
-    cons = [to_arrays(p) for p in prob.constraints_le]
-    lo = np.full(n, 1e-12)
-    hi = np.full(n, 1e12)
-    for k, (l, h) in prob.var_bounds.items():
-        if not (0 < l <= h):
-            raise ValueError(f"bounds for variable {k} must satisfy 0 < lo <= hi")
-        lo[k], hi[k] = l, h
-
-    # equalities as affine rows in log space: a . y + ln d = 0
-    eq_rows = []
-    for mono in prob.constraints_eq:
-        a = np.zeros(n)
-        for k, e in mono.exponents.items():
-            a[k] = e
-        eq_rows.append((a, float(np.log(mono.coeff))))
-
-    subs = []          # (k, a_row(n,), b) meaning y_k = a . y + b
-    eliminated = []
-    for i, (a, logd) in enumerate(eq_rows):
-        if not np.any(a):
-            if abs(logd) > 1e-9:
-                raise ValueError("inconsistent monomial equality constraints")
-            continue
-        k = int(np.argmax(np.abs(a)))
-        # y_k = (-ln d - sum_{j != k} a_j y_j) / a_k
-        coef = -a / a[k]
-        coef[k] = 0.0
-        offset = -logd / a[k]
-
-        def apply(Ac, coef=coef, offset=offset, k=k):
-            A, c = Ac
-            c = c + A[:, k] * offset
-            A = A + np.outer(A[:, k], coef)
-            A[:, k] = 0.0
-            return A, c
-
-        obj_A, obj_c = apply((obj_A, obj_c))
-        cons = [apply(x) for x in cons]
-        for j in range(i + 1, len(eq_rows)):
-            aj, dj = eq_rows[j]
-            dj += aj[k] * offset
-            aj = aj + aj[k] * coef
-            aj[k] = 0.0
-            eq_rows[j] = (aj, dj)
-        for j in range(len(subs)):
-            kk, arow, b = subs[j]
-            b = b + arow[k] * offset
-            arow = arow + arow[k] * coef
-            arow[k] = 0.0
-            subs[j] = (kk, arow, b)
-        # the eliminated variable's box becomes two monomial constraints
-        up_A = coef[None, :].copy()
-        cons.append((up_A, np.array([offset - np.log(hi[k])])))
-        cons.append((-up_A, np.array([np.log(lo[k]) - offset])))
-        subs.append((k, coef.copy(), offset))
-        eliminated.append(k)
-
-    kept = np.array([k for k in range(n) if k not in eliminated], dtype=int)
-
-    def shrink(Ac):
-        A, c = Ac
-        return A[:, kept], c
-
-    obj = shrink((obj_A, obj_c))
-    cons = [shrink(x) for x in cons]
-
-    def recover(y_kept):
-        y = np.zeros(n)
-        y[kept] = y_kept
-        for k, arow, b in reversed(subs):
-            y[k] = arow @ y + b
-        return y
-
-    return obj, cons, lo[kept], hi[kept], recover
-
-
 def solve_gp(prob: GPProblem, tol: float = 1e-6):
     """Solve a standard-form GP; returns (x, status).
 
@@ -394,24 +305,30 @@ def solve_gp(prob: GPProblem, tol: float = 1e-6):
     n = max(
         [prob.objective.n_vars()]
         + [p.n_vars() for p in prob.constraints_le]
-        + [max(m.exponents, default=-1) + 1 for m in prob.constraints_eq]
         + [max(prob.var_bounds, default=-1) + 1]
     )
-    (obj_A, obj_c), cons, lo, hi, recover = _substitute_equalities(prob, n)
+    lo = np.full(n, 1e-12)
+    hi = np.full(n, 1e12)
+    for k, (l, h) in prob.var_bounds.items():
+        if not (0 < l <= h):
+            raise ValueError(f"bounds for variable {k} must satisfy 0 < lo <= hi")
+        lo[k], hi[k] = l, h
     lo_y, hi_y = np.log(lo), np.log(hi)
-    # drop constraint rows that became constant (all-zero exponents)
+    obj_A, obj_c = posynomial_arrays(prob.objective, n)
+    # drop constant constraints (all-zero exponents) once checked
     clean = []
-    for A, c in cons:
+    for p in prob.constraints_le:
+        A, c = posynomial_arrays(p, n)
         if np.any(A):
             clean.append((A, c))
         elif _lse_softmax(c)[0] > 0:
-            return np.exp(recover((lo_y + hi_y) / 2)), STATUS_INFEASIBLE
+            return np.exp((lo_y + hi_y) / 2), STATUS_INFEASIBLE
     base = WeightedLogObjective(obj_A[None], obj_c[None], np.ones(1))
     y0 = (lo_y + hi_y) / 2.0
 
     if not clean:
         y, status, _ = minimize_box(base, y0, lo_y, hi_y, tol=tol)
-        return np.exp(recover(y)), status
+        return np.exp(y), status
     cons = _pad_blocks(clean)
 
     # phase I: drive max_i lse_i below zero through a smoothed max
@@ -424,7 +341,7 @@ def solve_gp(prob: GPProblem, tol: float = 1e-6):
                 feasible = True
                 break
         if not feasible:
-            return np.exp(recover(y)), STATUS_INFEASIBLE
+            return np.exp(y), STATUS_INFEASIBLE
 
     t, mu = 1.0, 20.0
     status = STATUS_CONVERGED
@@ -436,5 +353,5 @@ def solve_gp(prob: GPProblem, tol: float = 1e-6):
         t *= mu
     else:
         status = STATUS_MAX_ITER
-    return np.exp(recover(y)), status
+    return np.exp(y), status
 

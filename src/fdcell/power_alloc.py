@@ -22,14 +22,16 @@ come from the log-sum-exp kernel of gp_core.
 The allocator wraps the loop with the scheduler-facing policy: start at
 maximum power, prune the weakest selection on solver failure, zero out
 links parked at the numerical floor, never return a point worse than
-the starting one, and finally shed the power that only overshoots the
+the starting one, and shed the power that only overshoots the
 spectral-efficiency cap. That trim is a linear solve: the powers at
-which the links above the cap sit exactly at it.
+which the links above the cap sit exactly at it. The policy works on
+one link power vector (downlinks by cell, then uplinks by cell) and
+writes the slot decision once, at the end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,20 +46,19 @@ from .gp_core import (
     lse_blocks,
     minimize_box,
 )
-from .scheduler import DL, UL, PFState, Selection
+from .scheduler import PFState, Selection
 from .sinr_rate import MAX_SE, NONE, SlotDecision
 # unused here, but the benchmark tracer patches these names in this module
 from .sinr_rate import slot_rates, slot_sinrs  # noqa: F401
 
 POWER_FLOOR_RATIO = 1e-6      # floor = ratio * cap, GP needs positive vars
 SE_CAP_SINR = 2.0**MAX_SE - 1.0
+MAX_OUTER = 30                # SP condensation rounds per solve
 
 
 @dataclass
 class AllocConfig:
     energy_kappa: float = 0.0       # > 0 enables the log-power penalty
-    epsilon: float | None = None    # SP termination on ||P_s - P_{s-1}||_2
-    max_outer: int = 30
 
 
 def pf_weights(st: PFState, selection: Selection):
@@ -84,7 +85,8 @@ class PowerProblem:
     link l's interference plus noise: term 0 is the noise, term 1+k is
     link k's power (-inf where k does not reach l's receiver). c_den is
     the same row plus the link's own signal. Every row shares the
-    exponent matrix A, which picks power k for term 1+k. `lin` carries
+    exponent matrix A, which picks power k for term 1+k. A, c_num, c_den
+    and p_floor are derived from gain, noise and p_max. `lin` carries
     the energy penalty exponents (zero when plain).
     """
 
@@ -94,14 +96,23 @@ class PowerProblem:
     w_scale: float              # multiply w by this to recover the raw weights
     gain: np.ndarray            # (L, L) link gains
     noise: np.ndarray           # (L,) receiver noise
-    A: np.ndarray               # (L+1, L) term exponents shared by every row
-    c_num: np.ndarray           # (L, L+1) log coefficients
-    c_den: np.ndarray           # (L, L+1)
     lin: np.ndarray             # (L,) energy penalty in log space (rescaled)
     p_max: np.ndarray           # (L,)
-    p_floor: np.ndarray         # (L,)
-    epsilon: float
+    epsilon: float              # SP termination on ||P_s - P_{s-1}||_2
     energy_kappa: float = 0.0
+    A: np.ndarray = field(init=False)         # (L+1, L) term exponents shared by every row
+    c_num: np.ndarray = field(init=False)     # (L, L+1) log coefficients
+    c_den: np.ndarray = field(init=False)     # (L, L+1)
+    p_floor: np.ndarray = field(init=False)   # (L,)
+
+    def __post_init__(self):
+        with np.errstate(divide="ignore"):
+            self.c_den = np.log(np.column_stack([self.noise, self.gain]))
+        self.c_num = self.c_den.copy()
+        np.fill_diagonal(self.c_num[:, 1:], -np.inf)
+        n = len(self.noise)
+        self.A = np.eye(n + 1, n, -1)
+        self.p_floor = POWER_FLOOR_RATIO * self.p_max
 
     @property
     def n_vars(self) -> int:
@@ -154,16 +165,6 @@ def _link_sinr(gain: np.ndarray, noise: np.ndarray, p: np.ndarray) -> np.ndarray
     return sig / (noise + gain @ p - sig)
 
 
-def _log_terms(gain: np.ndarray, noise: np.ndarray):
-    """Shared exponent matrix A and the log coefficients (c_num, c_den)."""
-    with np.errstate(divide="ignore"):
-        c_den = np.log(np.column_stack([noise, gain]))
-    c_num = c_den.copy()
-    np.fill_diagonal(c_num[:, 1:], -np.inf)
-    n = len(noise)
-    return np.eye(n + 1, n, -1), c_num, c_den
-
-
 def build_power_problem(
     st: PFState,
     selection: Selection,
@@ -183,7 +184,6 @@ def build_power_problem(
     w = np.concatenate([w_dl[cells_dl], w_ul[cells_ul]])
     w_scale = float(w.max())
     w = w / w_scale
-    A, c_num, c_den = _log_terms(gain, noise)
 
     lin = np.zeros(n)
     if cfg.energy_kappa > 0:
@@ -200,9 +200,6 @@ def build_power_problem(
     p_max = np.concatenate(
         [np.full(len(cells_dl), g.p_bs_w), np.full(len(cells_ul), g.p_ue_w)]
     )
-    eps = cfg.epsilon
-    if eps is None:
-        eps = 1e-3 * np.sqrt(2.0 * g.n_cells) * float(p_max.max())
     return PowerProblem(
         cells_dl=cells_dl,
         cells_ul=cells_ul,
@@ -210,13 +207,9 @@ def build_power_problem(
         w_scale=w_scale,
         gain=gain,
         noise=noise,
-        A=A,
-        c_num=c_num,
-        c_den=c_den,
         lin=lin,
         p_max=p_max,
-        p_floor=POWER_FLOOR_RATIO * p_max,
-        epsilon=float(eps),
+        epsilon=float(1e-3 * np.sqrt(2.0 * g.n_cells) * float(p_max.max())),
         energy_kappa=cfg.energy_kappa,
     )
 
@@ -271,12 +264,13 @@ def _condense_den(prob: PowerProblem, y: np.ndarray):
     return a, k
 
 
-def solve_power_sp(prob: PowerProblem, P0: np.ndarray, cfg: AllocConfig = AllocConfig()):
+def solve_power_sp(prob: PowerProblem, P0: np.ndarray):
     """Successive condensation loop; returns (powers, status, info).
 
-    info carries the true-objective trajectory (one entry per outer
-    iteration, evaluated at that iteration's solution) and the iterate
-    step norms, for diagnostics and the monotonicity tests.
+    At most MAX_OUTER condensation rounds. info carries the
+    true-objective trajectory (one entry per outer iteration, evaluated
+    at that iteration's solution) and the iterate step norms, for
+    diagnostics and the monotonicity tests.
     """
     lo = np.log(prob.p_floor)
     hi = np.log(prob.p_max)
@@ -285,7 +279,7 @@ def solve_power_sp(prob: PowerProblem, P0: np.ndarray, cfg: AllocConfig = AllocC
     steps = []
     status = STATUS_CONVERGED
     outer = 0
-    for outer in range(1, cfg.max_outer + 1):
+    for outer in range(1, MAX_OUTER + 1):
         a, k = _condense_den(prob, y)
         objective = WeightedLogObjective(
             prob.A,
@@ -310,39 +304,12 @@ def solve_power_sp(prob: PowerProblem, P0: np.ndarray, cfg: AllocConfig = AllocC
     return np.exp(y), status, info
 
 
-def _apply_powers(dec: SlotDecision, prob: PowerProblem, p: np.ndarray) -> SlotDecision:
-    out = dec.copy()
-    out.p_dl[prob.cells_dl] = p[: len(prob.cells_dl)]
-    out.p_ul[prob.cells_ul] = p[len(prob.cells_dl):]
-    return out
-
-
-def _extract_powers(dec: SlotDecision, prob: PowerProblem) -> np.ndarray:
-    return np.concatenate([dec.p_dl[prob.cells_dl], dec.p_ul[prob.cells_ul]])
-
-
-def _floor_prune(dec: SlotDecision, prob: PowerProblem, skip=None) -> SlotDecision:
-    """Links parked at the numerical floor carry no real transmission.
-
-    `skip` marks variables pinned by the cap conditioning; those run
-    below the floor legitimately and are never pruned.
+def _floor_prune(prob: PowerProblem, p: np.ndarray, pinned: np.ndarray) -> np.ndarray:
+    """Zero the links parked at the numerical floor: they carry no real
+    transmission. Links pinned by the cap conditioning run below the
+    floor legitimately and are spared.
     """
-    out = dec.copy()
-    tol = 1.0 + 1e-9
-    for i, c in enumerate(prob.cells_dl):
-        if skip is not None and skip[i]:
-            continue
-        if out.p_dl[c] <= prob.p_floor[i] * tol:
-            out.p_dl[c] = 0.0
-            out.dl_ue[c] = NONE
-    off = len(prob.cells_dl)
-    for i, c in enumerate(prob.cells_ul):
-        if skip is not None and skip[off + i]:
-            continue
-        if out.p_ul[c] <= prob.p_floor[off + i] * tol:
-            out.p_ul[c] = 0.0
-            out.ul_ue[c] = NONE
-    return out
+    return np.where(~pinned & (p <= prob.p_floor * (1.0 + 1e-9)), 0.0, p)
 
 
 def _reduce_problem(prob: PowerProblem, fixed_p: np.ndarray, fixed: np.ndarray):
@@ -361,52 +328,44 @@ def _reduce_problem(prob: PowerProblem, fixed_p: np.ndarray, fixed: np.ndarray):
         return prob, free
     nd = len(prob.cells_dl)
     rows = prob.gain[free]
-    gain = rows[:, free]
-    noise = prob.noise[free] + rows[:, fixed] @ fixed_p[fixed]
-    A, c_num, c_den = _log_terms(gain, noise)
-    sub = PowerProblem(
+    sub = replace(
+        prob,
         cells_dl=prob.cells_dl[free[:nd]],
         cells_ul=prob.cells_ul[free[nd:]],
         w=prob.w[free],
-        w_scale=prob.w_scale,
-        gain=gain,
-        noise=noise,
-        A=A,
-        c_num=c_num,
-        c_den=c_den,
+        gain=rows[:, free],
+        noise=prob.noise[free] + rows[:, fixed] @ fixed_p[fixed],
         lin=prob.lin[free],
         p_max=prob.p_max[free],
-        p_floor=prob.p_floor[free],
-        epsilon=prob.epsilon,
-        energy_kappa=prob.energy_kappa,
     )
     return sub, free
 
 
-def trim_to_se_cap(dec: SlotDecision, g: GainTable) -> SlotDecision:
+def trim_to_se_cap(gain: np.ndarray, noise: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Lower the powers of links above the spectral-efficiency cap to the cap.
 
-    The links above the cap (set S) take the powers at which each one
-    sits exactly at the cap, given the others' powers: the fixed point
-    of Yates' standard interference function, found by solving
-    (diag(g_SS) - cap * G_SS) p_S = cap * (noise_S + G_SF p_F), where G
-    holds the interference gains (no diagonal). At the current powers
-    every link in S is at or above the cap and the noise is positive,
-    so the matrix is a nonsingular M-matrix (Perron-Frobenius) and p_S
-    is positive and no larger than before. A link above the cap thus
-    keeps exactly its capped rate, and everyone else only sees less
+    gain, noise and p are the links x links gain matrix, the receiver
+    noise and the link powers, in the order of _link_gains; returns the
+    new powers. The links above the cap (set S) take the powers at which
+    each one sits exactly at the cap, given the others' powers: the
+    fixed point of Yates' standard interference function, found by
+    solving (diag(g_SS) - cap * G_SS) p_S = cap * (noise_S + G_SF p_F),
+    where G holds the interference gains (no diagonal). At the current
+    powers every link in S is at or above the cap and the noise is
+    positive, so the matrix is a nonsingular M-matrix (Perron-Frobenius)
+    and p_S is positive and no larger than before. A link above the cap
+    thus keeps exactly its capped rate, and everyone else only sees less
     interference. Links that the lower powers lift above the cap join S
     and the system is solved again, at most once per link. Links at or
     below the cap keep their powers.
     """
-    cells_dl, cells_ul, gain, noise = _link_gains(dec, g)
-    p = np.concatenate([dec.p_dl[cells_dl], dec.p_ul[cells_ul]])
+    p = p.copy()
     sig = np.diagonal(gain)
     over = np.zeros(len(p), dtype=bool)
     while True:
         newly = ~over & (_link_sinr(gain, noise, p) > SE_CAP_SINR * (1 + 1e-12))
         if not newly.any():
-            break
+            return p
         over |= newly
         rest = ~over
         M = -SE_CAP_SINR * gain[over][:, over]
@@ -414,20 +373,15 @@ def trim_to_se_cap(dec: SlotDecision, g: GainTable) -> SlotDecision:
         rhs = SE_CAP_SINR * (noise[over] + gain[over][:, rest] @ p[rest])
         # the clamp only absorbs rounding: the exact solution never rises
         p[over] = np.minimum(np.linalg.solve(M, rhs), p[over])
-    out = dec.copy()
-    out.p_dl[cells_dl] = p[: len(cells_dl)]
-    out.p_ul[cells_ul] = p[len(cells_dl):]
-    return out
 
 
-def realized_objective(prob: PowerProblem, dec: SlotDecision) -> float:
-    """Problem objective at a decision, with rates saturated at the cap.
+def realized_objective(prob: PowerProblem, p: np.ndarray) -> float:
+    """Problem objective at link powers p, with rates saturated at the cap.
 
-    Inactive links contribute no rate term and no power penalty; this is
-    the quantity the cap conditioning actually improves, so safeguard
-    comparisons happen on it.
+    Links at zero power contribute no rate term and no power penalty;
+    this is the quantity the cap conditioning actually improves, so
+    safeguard comparisons happen on it.
     """
-    p = _extract_powers(dec, prob)
     sinr = _link_sinr(prob.gain, prob.noise, p)
     on = p > 0
     cap = np.log1p(np.minimum(sinr[on], SE_CAP_SINR))
@@ -436,7 +390,7 @@ def realized_objective(prob: PowerProblem, dec: SlotDecision) -> float:
     return val
 
 
-def _capped_solve(st: PFState, sel: Selection, g: GainTable, cfg: AllocConfig):
+def _capped_solve(prob: PowerProblem):
     """Successive SP solves conditioned on links that reach the SE cap.
 
     The plain SP objective keeps valuing SINR beyond the cap, which
@@ -445,59 +399,50 @@ def _capped_solve(st: PFState, sel: Selection, g: GainTable, cfg: AllocConfig):
     the solution to the cap, pins every capped link at its trimmed power
     (its rate is constant from here on; it persists only as a fixed
     interference source), and re-solves the remaining links. At most one
-    round per link, in practice 2-4.
+    round per link, in practice 2-4. Returns (p, pinned, status, info);
+    p is None unless the status is converged.
     """
-    prob = build_power_problem(st, sel, g, cfg)
-    n = prob.n_vars
-    fixed = np.zeros(n, dtype=bool)
+    fixed = np.zeros(prob.n_vars, dtype=bool)
     p = prob.p_max.copy()
     info = {"outer_iterations": 0, "cap_rounds": 0}
-    dec = trimmed = None
-    for _ in range(n + 1):
+    for _ in range(prob.n_vars + 1):
         sub, free = _reduce_problem(prob, p, fixed)
         if sub is not None:
-            p_sub, status, info_s = solve_power_sp(sub, p[free], cfg)
+            p_sub, status, info_s = solve_power_sp(sub, p[free])
             info["outer_iterations"] += info_s["outer_iterations"]
             if status != STATUS_CONVERGED:
-                return None, fixed, prob, status, info
+                return None, fixed, status, info
             p[free] = p_sub
-        dec = _apply_powers(sel.decision, prob, p)
-        trimmed = trim_to_se_cap(dec, g)
-        p = _extract_powers(trimmed, prob)
+        p = trim_to_se_cap(prob.gain, prob.noise, p)
         info["cap_rounds"] += 1
         at_cap = _link_sinr(prob.gain, prob.noise, p) >= SE_CAP_SINR * (1 - 1e-9)
         newly = at_cap & ~fixed
         if not newly.any():
             break
         fixed |= newly
-    return trimmed, fixed, prob, STATUS_CONVERGED, info
+    return p, fixed, STATUS_CONVERGED, info
 
 
 def _drop_weakest(selection: Selection) -> Selection:
-    """Remove the active link with the smallest recorded selection gain."""
+    """Remove the active link with the smallest recorded selection gain.
+
+    Links are compared in the allocator's order (downlinks by cell, then
+    uplinks by cell), so a tie goes to the first; a non-finite gain
+    counts as 0.
+    """
     dec = selection.decision.copy()
     du_dl = selection.du_dl.copy()
     du_ul = selection.du_ul.copy()
-    best = None   # (du, dir, cell)
-    for c in np.where(dec.dl_ue >= 0)[0]:
-        du = du_dl[c] if np.isfinite(du_dl[c]) else 0.0
-        if best is None or du < best[0]:
-            best = (du, DL, c)
-    for c in np.where(dec.ul_ue >= 0)[0]:
-        du = du_ul[c] if np.isfinite(du_ul[c]) else 0.0
-        if best is None or du < best[0]:
-            best = (du, UL, c)
-    if best is None:
-        return selection
-    _, direction, c = best
-    if direction == DL:
-        dec.dl_ue[c] = NONE
-        dec.p_dl[c] = 0.0
-        du_dl[c] = np.nan
+    cells_dl = np.where(dec.dl_ue >= 0)[0]
+    cells_ul = np.where(dec.ul_ue >= 0)[0]
+    du = np.concatenate([du_dl[cells_dl], du_ul[cells_ul]])
+    k = int(np.argmin(np.where(np.isfinite(du), du, 0.0)))
+    if k < len(cells_dl):
+        c = cells_dl[k]
+        dec.dl_ue[c], dec.p_dl[c], du_dl[c] = NONE, 0.0, np.nan
     else:
-        dec.ul_ue[c] = NONE
-        dec.p_ul[c] = 0.0
-        du_ul[c] = np.nan
+        c = cells_ul[k - len(cells_dl)]
+        dec.ul_ue[c], dec.p_ul[c], du_ul[c] = NONE, 0.0, np.nan
     return Selection(dec, du_dl, du_ul)
 
 
@@ -520,17 +465,31 @@ def allocate_with_fallback(
         dec = sel.decision
         if not (np.any(dec.dl_ue >= 0) or np.any(dec.ul_ue >= 0)):
             return dec.copy(), diag
-        out, fixed, prob, status, info = _capped_solve(st, sel, g, cfg)
+        prob = build_power_problem(st, sel, g, cfg)
+        p, pinned, status, info = _capped_solve(prob)
         diag["outer_iterations"] = info["outer_iterations"]
         diag["cap_rounds"] = info["cap_rounds"]
         diag["status"] = status
         if status == STATUS_CONVERGED:
-            base = trim_to_se_cap(_apply_powers(dec, prob, prob.p_max), g)
-            if realized_objective(prob, out) > realized_objective(prob, base):
-                out = base
-                fixed = None
-                diag["fallbacks"] += 1
-            out = _floor_prune(out, prob, skip=fixed)
-            return trim_to_se_cap(out, g), diag
+            break
         sel = _drop_weakest(sel)
         diag["pruned"] += 1
+
+    base = trim_to_se_cap(prob.gain, prob.noise, prob.p_max)
+    if realized_objective(prob, p) > realized_objective(prob, base):
+        p, pinned = base, np.zeros(prob.n_vars, dtype=bool)
+        diag["fallbacks"] += 1
+    p = _floor_prune(prob, p, pinned)
+    # p is trimmed already, but zeroed links stop interfering and may
+    # lift the others above the cap
+    on = p > 0
+    if not on.all():
+        p[on] = trim_to_se_cap(prob.gain[on][:, on], prob.noise[on], p[on])
+
+    out = dec.copy()
+    nd = len(prob.cells_dl)
+    out.p_dl[prob.cells_dl] = p[:nd]
+    out.p_ul[prob.cells_ul] = p[nd:]
+    out.dl_ue[prob.cells_dl[p[:nd] == 0]] = NONE
+    out.ul_ue[prob.cells_ul[p[nd:] == 0]] = NONE
+    return out, diag

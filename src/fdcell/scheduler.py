@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import GainTable
-from .sinr_rate import NONE, SlotDecision, rate_from_sinr, slot_link_terms, slot_rates
+from .sinr_rate import MIN_SE, NONE, SlotDecision, rate_from_sinr, slot_link_terms, slot_rates
 
 DL = "DL"
 UL = "UL"
@@ -36,14 +36,9 @@ class PFState:
     beta: float = BETA_DEFAULT
 
 
-def init_state(
-    n_ues: int,
-    bandwidth_hz: float,
-    beta: float = BETA_DEFAULT,
-    init_se: float = 0.26,
-) -> PFState:
+def init_state(n_ues: int, bandwidth_hz: float, beta: float = BETA_DEFAULT) -> PFState:
     """Averages start at the minimum schedulable rate so weights are finite."""
-    r0 = bandwidth_hz * init_se
+    r0 = bandwidth_hz * MIN_SE
     return PFState(np.full(n_ues, r0), np.full(n_ues, r0), beta)
 
 

@@ -104,27 +104,24 @@ def slot_sinrs(dec: SlotDecision, g: GainTable):
     return sinr_d, sinr_u
 
 
-def rate_from_sinr(sinr, bandwidth_hz: float, sub_min_floor: bool = False):
+def rate_from_sinr(sinr, bandwidth_hz: float):
     """Shannon rate with the spectral-efficiency window applied.
 
     Efficiency above MAX_SE is clipped; below MIN_SE the link is treated
-    as outage (rate 0) unless sub_min_floor lifts it to the minimum.
+    as outage (rate 0).
     """
     se = np.log2(1.0 + np.asarray(sinr, dtype=float))
     se = np.minimum(se, MAX_SE)
-    if sub_min_floor:
-        se = np.maximum(se, MIN_SE)
-    else:
-        se = np.where(se < MIN_SE, 0.0, se)
+    se = np.where(se < MIN_SE, 0.0, se)
     out = bandwidth_hz * se
     return out if out.ndim else float(out)
 
 
-def slot_rates(dec: SlotDecision, g: GainTable, sub_min_floor: bool = False):
+def slot_rates(dec: SlotDecision, g: GainTable):
     """Downlink and uplink rate vectors for the decision, bits/second."""
     sinr_d, sinr_u = slot_sinrs(dec, g)
-    rate_d = rate_from_sinr(sinr_d, g.bandwidth_hz, sub_min_floor)
-    rate_u = rate_from_sinr(sinr_u, g.bandwidth_hz, sub_min_floor)
+    rate_d = rate_from_sinr(sinr_d, g.bandwidth_hz)
+    rate_u = rate_from_sinr(sinr_u, g.bandwidth_hz)
     rate_d = np.where(dec.dl_ue >= 0, rate_d, 0.0)
     rate_u = np.where(dec.ul_ue >= 0, rate_u, 0.0)
     return rate_d, rate_u

@@ -232,6 +232,20 @@ def test_compare_run_against_itself_is_zero_gain(tmp_path, capsys):
     assert "UL gain +0.0%" in printed
 
 
+def test_compare_names_its_baseline_file(tmp_path, capsys):
+    # a directory with several cdf_*.csv: the alphabetically first is the baseline
+    hd, fd = tmp_path / "hd", tmp_path / "fd"
+    hd.mkdir()
+    fd.mkdir()
+    (hd / "cdf_RR_HD.csv").write_text("dl_bps,ul_bps\n1,1\n1,1\n")
+    (hd / "cdf_HD.csv").write_text("dl_bps,ul_bps\n2,4\n2,4\n")
+    (fd / "cdf_FD.csv").write_text("dl_bps,ul_bps\n3,5\n5,5\n")
+    assert main(["compare", str(fd), str(hd)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"baseline: {hd / 'cdf_HD.csv'}"
+    assert lines[1] == "FD: DL gain +100.0%  UL gain +25.0%"
+
+
 def test_compare_missing_dir_exits_2(tmp_path):
     assert main(["compare", str(tmp_path / "no"), str(tmp_path / "pe")]) == EXIT_MISSING_FILE
 

@@ -199,18 +199,6 @@ def test_solve_monotone_hits_cap():
     assert x[0] == pytest.approx(pmax, rel=1e-6)
 
 
-def test_solve_with_equality_substitution():
-    # min x + y s.t. x y^2 = 4 -> y* = 2, x* = 1, value 3
-    obj = Posynomial([Monomial(1.0, {0: 1.0}), Monomial(1.0, {1: 1.0})])
-    eq = Monomial(0.25, {0: 1.0, 1: 2.0})
-    prob = GPProblem(obj, constraints_eq=[eq], var_bounds={0: (1e-2, 50.0), 1: (1e-2, 50.0)})
-    x, status = solve_gp(prob)
-    assert status == STATUS_CONVERGED
-    assert x[0] * x[1] ** 2 == pytest.approx(4.0, rel=1e-6)
-    assert x[0] == pytest.approx(1.0, rel=1e-3)
-    assert x[1] == pytest.approx(2.0, rel=1e-3)
-
-
 def test_solve_infeasible_constant_constraint():
     obj = Posynomial([Monomial(1.0, {0: 1.0})])
     bad = Posynomial([Monomial(2.0, {})])   # 2 <= 1 never holds

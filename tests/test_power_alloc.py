@@ -49,6 +49,17 @@ def active_powers(prob, dec):
     return np.concatenate([dec.p_dl[prob.cells_dl], dec.p_ul[prob.cells_ul]])
 
 
+def trim_decision(dec, g):
+    """trim_to_se_cap on a decision's links, gathered with _link_gains."""
+    cells_dl, cells_ul, gain, noise = pa._link_gains(dec, g)
+    p = np.concatenate([dec.p_dl[cells_dl], dec.p_ul[cells_ul]])
+    p = trim_to_se_cap(gain, noise, p)
+    out = dec.copy()
+    out.p_dl[cells_dl] = p[: len(cells_dl)]
+    out.p_ul[cells_ul] = p[len(cells_dl):]
+    return out
+
+
 def test_pf_weights_oracle():
     g = toy_gains([[1e-8, 1e-8]])
     dec = make_decision(g, dl=[0], ul=[1])
@@ -72,7 +83,7 @@ def test_problem_structure_single_link():
     g = toy_gains([[1e-8]])
     dec = make_decision(g, dl=[0])
     st = state_with([1e7])
-    prob = build_power_problem(st, selection_of(dec), g, AllocConfig(epsilon=1e-9))
+    prob = build_power_problem(st, selection_of(dec), g, AllocConfig())
     assert prob.n_vars == 1
     assert prob.w.tolist() == [1.0]
     assert prob.w_scale == pytest.approx(0.01 / (0.99 * 1e7 * math.log(10.0)), rel=1e-12)
@@ -88,7 +99,13 @@ def test_problem_structure_single_link():
     assert prob.c_den[0, 1] == pytest.approx(math.log(1e-8), rel=1e-12)
     assert prob.p_max.tolist() == [P_BS]
     assert prob.p_floor[0] == pytest.approx(POWER_FLOOR_RATIO * P_BS, rel=1e-12)
-    assert prob.epsilon == 1e-9
+    # SP termination scales with the largest power and the network size
+    assert prob.epsilon == pytest.approx(1e-3 * math.sqrt(2.0) * P_BS, rel=1e-12)
+    # the derived arrays follow gain, noise and p_max through replace()
+    tight = dataclasses.replace(prob, epsilon=1e-9, p_max=prob.p_max / 2)
+    assert tight.epsilon == 1e-9
+    assert tight.p_floor[0] == pytest.approx(POWER_FLOOR_RATIO * P_BS / 2, rel=1e-12)
+    np.testing.assert_array_equal(tight.c_den, prob.c_den)
 
 
 def test_problem_fd_pair_interference_terms():
@@ -296,7 +313,8 @@ def test_allocate_prunes_in_ascending_gain_order(monkeypatch):
         return out
 
     monkeypatch.setattr(pa, "_drop_weakest", spy)
-    out, diag = allocate_with_fallback(st, sel, g, AllocConfig(max_outer=0))
+    monkeypatch.setattr(pa, "MAX_OUTER", 0)
+    out, diag = allocate_with_fallback(st, sel, g)
     assert removed == [(1, "d"), (2, "u"), (0, "d")]
     assert diag["pruned"] == 3
     assert diag["status"] == STATUS_MAX_ITER
@@ -304,35 +322,115 @@ def test_allocate_prunes_in_ascending_gain_order(monkeypatch):
     assert not out.p_dl.any() and not out.p_ul.any()
 
 
-def test_allocate_single_link_exhaustion_goes_idle():
+def test_allocate_single_link_exhaustion_goes_idle(monkeypatch):
     g = toy_gains([[1e-8]])
     dec = make_decision(g, dl=[0])
     st = state_with([1e7])
-    out, diag = allocate_with_fallback(st, selection_of(dec), g, AllocConfig(max_outer=0))
+    monkeypatch.setattr(pa, "MAX_OUTER", 0)
+    out, diag = allocate_with_fallback(st, selection_of(dec), g)
     assert diag["pruned"] == 1
     assert np.all(out.dl_ue == NONE) and out.p_dl[0] == 0.0
+
+
+def test_drop_weakest_tie_order():
+    # ties go to the first link in allocator order: downlinks by cell,
+    # then uplinks by cell; NaN and inf gains count as 0
+    g = toy_gains([[1e-8] * 5 + [1e-9] * 5] * 3, ue_cell=[0, 0, 1, 1, 2, 2, 0, 1, 2, 2])
+    dec = make_decision(g, dl=[0, 2, 4], ul=[1, 3, None])
+    sel = Selection(dec, np.array([0.3, np.nan, 0.0]), np.array([np.inf, 0.0, np.nan]))
+    order = []
+    while (sel.decision.dl_ue >= 0).any() or (sel.decision.ul_ue >= 0).any():
+        out = pa._drop_weakest(sel)
+        gone_dl = np.flatnonzero((sel.decision.dl_ue >= 0) & (out.decision.dl_ue == NONE))
+        gone_ul = np.flatnonzero((sel.decision.ul_ue >= 0) & (out.decision.ul_ue == NONE))
+        assert len(gone_dl) + len(gone_ul) == 1
+        order += [(int(c), "d") for c in gone_dl] + [(int(c), "u") for c in gone_ul]
+        assert not out.decision.p_dl[gone_dl].any() and not out.decision.p_ul[gone_ul].any()
+        # the input selection is left as it was
+        assert (sel.decision.dl_ue[gone_dl] >= 0).all() and (sel.decision.ul_ue[gone_ul] >= 0).all()
+        sel = out
+    assert order == [(1, "d"), (2, "d"), (0, "u"), (1, "u"), (0, "d")]
+
+
+def test_floor_prune_spares_pinned_links():
+    g = toy_gains([[1e-8, 1e-13, 1e-13], [1e-13, 1e-8, 1e-13], [1e-13, 1e-13, 1e-8]],
+                  ue_cell=[0, 1, 2])
+    dec = make_decision(g, dl=[0, 1, 2])
+    prob = build_power_problem(state_with([1e7] * 3), selection_of(dec), g, AllocConfig())
+    floor = prob.p_floor
+    p = np.array([floor[0] / 10, floor[1] * (1 + 1e-10), 2 * floor[2]])
+    free = np.zeros(3, dtype=bool)
+    # unpinned links at (or within 1e-9 of) the floor go to zero
+    np.testing.assert_array_equal(pa._floor_prune(prob, p, free), [0.0, 0.0, p[2]])
+    # a pinned link keeps its power, even below the floor
+    pinned = np.array([True, True, False])
+    np.testing.assert_array_equal(pa._floor_prune(prob, p, pinned), p)
+    assert p[0] == floor[0] / 10
+
+
+def trim_counter(monkeypatch):
+    calls = []
+    orig = pa.trim_to_se_cap
+
+    def spy(gain, noise, p):
+        calls.append(len(p))
+        return orig(gain, noise, p)
+
+    monkeypatch.setattr(pa, "trim_to_se_cap", spy)
+    return calls
+
+
+def test_allocate_trims_once_per_cap_round_without_pruned_links(monkeypatch):
+    # both links start far above the cap; neither ends at the floor
+    g = toy_gains([[1e-8, 2e-11], [2e-11, 1e-8]], ue_cell=[0, 1])
+    sel = selection_of(make_decision(g, dl=[0, 1]))
+    calls = trim_counter(monkeypatch)
+    out, diag = allocate_with_fallback(state_with([1e7, 1e7]), sel, g)
+    assert diag["cap_rounds"] >= 1 and diag["fallbacks"] == 0
+    assert (out.dl_ue >= 0).all()
+    # one trim per cap round and one of the full-power baseline
+    assert len(calls) == diag["cap_rounds"] + 1
+    sinr_d, _ = slot_sinrs(out, g)
+    np.testing.assert_allclose(sinr_d, SE_CAP_SINR, rtol=1e-9)
+
+
+def test_allocate_retrims_kept_links_after_floor_prune(monkeypatch):
+    # the energy penalty parks the near link (8 m) at the floor and keeps
+    # the far one (1 km) at full power, above the cap
+    dist = np.array([[8.0, 1000.0], [8.0, 1000.0]])
+    g = toy_gains([[1e-8, 2e-11], [2e-11, 1e-8]], ue_cell=[0, 1], dist_m=dist)
+    sel = selection_of(make_decision(g, dl=[0, 1]))
+    calls = trim_counter(monkeypatch)
+    out, diag = allocate_with_fallback(
+        state_with([1e7, 1e7]), sel, g, AllocConfig(energy_kappa=0.2)
+    )
+    assert out.dl_ue.tolist() == [NONE, 1] and out.p_dl[0] == 0.0
+    # the last trim runs on the kept link alone
+    assert len(calls) == diag["cap_rounds"] + 2 and calls[-1] == 1
+    sinr_d, _ = slot_sinrs(out, g)
+    assert sinr_d[1] == pytest.approx(SE_CAP_SINR, rel=1e-9)
 
 
 def test_trim_to_se_cap_exact_and_idempotent():
     g = toy_gains([[1e-8]])
     dec = make_decision(g, dl=[0])
-    trimmed = trim_to_se_cap(dec, g)
+    trimmed = trim_decision(dec, g)
     sinr_d, _ = slot_sinrs(trimmed, g)
     assert sinr_d[0] == pytest.approx(SE_CAP_SINR, rel=1e-12)
     assert trimmed.p_dl[0] < dec.p_dl[0]
-    again = trim_to_se_cap(trimmed, g)
+    again = trim_decision(trimmed, g)
     np.testing.assert_array_equal(again.p_dl, trimmed.p_dl)
 
     # below the cap nothing moves
     g_weak = toy_gains([[1e-11]])
     dec_weak = make_decision(g_weak, dl=[0])
-    np.testing.assert_array_equal(trim_to_se_cap(dec_weak, g_weak).p_dl, dec_weak.p_dl)
+    np.testing.assert_array_equal(trim_decision(dec_weak, g_weak).p_dl, dec_weak.p_dl)
 
 
 def test_trim_to_se_cap_coupled_links_settle_below_cap():
     g = toy_gains([[1e-8, 3e-11], [3e-11, 1e-8]], ue_cell=[0, 1])
     dec = make_decision(g, dl=[0, 1])
-    trimmed = trim_to_se_cap(dec, g)
+    trimmed = trim_decision(dec, g)
     sinr_d, _ = slot_sinrs(trimmed, g)
     assert np.all(sinr_d <= SE_CAP_SINR * (1 + 1e-9))
     assert np.all(trimmed.p_dl <= dec.p_dl)
@@ -343,7 +441,7 @@ def test_trim_to_se_cap_two_cell_fixed_point():
     direct, cross = 1e-8, 1.5e-10
     g = toy_gains([[direct, cross], [cross, direct]], ue_cell=[0, 1])
     dec = make_decision(g, dl=[0, 1])
-    trimmed = trim_to_se_cap(dec, g)
+    trimmed = trim_decision(dec, g)
     sinr_d, _ = slot_sinrs(trimmed, g)
     np.testing.assert_allclose(sinr_d, SE_CAP_SINR, rtol=1e-12)
     exact = SE_CAP_SINR * N_UE / (direct - SE_CAP_SINR * cross)
@@ -388,7 +486,7 @@ def test_trim_to_se_cap_property_random_instances():
     for _ in range(40):
         dec, g = coupled_cap_instance(rng)
         before_d, before_u = slot_sinrs(dec, g)
-        trimmed = trim_to_se_cap(dec, g)
+        trimmed = trim_decision(dec, g)
         sinr_d, sinr_u = slot_sinrs(trimmed, g)
         for on, p0, p1, before, sinr in (
             (dec.dl_ue >= 0, dec.p_dl, trimmed.p_dl, before_d, sinr_d),
@@ -402,7 +500,7 @@ def test_trim_to_se_cap_property_random_instances():
             assert np.all(sinr[kept] <= SE_CAP_SINR * (1 + 1e-12))
             n_touched += touched.sum()
             n_kept += kept.sum()
-        again = trim_to_se_cap(trimmed, g)
+        again = trim_decision(trimmed, g)
         np.testing.assert_array_equal(again.p_dl, trimmed.p_dl)
         np.testing.assert_array_equal(again.p_ul, trimmed.p_ul)
     assert n_touched > 0 and n_kept > 0
@@ -415,12 +513,7 @@ def test_realized_objective_matches_true_below_cap(rng):
     sel = selection_of(dec)
     prob = build_power_problem(st, sel, g, AllocConfig())
     p = prob.p_max * rng.uniform(0.3, 1.0, size=prob.n_vars)
-    dec2 = dec.copy()
-    dec2.p_dl[prob.cells_dl] = p[: len(prob.cells_dl)]
-    dec2.p_ul[prob.cells_ul] = p[len(prob.cells_dl):]
-    assert realized_objective(prob, dec2) == pytest.approx(
-        prob.true_objective(p), rel=1e-12
-    )
+    assert realized_objective(prob, p) == pytest.approx(prob.true_objective(p), rel=1e-12)
 
 
 def test_allocate_respects_cap_and_never_beats_baseline():
@@ -435,12 +528,12 @@ def test_allocate_respects_cap_and_never_beats_baseline():
         assert np.all(out.p_dl <= g.p_bs_w * (1 + 1e-9))
         assert np.all(out.p_ul <= g.p_ue_w * (1 + 1e-9))
         prob = build_power_problem(st, sel, g, AllocConfig())
-        base = trim_to_se_cap(sel.decision, g)
-        n_active = int((sel.decision.dl_ue >= 0).sum() + (sel.decision.ul_ue >= 0).sum())
+        base = trim_to_se_cap(prob.gain, prob.noise, prob.p_max)
         # floor-pruned links shed an O(log1p(floor SINR)) rate term after
         # the safeguard comparison, hence the per-link slack
-        slack = 0.02 * (n_active + 1)
-        assert realized_objective(prob, out) <= realized_objective(prob, base) + slack
+        slack = 0.02 * (prob.n_vars + 1)
+        p_out = active_powers(prob, out)
+        assert realized_objective(prob, p_out) <= realized_objective(prob, base) + slack
 
 
 def test_energy_kappa_zero_is_plain_problem():
@@ -472,13 +565,13 @@ def energy_single_link(kappa, dist_m=8.0):
     g = toy_gains([[1e-8]], dist_m=np.full((1, 1), dist_m))
     dec = make_decision(g, dl=[0])
     st = state_with([1e7])
-    cfg = AllocConfig(energy_kappa=kappa, epsilon=1e-9)
-    return build_power_problem(st, selection_of(dec), g, cfg), cfg
+    prob = build_power_problem(st, selection_of(dec), g, AllocConfig(energy_kappa=kappa))
+    return dataclasses.replace(prob, epsilon=1e-9)
 
 
 def test_energy_penalty_stationary_point_matches_foc_root():
     kappa, dist = 0.04, 8.0
-    prob, cfg = energy_single_link(kappa, dist)
+    prob = energy_single_link(kappa, dist)
     w_raw = 0.01 / (0.99 * 1e7 * math.log(10.0))
     c = kappa / dist
     G = 1e-8
@@ -504,7 +597,7 @@ def test_energy_penalty_stationary_point_matches_foc_root():
     ys = np.linspace(math.log(prob.p_floor[0]), math.log(prob.p_max[0]), 200)
     vals = np.array([prob.true_objective(np.array([math.exp(v)])) for v in ys])
     assert np.all(np.diff(vals, 2) <= 1e-12)
-    p, status, _ = solve_power_sp(prob, prob.p_max.copy(), cfg)
+    p, status, _ = solve_power_sp(prob, prob.p_max.copy())
     assert status == STATUS_CONVERGED
     at_hi = abs(p[0] - prob.p_max[0]) < 1e-9 * prob.p_max[0]
     at_lo = p[0] < prob.p_floor[0] * (1 + 1e-6)
@@ -514,8 +607,8 @@ def test_energy_penalty_stationary_point_matches_foc_root():
 def test_energy_penalty_threshold_and_monotone_power():
     powers = []
     for kappa in [0.0, 0.005, 0.02, 0.05, 0.2, 1.0]:
-        prob, cfg = energy_single_link(kappa)
-        p, status, _ = solve_power_sp(prob, prob.p_max.copy(), cfg)
+        prob = energy_single_link(kappa)
+        p, status, _ = solve_power_sp(prob, prob.p_max.copy())
         assert status == STATUS_CONVERGED
         powers.append(p[0])
     assert all(b <= a * (1 + 1e-9) for a, b in zip(powers, powers[1:]))
@@ -528,7 +621,7 @@ def test_energy_penalty_threshold_and_monotone_power():
 
 
 def test_energy_aware_objective_value_and_validation(rng):
-    prob, _ = energy_single_link(0.04)
+    prob = energy_single_link(0.04)
     obj = build_sp_objective(prob)
     p = np.array([0.01])
     assert obj.value(p) == pytest.approx(math.exp(prob.true_objective(p)), rel=1e-9)

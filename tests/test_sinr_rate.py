@@ -77,7 +77,6 @@ def test_rate_window():
     edge = 2.0**MIN_SE - 1.0
     assert rate_from_sinr(edge * (1 + 1e-9), 10e6) == pytest.approx(MIN_SE * 10e6, rel=1e-6)
     assert rate_from_sinr(edge * 0.999, 10e6) == 0.0
-    assert rate_from_sinr(edge * 0.999, 10e6, sub_min_floor=True) == pytest.approx(2.6e6)
     s = np.geomspace(1e-3, 1e8, 300)
     r = rate_from_sinr(s, 10e6)
     assert np.all(np.diff(r) >= 0)
