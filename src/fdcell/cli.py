@@ -23,6 +23,7 @@ from .sim import (
     RunConfig,
     aggregate,
     config_dict,
+    dump_trace,
     persist,
     run_variant,
 )
@@ -227,9 +228,12 @@ def _canc_label(c) -> str:
     return "Inf" if c is None else f"{c:g}"
 
 
-def cmd_run(spec: ExperimentSpec, jobs: int = 1) -> int:
+def cmd_run(spec: ExperimentSpec, jobs: int = 1, trace: str | None = None) -> int:
+    """One variant; trace names a file for drop 0's per-slot decision log."""
     cfg = spec.base.validated()
     results = run_variant(cfg, jobs=jobs)
+    if trace:
+        dump_trace(results[0], trace)
     metrics = aggregate(cfg, results)
     persist(metrics, spec.output_dir, config=config_dict(cfg))
     m = metrics
@@ -335,6 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate one variant")
     add_common(p_run)
+    p_run.add_argument("--trace", metavar="FILE", help="write drop 0's per-slot decisions")
     p_sweep = sub.add_parser("sweep", help="variant x cancellation grid")
     add_common(p_sweep)
     p_cmp = sub.add_parser("compare", help="recompute gains from saved runs")
@@ -350,7 +355,7 @@ def main(argv=None) -> int:
             return cmd_compare(args.fd_dir, args.hd_dir)
         spec = _spec_from_args(args)
         if args.command == "run":
-            return cmd_run(spec, jobs=args.jobs)
+            return cmd_run(spec, jobs=args.jobs, trace=args.trace)
         return cmd_sweep(spec, jobs=args.jobs)
     except FileNotFoundError as e:
         print(f"error: missing file: {e}", file=sys.stderr)

@@ -3,22 +3,22 @@
 A monomial is d * prod_k x_k^(a_k) with d > 0; a posynomial is a sum of
 monomials. Under y = log x a posynomial becomes log-sum-exp of affine
 forms, so minimizing a positive-weighted product of posynomial powers
-over a box is a smooth convex problem. That weighted form is the native
-objective here because the power allocator produces real (non-integer)
-weights; classic standard-form GPs reduce to it with unit weights.
+over a box is a smooth convex problem; a standard-form GP objective is
+that product with unit weights. The power allocator (power_alloc) solves
+its condensed programs on the link-gain matrix with the same box solver.
 
 One kernel, lse_blocks, evaluates the log-sum-exp, softmax and
 gradient of a whole stack of posynomials at once: each posynomial is a
 block of a padded (J, M, n) exponent tensor, pad terms carry log
-coefficient -inf. When every block has the same exponents (the power
-allocator's rows differ only in their coefficients) one shared (M, n)
-exponent matrix stands in for the tensor. lse_hessian adds up their
-weighted Hessians. The GP objective, the barrier and phase-I terms, and
-the power allocator (power_alloc) all evaluate through it.
+coefficient -inf. lse_hessian adds up their weighted Hessians. The GP
+objective and the barrier and phase-I terms evaluate through it.
 
 Solver: projected Newton over the box for unconstrained-in-x problems;
 posynomial <= 1 constraints go through a log-barrier path with a
-smoothed-max phase I.
+smoothed-max phase I. An objective is a callable y -> (value, gradient,
+hessian) whose hessian is a zero-argument callable built from that
+evaluation's intermediates, so the solver evaluates each point once and
+forms a Hessian only where it takes a Newton step.
 """
 
 from __future__ import annotations
@@ -129,28 +129,22 @@ def _lse_softmax(z: np.ndarray):
 def lse_blocks(A: np.ndarray, c: np.ndarray, y: np.ndarray):
     """Log-sum-exp of every block z_j = A_j y + c_j of a padded tensor.
 
-    A is (J, M, n), or one (M, n) matrix shared by every block, and c is
-    (J, M); pad terms carry c = -inf and drop out of the softmax.
-    Returns (lse (J,), softmax p (J, M), gradients (J, n)); the gradient
-    of block j is p_j A_j.
+    A is (J, M, n) and c (J, M); pad terms carry c = -inf and drop out
+    of the softmax. Returns (lse (J,), softmax p (J, M), gradients
+    (J, n)); the gradient of block j is p_j A_j.
     """
     lse, p = _lse_softmax(A @ y + c)
-    G = p @ A if A.ndim == 2 else (p[:, None, :] @ A)[:, 0]
-    return lse, p, G
+    return lse, p, (p[:, None, :] @ A)[:, 0]
 
 
 def lse_hessian(A: np.ndarray, p: np.ndarray, G: np.ndarray, w: np.ndarray):
     """sum_j w_j * Hessian_j from the softmax and gradients of lse_blocks.
 
-    Hessian_j = A_j^T diag(p_j) A_j - G_j G_j^T; with a shared A the
-    first terms sum to A^T diag(w p) A.
+    Hessian_j = A_j^T diag(p_j) A_j - G_j G_j^T.
     """
-    Gw = (G * w[:, None]).T @ G
-    if A.ndim == 2:
-        return A.T @ (A * (w @ p)[:, None]) - Gw
     n = A.shape[2]
     Aw = A * (w[:, None] * p)[:, :, None]
-    return Aw.reshape(-1, n).T @ A.reshape(-1, n) - Gw
+    return Aw.reshape(-1, n).T @ A.reshape(-1, n) - (G * w[:, None]).T @ G
 
 
 def _pad_blocks(blocks):
@@ -166,25 +160,19 @@ def _pad_blocks(blocks):
 
 
 class WeightedLogObjective:
-    """F(y) = sum_j w_j * lse(A_j y + c_j) + lin . y + const.
+    """F(y) = sum_j w_j * lse(A_j y + c_j).
 
-    A (J, M, n) or shared (M, n) and c (J, M) are the blocks of lse_blocks.
+    A (J, M, n) and c (J, M) are the blocks of lse_blocks.
     """
 
-    def __init__(self, A, c, w, lin=None, const=0.0):
+    def __init__(self, A, c, w):
         self.A = A
         self.c = c
         self.w = np.asarray(w, dtype=float)
-        self.lin = np.zeros(A.shape[-1]) if lin is None else np.asarray(lin, dtype=float)
-        self.const = float(const)
 
-    def __call__(self, y: np.ndarray, need_hess: bool = True):
+    def __call__(self, y: np.ndarray):
         lse, p, G = lse_blocks(self.A, self.c, y)
-        val = float(self.w @ lse + self.lin @ y + self.const)
-        grad = self.w @ G + self.lin
-        if not need_hess:
-            return val, grad, None
-        return val, grad, lse_hessian(self.A, p, G, self.w)
+        return float(self.w @ lse), self.w @ G, lambda: lse_hessian(self.A, p, G, self.w)
 
 
 def projected_grad_norm(y, g, lo, hi, atol=1e-10):
@@ -200,13 +188,13 @@ def projected_grad_norm(y, g, lo, hi, atol=1e-10):
 def minimize_box(fgh, y0, lo, hi, tol=1e-8, max_iter=200):
     """Projected-Newton minimization of a smooth convex f over a box.
 
-    fgh(y, need_hess) -> (value, gradient, hessian). Returns (y, status,
-    iterations); status is converged once the projected gradient drops
-    below tol.
+    fgh(y) -> (value, gradient, hessian), hessian a zero-argument callable
+    (see the module docstring). Returns (y, status, iterations); status
+    is converged once the projected gradient drops below tol.
     """
     y = np.clip(np.asarray(y0, dtype=float), lo, hi)
     n = len(y)
-    f, g, H = fgh(y)
+    f, g, hess = fgh(y)
     for it in range(max_iter):
         if projected_grad_norm(y, g, lo, hi) <= tol:
             return y, STATUS_CONVERGED, it
@@ -215,7 +203,7 @@ def minimize_box(fgh, y0, lo, hi, tol=1e-8, max_iter=200):
         free = ~active
         d = np.zeros(n)
         if free.any():
-            Hf = H[free][:, free]
+            Hf = hess()[free][:, free]
             gf = g[free]
             Hf.flat[:: len(gf) + 1] += 1e-12 * (1.0 + np.trace(Hf) / len(gf))
             try:
@@ -229,22 +217,25 @@ def minimize_box(fgh, y0, lo, hi, tol=1e-8, max_iter=200):
             return y, STATUS_CONVERGED, it
         alpha = 1.0
         accepted = False
+        tried = None
         for _ in range(60):
             y_new = np.clip(y + alpha * d, lo, hi)
             step = y_new - y
             if not np.any(step):
                 break
-            f_new = fgh(y_new, need_hess=False)[0]
+            alpha *= 0.5
+            if y_new.tobytes() == tried:
+                continue    # clipped to the point just rejected
+            tried = y_new.tobytes()
+            f_new, g_new, hess_new = fgh(y_new)
             if f_new <= f + 1e-4 * (g @ step):
                 accepted = True
                 break
-            alpha *= 0.5
         if not accepted:
             # numerical stall: no descent step representable
             ok = projected_grad_norm(y, g, lo, hi) <= 10 * tol
             return y, STATUS_CONVERGED if ok else STATUS_MAX_ITER, it
-        y = y_new
-        f, g, H = fgh(y)
+        y, f, g, hess = y_new, f_new, g_new, hess_new
     return y, STATUS_MAX_ITER, max_iter
 
 
@@ -265,17 +256,18 @@ class _BarrierObjective:
         self.cons = cons
         self.inv_t = 1.0 / t
 
-    def __call__(self, y, need_hess=True):
-        val, grad, H = self.base(y, need_hess)
+    def __call__(self, y):
+        val, grad, base_hess = self.base(y)
         gv, p, G = lse_blocks(*self.cons, y)
         if np.any(gv >= 0):
-            return 1e30, grad, H
+            return 1e30, grad, base_hess
         r = self.inv_t / -gv
         val -= self.inv_t * float(np.log(-gv).sum())
-        grad = grad + r @ G
-        if need_hess:
-            H = H + lse_hessian(self.cons[0], p, G, r) + (G * (r / -gv)[:, None]).T @ G
-        return val, grad, H
+
+        def hess():
+            return base_hess() + lse_hessian(self.cons[0], p, G, r) + (G * (r / -gv)[:, None]).T @ G
+
+        return val, grad + r @ G, hess
 
 
 class _SmoothedMax:
@@ -285,15 +277,16 @@ class _SmoothedMax:
         self.cons = cons
         self.tau = tau
 
-    def __call__(self, y, need_hess=True):
+    def __call__(self, y):
         vals, p, G = lse_blocks(*self.cons, y)
         val, q = _lse_softmax(vals / self.tau)
         grad = q @ G
-        H = None
-        if need_hess:
+
+        def hess():
             H = lse_hessian(self.cons[0], p, G, q)
-            H += ((G * q[:, None]).T @ G - np.outer(grad, grad)) / self.tau
-        return self.tau * val, grad, H
+            return H + ((G * q[:, None]).T @ G - np.outer(grad, grad)) / self.tau
+
+        return self.tau * val, grad, hess
 
 
 def solve_gp(prob: GPProblem, tol: float = 1e-6):

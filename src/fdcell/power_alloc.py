@@ -13,11 +13,10 @@ moves less than epsilon.
 Everything works on the links x links gain matrix of the active links,
 gathered from the gain table in one pass: entry (l, k) is the gain from
 link k's transmitter to link l's receiver, the diagonal is each link's
-own signal, so every SINR is one matrix-vector product. Each link's
-numerator and denominator is one row of log term coefficients (noise,
-then one term per link's power) over one exponent matrix shared by all
-rows. Values, gradients, Hessians and the condensation exponents all
-come from the log-sum-exp kernel of gp_core.
+own signal, so every SINR is one matrix-vector product. A link's
+numerator is its noise plus its off-diagonal row times the powers, its
+denominator adds the own signal; the condensed objective's value,
+gradient and Hessian are a few matrix products over that matrix.
 
 The allocator wraps the loop with the scheduler-facing policy: start at
 maximum power, prune the weakest selection on solver failure, zero out
@@ -31,7 +30,7 @@ writes the slot decision once, at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,8 +41,6 @@ from .gp_core import (
     STATUS_MAX_ITER,
     Monomial,
     Posynomial,
-    WeightedLogObjective,
-    lse_blocks,
     minimize_box,
 )
 from .scheduler import PFState, Selection
@@ -54,6 +51,7 @@ from .sinr_rate import slot_rates, slot_sinrs  # noqa: F401
 POWER_FLOOR_RATIO = 1e-6      # floor = ratio * cap, GP needs positive vars
 SE_CAP_SINR = 2.0**MAX_SE - 1.0
 MAX_OUTER = 30                # SP condensation rounds per solve
+SP_COUNTERS = ("outer_iterations", "outer_capped", "cap_rounds")
 
 
 @dataclass
@@ -81,12 +79,7 @@ class PowerProblem:
     Variable order: downlink links by cell, then uplink links by cell.
     gain[l, k] is the gain from link k's transmitter to link l's
     receiver (the diagonal is the link's own signal) and noise[l] the
-    noise at l's receiver. Row l of c_num holds the log coefficients of
-    link l's interference plus noise: term 0 is the noise, term 1+k is
-    link k's power (-inf where k does not reach l's receiver). c_den is
-    the same row plus the link's own signal. Every row shares the
-    exponent matrix A, which picks power k for term 1+k. A, c_num, c_den
-    and p_floor are derived from gain, noise and p_max. `lin` carries
+    noise at l's receiver. `lin` carries
     the energy penalty exponents (zero when plain).
     """
 
@@ -100,19 +93,10 @@ class PowerProblem:
     p_max: np.ndarray           # (L,)
     epsilon: float              # SP termination on ||P_s - P_{s-1}||_2
     energy_kappa: float = 0.0
-    A: np.ndarray = field(init=False)         # (L+1, L) term exponents shared by every row
-    c_num: np.ndarray = field(init=False)     # (L, L+1) log coefficients
-    c_den: np.ndarray = field(init=False)     # (L, L+1)
-    p_floor: np.ndarray = field(init=False)   # (L,)
 
-    def __post_init__(self):
-        with np.errstate(divide="ignore"):
-            self.c_den = np.log(np.column_stack([self.noise, self.gain]))
-        self.c_num = self.c_den.copy()
-        np.fill_diagonal(self.c_num[:, 1:], -np.inf)
-        n = len(self.noise)
-        self.A = np.eye(n + 1, n, -1)
-        self.p_floor = POWER_FLOOR_RATIO * self.p_max
+    @property
+    def p_floor(self) -> np.ndarray:
+        return POWER_FLOOR_RATIO * self.p_max
 
     @property
     def n_vars(self) -> int:
@@ -120,10 +104,9 @@ class PowerProblem:
 
     def true_objective(self, p: np.ndarray) -> float:
         """Weighted log objective at powers p (lower is better)."""
-        y = np.log(p)
-        lse_n = lse_blocks(self.A, self.c_num, y)[0]
-        lse_d = lse_blocks(self.A, self.c_den, y)[0]
-        return float(self.w @ (lse_n - lse_d) + self.lin @ y)
+        num = self.noise + _interference(self.gain) @ p
+        den = num + np.diagonal(self.gain) * p
+        return float(self.w @ np.log(num / den) + self.lin @ np.log(p))
 
 
 def _link_gains(dec: SlotDecision, g: GainTable):
@@ -157,6 +140,11 @@ def _link_gains(dec: SlotDecision, g: GainTable):
         [np.full(len(cells_dl), g.noise_ue_w), np.full(len(cells_ul), g.noise_bs_w)]
     )
     return cells_dl, cells_ul, gain, noise
+
+
+def _interference(gain: np.ndarray) -> np.ndarray:
+    """The gain matrix without its diagonal (the own signals)."""
+    return gain - np.diag(np.diagonal(gain))
 
 
 def _link_sinr(gain: np.ndarray, noise: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -214,13 +202,10 @@ def build_power_problem(
     )
 
 
-def _rows_to_posynomial(A: np.ndarray, c: np.ndarray) -> Posynomial:
-    terms = []
-    for a, logc in zip(A, c):
-        if np.isneginf(logc):
-            continue
-        exps = {int(k): float(a[k]) for k in np.flatnonzero(a)}
-        terms.append(Monomial(float(np.exp(logc)), exps))
+def _linear_posynomial(noise: float, gains: np.ndarray) -> Posynomial:
+    """noise + sum_k gains[k] * p_k over the links with a nonzero gain."""
+    terms = [Monomial(float(noise))]
+    terms += [Monomial(float(gains[k]), {int(k): 1.0}) for k in np.flatnonzero(gains)]
     return Posynomial(terms)
 
 
@@ -246,31 +231,57 @@ def build_sp_objective(prob: PowerProblem) -> SPObjective:
     """Posynomial-ratio form of the slot objective (for checks and dumps)."""
     if prob.energy_kappa < 0:
         raise ConfigError("energy penalty must be non-negative")
-    num = [_rows_to_posynomial(prob.A, c) for c in prob.c_num]
-    den = [_rows_to_posynomial(prob.A, c) for c in prob.c_den]
+    num = [_linear_posynomial(*nr) for nr in zip(prob.noise, _interference(prob.gain))]
+    den = [_linear_posynomial(*nr) for nr in zip(prob.noise, prob.gain)]
     return SPObjective(num, den, prob.w.copy(), prob.lin.copy(), prob.w_scale)
 
 
-def _condense_den(prob: PowerProblem, y: np.ndarray):
-    """AM-GM condensation of every denominator at the current iterate.
+class _LinkSurrogate:
+    """The SP objective with its denominators condensed at y0, in log power.
 
-    Returns (a, k) with ln den_l(y') >= a_l . y' + k_l for all y',
-    tight at y; a_l is the gradient of lse_l at y.
+    With p = e^y, num = noise + G p (G: gain without its diagonal) and
+    den = num + diag(gain) p, AM-GM condenses den_l at y0 to the monomial
+    with exponents a_l = gain_l * p0 / den_l(y0). The convex surrogate
+    F(y) = sum_l w_l log(num_l(y)/num_l(y0)) + (lin - w^T a).(y - y0)
+    bounds true_objective(y) - true_objective(y0) from above and is 0 at
+    y0, so the line search compares values at the scale of the decrease.
+    Gradient u + lin - w^T a with u = p * G^T (w/num); Hessian
+    diag(u) - Q^T diag(w) Q with Q = G * p / num (row-wise).
     """
-    _, alpha, a = lse_blocks(prob.A, prob.c_den, y)
-    pos = alpha > 0
-    cc = np.where(pos, prob.c_den - np.log(np.where(pos, alpha, 1.0)), 0.0)
-    k = np.einsum("lm,lm->l", alpha, cc)
-    return a, k
+
+    def __init__(self, prob: PowerProblem, y0: np.ndarray):
+        self.G = _interference(prob.gain)
+        self.noise = prob.noise
+        self.w = prob.w
+        self.y0 = y0
+        p0 = np.exp(y0)
+        self.num0 = self.noise + self.G @ p0
+        den0 = self.num0 + np.diagonal(prob.gain) * p0
+        self.slope = prob.lin - p0 * ((self.w / den0) @ prob.gain)
+
+    def __call__(self, y: np.ndarray):
+        p = np.exp(y)
+        num = self.noise + self.G @ p
+        u = p * ((self.w / num) @ self.G)
+        val = float(self.w @ np.log(num / self.num0) + self.slope @ (y - self.y0))
+
+        def hess():
+            Q = self.G * p / num[:, None]
+            H = -(Q.T * self.w) @ Q
+            H.flat[:: len(p) + 1] += u
+            return H
+
+        return val, u + self.slope, hess
 
 
 def solve_power_sp(prob: PowerProblem, P0: np.ndarray):
     """Successive condensation loop; returns (powers, status, info).
 
-    At most MAX_OUTER condensation rounds. info carries the
-    true-objective trajectory (one entry per outer iteration, evaluated
-    at that iteration's solution) and the iterate step norms, for
-    diagnostics and the monotonicity tests.
+    At most MAX_OUTER condensation rounds; outer_capped in info is 1
+    when the loop stops there. info also carries the true-objective
+    trajectory (one entry per outer iteration, evaluated at that
+    iteration's solution) and the iterate step norms, for diagnostics
+    and the monotonicity tests.
     """
     lo = np.log(prob.p_floor)
     hi = np.log(prob.p_max)
@@ -278,17 +289,9 @@ def solve_power_sp(prob: PowerProblem, P0: np.ndarray):
     trajectory = [prob.true_objective(np.exp(y))]
     steps = []
     status = STATUS_CONVERGED
-    outer = 0
+    outer = capped = 0
     for outer in range(1, MAX_OUTER + 1):
-        a, k = _condense_den(prob, y)
-        objective = WeightedLogObjective(
-            prob.A,
-            prob.c_num,
-            prob.w,
-            lin=prob.lin - prob.w @ a,
-            const=-float(prob.w @ k),
-        )
-        y_new, inner_status, _ = minimize_box(objective, y, lo, hi)
+        y_new, inner_status, _ = minimize_box(_LinkSurrogate(prob, y), y, lo, hi)
         step = float(np.linalg.norm(np.exp(y_new) - np.exp(y)))
         steps.append(step)
         y = y_new
@@ -300,7 +303,9 @@ def solve_power_sp(prob: PowerProblem, P0: np.ndarray):
             break
     else:
         status = STATUS_MAX_ITER
-    info = {"outer_iterations": outer, "trajectory": trajectory, "steps": steps}
+        capped = 1
+    info = {"outer_iterations": outer, "outer_capped": capped,
+            "trajectory": trajectory, "steps": steps}
     return np.exp(y), status, info
 
 
@@ -404,12 +409,13 @@ def _capped_solve(prob: PowerProblem):
     """
     fixed = np.zeros(prob.n_vars, dtype=bool)
     p = prob.p_max.copy()
-    info = {"outer_iterations": 0, "cap_rounds": 0}
+    info = {"outer_iterations": 0, "outer_capped": 0, "cap_rounds": 0}
     for _ in range(prob.n_vars + 1):
         sub, free = _reduce_problem(prob, p, fixed)
         if sub is not None:
             p_sub, status, info_s = solve_power_sp(sub, p[free])
             info["outer_iterations"] += info_s["outer_iterations"]
+            info["outer_capped"] += info_s["outer_capped"]
             if status != STATUS_CONVERGED:
                 return None, fixed, status, info
             p[free] = p_sub
@@ -457,9 +463,9 @@ def allocate_with_fallback(
     Returns (final SlotDecision, diagnostics dict). The decision may
     carry fewer links than the selection: solver failures drop the
     weakest candidates, and links the optimizer parks at the numerical
-    floor are zeroed.
+    floor are zeroed. The SP_COUNTERS add up over every attempt.
     """
-    diag = {"pruned": 0, "status": "idle", "outer_iterations": 0, "cap_rounds": 0, "fallbacks": 0}
+    diag = {"pruned": 0, "status": "idle", "fallbacks": 0, **dict.fromkeys(SP_COUNTERS, 0)}
     sel = selection
     while True:
         dec = sel.decision
@@ -467,8 +473,8 @@ def allocate_with_fallback(
             return dec.copy(), diag
         prob = build_power_problem(st, sel, g, cfg)
         p, pinned, status, info = _capped_solve(prob)
-        diag["outer_iterations"] = info["outer_iterations"]
-        diag["cap_rounds"] = info["cap_rounds"]
+        for k in SP_COUNTERS:
+            diag[k] += info[k]
         diag["status"] = status
         if status == STATUS_CONVERGED:
             break

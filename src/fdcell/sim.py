@@ -32,7 +32,7 @@ import numpy as np
 
 from .channel import GainTable, build_gains, dbm_to_w, indoor_params, outdoor_params
 from .errors import ConfigError
-from .power_alloc import AllocConfig, allocate_with_fallback
+from .power_alloc import SP_COUNTERS, AllocConfig, allocate_with_fallback
 from .scheduler import (
     DL,
     UL,
@@ -84,12 +84,12 @@ class RunConfig:
             raise ConfigError(f"slots must be >= 1, got {self.slots}")
         if self.drops < 1:
             raise ConfigError(f"drops must be >= 1, got {self.drops}")
-        if self.bandwidth_hz <= 0:
-            raise ConfigError("bandwidth_hz must be positive")
+        if not self.bandwidth_hz >= 1e3:
+            raise ConfigError(f"bandwidth_hz must be >= 1e3, got {self.bandwidth_hz}")
         if not 0 < self.beta < 1:
             raise ConfigError(f"beta must be in (0, 1), got {self.beta}")
-        if self.bs_power_dbm < -30 or self.ue_power_dbm < -30:
-            raise ConfigError("power caps below -30 dBm are out of range")
+        if not (0 <= self.bs_power_dbm <= 60 and 0 <= self.ue_power_dbm <= 60):
+            raise ConfigError("power caps must be in [0, 60] dBm")
         if self.ues_per_cell is not None and self.ues_per_cell < 1:
             raise ConfigError(f"ues_per_cell must be >= 1, got {self.ues_per_cell}")
         if self.energy_kappa < 0:
@@ -218,28 +218,20 @@ def run_drop(cfg: RunConfig, drop_index: int) -> DropResult:
     trace_ul_ue = np.full((cfg.slots, B), -1, dtype=np.int32)
     trace_p_dl = np.zeros((cfg.slots, B))
     trace_p_ul = np.zeros((cfg.slots, B))
-    diag_tot = {
-        "pruned": 0,
-        "fallbacks": 0,
-        "nonconverged_slots": 0,
-        "cap_rounds": 0,
-        "outer_iterations": 0,
-    }
+    diag_tot = dict.fromkeys(("pruned", "fallbacks", "nonconverged_slots", *SP_COUNTERS), 0)
 
     for t in range(cfg.slots):
         direction = DL if t % 2 == 0 else UL
+        diag = {}
         if cfg.variant == "HD":
             sel = hd_select_ues(st, g, P, direction, sched_rng)
             dec, diag = allocate_with_fallback(st, sel, g, alloc_cfg)
         elif cfg.variant in ("FD", "FD_FDUE", "FD_EnergyAware"):
             sel = select_ues(st, g, P, sched_rng, fd_ue=fd_ue)
             dec, diag = allocate_with_fallback(st, sel, g, alloc_cfg)
-        elif cfg.variant == "RR_HD":
-            dec = round_robin_select(rr, "HD", direction, g, P, sched_rng)
-            diag = {}
-        else:  # RR_FD
-            dec = round_robin_select(rr, "FD", direction, g, P, sched_rng)
-            diag = {}
+        else:
+            rr_mode = "HD" if cfg.variant == "RR_HD" else "FD"
+            dec = round_robin_select(rr, rr_mode, direction, g, P, sched_rng)
         validate(dec, g)
 
         rate_dl, rate_ul = slot_rates(dec, g)
@@ -258,11 +250,9 @@ def run_drop(cfg: RunConfig, drop_index: int) -> DropResult:
         trace_p_dl[t] = dec.p_dl
         trace_p_ul[t] = dec.p_ul
         if diag:
-            diag_tot["pruned"] += diag.get("pruned", 0)
-            diag_tot["fallbacks"] += diag.get("fallbacks", 0)
-            diag_tot["cap_rounds"] += diag.get("cap_rounds", 0)
-            diag_tot["outer_iterations"] += diag.get("outer_iterations", 0)
-            if diag.get("status") not in ("converged", "idle"):
+            for k in ("pruned", "fallbacks", *SP_COUNTERS):
+                diag_tot[k] += diag[k]
+            if diag["status"] not in ("converged", "idle"):
                 diag_tot["nonconverged_slots"] += 1
 
         st = update_state(st, dec, rate_dl, rate_ul)
@@ -321,6 +311,7 @@ class Metrics:
     frac_idle: float
     per_ue_dl_bps: np.ndarray    # pooled across drops, for CDF files
     per_ue_ul_bps: np.ndarray
+    diagnostics: dict = field(default_factory=dict)   # allocator counters summed over drops
 
 
 def _pool_rates(results):
@@ -333,7 +324,8 @@ def aggregate(cfg: RunConfig, results: list, baseline: list | None = None) -> Me
     """Reduce drop results to the reported metrics.
 
     Gains compare pooled per-UE mean throughputs against the baseline
-    runs (ratio of means, plus ratio of medians for robustness).
+    runs (ratio of means, plus ratio of medians for robustness). The
+    drops' allocator counters are summed.
     """
     dl, ul = _pool_rates(results)
     e_dl = sum(r.energy_dl_j for r in results)
@@ -341,6 +333,7 @@ def aggregate(cfg: RunConfig, results: list, baseline: list | None = None) -> Me
     bits_dl = sum(float(r.bits_dl.sum()) for r in results)
     bits_ul = sum(float(r.bits_ul.sum()) for r in results)
     fracs = np.array([r.mode_fractions() for r in results]).mean(axis=0)
+    counters = {k: sum(int(r.diagnostics[k]) for r in results) for k in results[0].diagnostics}
 
     def direction(rates, bits, energy, base_rates):
         gain = gain_med = None
@@ -372,6 +365,7 @@ def aggregate(cfg: RunConfig, results: list, baseline: list | None = None) -> Me
         frac_idle=float(fracs[2]),
         per_ue_dl_bps=np.sort(dl),
         per_ue_ul_bps=np.sort(ul),
+        diagnostics=counters,
     )
 
 
@@ -389,7 +383,8 @@ def persist(metrics, out_dir: str, config: dict | None = None) -> dict:
     """Write metrics.csv, per-variant CDF files, and a run manifest.
 
     Accepts one Metrics or a list. Returns {filename: sha256} for the
-    files written; the manifest stores the same map as a content hash.
+    files written; the manifest stores the same map as a content hash,
+    and each run's allocator counters next to it, outside that map.
     """
     if not isinstance(metrics, (list, tuple)):
         metrics = [metrics]
@@ -431,6 +426,7 @@ def persist(metrics, out_dir: str, config: dict | None = None) -> dict:
                 "variant": m.variant,
                 "cancellation_db": m.cancellation_db,
                 "n_drops": m.n_drops,
+                "diagnostics": m.diagnostics,
             }
             for m in metrics
         ],

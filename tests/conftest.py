@@ -136,6 +136,26 @@ def cell_options(ids, allow_fd=True):
     return opts
 
 
+def check_derivatives(f, y, h=1e-5, rtol=1e-6, atol=1e-7):
+    """Gradient and Hessian of a (value, gradient, hessian) objective
+    against central differences; returns the value at y.
+    """
+    val, grad, hess = f(y)
+    H = hess()
+    n = len(y)
+    fd_grad = np.zeros(n)
+    fd_hess = np.zeros((n, n))
+    for i in range(n):
+        e = np.zeros(n)
+        e[i] = h
+        fd_grad[i] = (f(y + e)[0] - f(y - e)[0]) / (2 * h)
+        fd_hess[:, i] = (f(y + e)[1] - f(y - e)[1]) / (2 * h)
+    np.testing.assert_allclose(grad, fd_grad, rtol=rtol, atol=atol)
+    np.testing.assert_allclose(H, fd_hess, rtol=rtol, atol=atol)
+    np.testing.assert_allclose(H, H.T, rtol=1e-12, atol=1e-12)
+    return val
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

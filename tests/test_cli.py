@@ -21,7 +21,7 @@ from fdcell.cli import (
     parse_cancellation,
     parse_config,
 )
-from fdcell.sim import RunConfig
+from fdcell.sim import MODE_NAMES, RunConfig, run_drop
 
 
 def write_config(path, text):
@@ -140,6 +140,27 @@ def test_run_writes_outputs(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["variant"] == "HD"
     assert manifest["results"][0]["scenario"] == "Indoor"
+
+
+def test_run_trace_writes_drop_zero_decisions(tmp_path, monkeypatch):
+    monkeypatch.delenv("FDCELL_SEED", raising=False)
+    cfg = write_config(
+        tmp_path / "c.conf", BASE_CONFIG + "variant = FD\ncancellation = 95\ndrops = 2\n"
+    )
+    trace = tmp_path / "trace.csv"
+    argv = ["run", "--config", cfg, "--out", str(tmp_path / "r"), "--trace", str(trace)]
+    assert main(argv) == EXIT_OK
+    rows = [r.split(",") for r in trace.read_text().strip().split("\n")]
+    assert rows[0] == "slot,cell,mode,dl_ue,ul_ue,p_dl_dbm,p_ul_dbm".split(",")
+    drop0 = run_drop(parse_config(cfg).base, 0)
+    assert len(rows) == 1 + drop0.slots * drop0.n_cells
+    # one row per slot and cell, slot-major
+    assert [(int(r[0]), int(r[1])) for r in rows[1:]] == [
+        (s, b) for s in range(drop0.slots) for b in range(drop0.n_cells)
+    ]
+    assert [r[2] for r in rows[1:]] == [MODE_NAMES[int(m)] for m in drop0.trace_mode.ravel()]
+    assert [int(r[3]) for r in rows[1:]] == drop0.trace_dl_ue.ravel().tolist()
+    assert [int(r[4]) for r in rows[1:]] == drop0.trace_ul_ue.ravel().tolist()
 
 
 def test_run_is_byte_reproducible(tmp_path):

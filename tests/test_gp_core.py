@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import check_derivatives
 from fdcell.gp_core import (
     GPProblem,
     Monomial,
@@ -12,8 +13,6 @@ from fdcell.gp_core import (
     _SmoothedMax,
     condense,
     evaluate,
-    lse_blocks,
-    lse_hessian,
     minimize_box,
     posynomial_arrays,
     projected_grad_norm,
@@ -88,22 +87,9 @@ def reference_lse(A, c, y):
     return np.array([np.logaddexp.reduce(Aj @ y + cj) for Aj, cj in zip(A, c)])
 
 
-def assert_fgh_matches_differences(f, y, value, h=1e-5):
+def assert_fgh_matches_differences(f, y, value):
     """Value against a reference, gradient and Hessian against differences."""
-    val, grad, H = f(y)
-    assert val == pytest.approx(value, rel=1e-12)
-    assert f(y, need_hess=False)[2] is None
-    n = len(y)
-    fd_grad = np.zeros(n)
-    fd_hess = np.zeros((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        fd_grad[i] = (f(y + e, False)[0] - f(y - e, False)[0]) / (2 * h)
-        fd_hess[:, i] = (f(y + e)[1] - f(y - e)[1]) / (2 * h)
-    np.testing.assert_allclose(grad, fd_grad, rtol=1e-6, atol=1e-7)
-    np.testing.assert_allclose(H, fd_hess, rtol=1e-6, atol=1e-7)
-    np.testing.assert_allclose(H, H.T, rtol=1e-12, atol=1e-12)
+    assert check_derivatives(f, y) == pytest.approx(value, rel=1e-12)
 
 
 def test_lse_kernel_objectives_match_finite_differences():
@@ -112,11 +98,8 @@ def test_lse_kernel_objectives_match_finite_differences():
         A, c = random_padded_blocks(rng)
         y = rng.normal(0.0, 0.5, A.shape[2])
         w = rng.uniform(0.1, 2.0, A.shape[0])
-        lin = rng.normal(0.0, 1.0, A.shape[2])
-        obj = WeightedLogObjective(A, c, w, lin=lin, const=0.3)
-        assert_fgh_matches_differences(
-            obj, y, w @ reference_lse(A, c, y) + lin @ y + 0.3
-        )
+        obj = WeightedLogObjective(A, c, w)
+        assert_fgh_matches_differences(obj, y, w @ reference_lse(A, c, y))
 
         # constraints shifted to be strictly feasible at y
         cA, cc = random_padded_blocks(rng)
@@ -133,32 +116,6 @@ def test_lse_kernel_objectives_match_finite_differences():
         )
 
 
-def test_shared_exponent_matrix_matches_tiled_tensor():
-    rng = np.random.default_rng(13)
-    for _ in range(10):
-        J, M, n = 5, 6, 4
-        A = rng.uniform(-2.0, 2.0, (M, n))
-        c = rng.normal(0.0, 1.0, (J, M))
-        c[rng.random((J, M)) < 0.3] = -np.inf
-        c[:, 0] = rng.normal(0.0, 1.0, J)       # every block keeps a term
-        y = rng.normal(0.0, 0.5, n)
-        w = rng.uniform(0.1, 2.0, J)
-        tiled = np.tile(A, (J, 1, 1))
-        shared_out = lse_blocks(A, c, y)
-        tiled_out = lse_blocks(tiled, c, y)
-        for got, want in zip(shared_out, tiled_out):
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(
-            lse_hessian(A, shared_out[1], shared_out[2], w),
-            lse_hessian(tiled, tiled_out[1], tiled_out[2], w),
-            rtol=1e-12,
-            atol=1e-12,
-        )
-        # and the objective built on it agrees with the reference values
-        obj = WeightedLogObjective(A, c, w)
-        assert_fgh_matches_differences(obj, y, w @ reference_lse(tiled, c, y))
-
-
 def test_minimize_box_quadratic_like():
     # minimize lse of (y, -y): symmetric, optimum at y = 0 -> x = 1
     obj = WeightedLogObjective(np.array([[[1.0], [-1.0]]]), np.zeros((1, 2)), np.ones(1))
@@ -167,6 +124,47 @@ def test_minimize_box_quadratic_like():
     assert y[0] == pytest.approx(0.0, abs=1e-6)
     _, grad, _ = obj(y)
     assert projected_grad_norm(y, grad, np.array([-3.0]), np.array([3.0])) < 1e-6
+
+
+class SpyObjective:
+    """Records every point an objective is evaluated at and every Hessian formed."""
+
+    def __init__(self, base):
+        self.base = base
+        self.points = []
+        self.hessians = 0
+
+    def __call__(self, y):
+        self.points.append(y.tobytes())
+        val, grad, hess = self.base(y)
+
+        def counted():
+            self.hessians += 1
+            return hess()
+
+        return val, grad, counted
+
+
+def test_minimize_box_one_hessian_per_step_no_repeated_point():
+    rng = np.random.default_rng(17)
+    n_backtracks = 0
+    for _ in range(10):
+        A, c = random_padded_blocks(rng, J=3, M=4, n=3)
+        # a box-bounded convex problem started far from its optimum, so
+        # full Newton steps overshoot and the line search backtracks
+        spy = SpyObjective(WeightedLogObjective(A, c, rng.uniform(0.1, 2.0, 3)))
+        lo, hi = np.full(3, -4.0), np.full(3, 4.0)
+        y, status, iters = minimize_box(spy, rng.uniform(-4.0, 4.0, 3), lo, hi)
+        assert status == STATUS_CONVERGED
+        # one Hessian per Newton step taken, none at the converged point
+        assert iters >= 1 and spy.hessians == iters
+        # the accepted line-search point is the next iterate, and a trial
+        # clipped onto the point just rejected is not evaluated again: no
+        # point is evaluated twice in a row
+        assert all(a != b for a, b in zip(spy.points, spy.points[1:]))
+        assert spy.points[-1] == y.tobytes()
+        n_backtracks += len(spy.points) - 1 - iters
+    assert n_backtracks > 0
 
 
 def test_solve_unconstrained_amgm():

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 import fdcell.power_alloc as pa
-from conftest import make_decision, random_power_instance, toy_gains
+from conftest import check_derivatives, make_decision, random_power_instance, toy_gains
 from fdcell.channel import dbm_to_w, noise_power_w
 from fdcell.errors import ConfigError
-from fdcell.gp_core import STATUS_CONVERGED, STATUS_MAX_ITER
+from fdcell.gp_core import STATUS_CONVERGED, STATUS_MAX_ITER, condense
 from fdcell.power_alloc import (
     POWER_FLOOR_RATIO,
     SE_CAP_SINR,
@@ -87,16 +87,14 @@ def test_problem_structure_single_link():
     assert prob.n_vars == 1
     assert prob.w.tolist() == [1.0]
     assert prob.w_scale == pytest.approx(0.01 / (0.99 * 1e7 * math.log(10.0)), rel=1e-12)
-    # one exponent matrix for every row: term 0 is the noise, term 1 the
-    # link's power with exponent 1
-    np.testing.assert_array_equal(prob.A, [[0.0], [1.0]])
     np.testing.assert_array_equal(prob.gain, [[1e-8]])
     np.testing.assert_array_equal(prob.noise, [N_UE])
-    # numerator: noise only; denominator: noise + own signal
-    assert prob.c_num[0, 0] == pytest.approx(math.log(N_UE), rel=1e-12)
-    assert prob.c_num[0, 1] == -np.inf
-    assert prob.c_den[0, 0] == prob.c_num[0, 0]
-    assert prob.c_den[0, 1] == pytest.approx(math.log(1e-8), rel=1e-12)
+    # numerator: noise only; denominator: noise + own signal (power 0
+    # with exponent 1)
+    np.testing.assert_array_equal(pa._interference(prob.gain), [[0.0]])
+    obj = build_sp_objective(prob)
+    assert [(t.coeff, t.exponents) for t in obj.num[0].terms] == [(N_UE, {})]
+    assert [(t.coeff, t.exponents) for t in obj.den[0].terms] == [(N_UE, {}), (1e-8, {0: 1.0})]
     assert prob.p_max.tolist() == [P_BS]
     assert prob.p_floor[0] == pytest.approx(POWER_FLOOR_RATIO * P_BS, rel=1e-12)
     # SP termination scales with the largest power and the network size
@@ -105,7 +103,8 @@ def test_problem_structure_single_link():
     tight = dataclasses.replace(prob, epsilon=1e-9, p_max=prob.p_max / 2)
     assert tight.epsilon == 1e-9
     assert tight.p_floor[0] == pytest.approx(POWER_FLOOR_RATIO * P_BS / 2, rel=1e-12)
-    np.testing.assert_array_equal(tight.c_den, prob.c_den)
+    np.testing.assert_array_equal(tight.gain, prob.gain)
+    np.testing.assert_array_equal(tight.noise, prob.noise)
 
 
 def test_problem_fd_pair_interference_terms():
@@ -117,30 +116,26 @@ def test_problem_fd_pair_interference_terms():
     dec = make_decision(g, dl=[0], ul=[1])
     prob = build_power_problem(st, selection_of(dec), g, AllocConfig())
     assert len(prob.w) == 2 and np.all(prob.w > 0)
-    # every row shares one exponent matrix: term 0 (noise) has none,
-    # term 1+k carries link k's power with exponent 1
-    np.testing.assert_array_equal(prob.A, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    # entry (l, k) is link k's power at link l's receiver: the noise and
+    # the off-diagonal terms form the numerator, the own signal (the
+    # diagonal) joins them only in the denominator
     np.testing.assert_array_equal(prob.noise, [N_UE, N_BS])
     np.testing.assert_array_equal(prob.gain, [[1e-8, 5e-12], [gamma, 8e-9]])
-    # term 1+k of each row is link k's power; the own signal (diagonal)
-    # appears only in the denominator, the noise in both
-    assert prob.c_num[0, 0] == pytest.approx(math.log(N_UE), rel=1e-12)
-    assert prob.c_num[1, 0] == pytest.approx(math.log(N_BS), rel=1e-12)
-    for l, signal in ((0, 1e-8), (1, 8e-9)):
-        assert prob.c_num[l, 1 + l] == -np.inf
-        assert prob.c_den[l, 1 + l] == pytest.approx(math.log(signal), rel=1e-12)
-    # uplink row (index 1): residual self-interference p_dl * gamma
-    assert prob.c_num[1, 1] == pytest.approx(math.log(gamma), rel=1e-12)
-    assert prob.c_den[1, 1] == prob.c_num[1, 1]
+    np.testing.assert_array_equal(np.diagonal(prob.gain), [1e-8, 8e-9])
+    # uplink row (index 1): residual self-interference p_dl * gamma;
     # downlink row: partner uplink UE couples with the UE-UE gain
-    assert prob.c_num[0, 2] == pytest.approx(math.log(5e-12), rel=1e-12)
-    assert prob.c_den[0, 2] == prob.c_num[0, 2]
+    np.testing.assert_array_equal(pa._interference(prob.gain), [[0.0, 5e-12], [gamma, 0.0]])
+    obj = build_sp_objective(prob)
+    assert [(t.coeff, t.exponents) for t in obj.num[1].terms] == [(N_BS, {}), (gamma, {0: 1.0})]
+    assert [(t.coeff, t.exponents) for t in obj.den[1].terms] == [
+        (N_BS, {}), (gamma, {0: 1.0}), (8e-9, {1: 1.0})
+    ]
 
     # same-UE pair: the UE receiver sees its own residual, not a UE-UE gain
     dec_same = make_decision(g, dl=[0], ul=[0], fd_ue=True)
     prob_same = build_power_problem(st, selection_of(dec_same), g, AllocConfig())
-    assert prob_same.c_num[0, 2] == pytest.approx(math.log(gamma), rel=1e-12)
     assert prob_same.gain[0, 1] == gamma
+    assert pa._interference(prob_same.gain)[0, 1] == gamma
 
 
 def test_objective_matches_sinr_module(rng):
@@ -162,8 +157,7 @@ def test_objective_matches_sinr_module(rng):
         sinr = np.concatenate([sinr_d[prob.cells_dl], sinr_u[prob.cells_ul]])
         expected = -float(prob.w @ np.log1p(sinr))
         assert prob.true_objective(p) == pytest.approx(expected, rel=1e-10)
-        # the shared exponent matrix and the link-space SINR behind it
-        np.testing.assert_array_equal(prob.A, np.eye(prob.n_vars + 1, prob.n_vars, -1))
+        # the link-space SINR behind it
         np.testing.assert_allclose(pa._link_sinr(prob.gain, prob.noise, p), sinr, rtol=1e-12)
         # posynomial-ratio view agrees with the gathered arrays
         obj = build_sp_objective(prob)
@@ -189,6 +183,58 @@ def test_reduce_problem_keeps_pinned_interference():
         # the free links' rate terms, with the pinned links still interfering
         expected = -float(prob.w[free] @ np.log1p(sinr[free]))
         assert sub.true_objective(p[free]) == pytest.approx(expected, rel=1e-10)
+
+
+def surrogate_instances(rng):
+    """Coupled instances, each with an UL link and a same-UE FD pair:
+    plain, with a zero gain (gamma 0) and with an energy penalty."""
+    for i in range(12):
+        dec, g = coupled_cap_instance(rng)
+        if i % 3 == 1:
+            g = dataclasses.replace(g, gamma=0.0)
+        kappa = 0.05 if i % 3 == 2 else 0.0
+        st = state_with(10 ** rng.uniform(6.5, 7.5, g.n_ues), 10 ** rng.uniform(6.5, 7.5, g.n_ues))
+        prob = build_power_problem(st, selection_of(dec), g, AllocConfig(energy_kappa=kappa))
+        yield prob, i % 3
+
+
+def test_link_surrogate_matches_condensed_posynomials():
+    rng = np.random.default_rng(31)
+    kinds = set()
+    for prob, kind in surrogate_instances(rng):
+        kinds.add(kind)
+        assert (kind == 1) == (not prob.gain.all())
+        assert (kind == 2) == bool(prob.lin.any())
+        lo, hi = np.log(prob.p_floor), np.log(prob.p_max)
+        y0 = rng.uniform(lo, hi)
+        p0 = np.exp(y0)
+        F = pa._LinkSurrogate(prob, y0)
+        assert F(y0)[0] == 0.0
+        # reference: the posynomial form with every denominator condensed
+        # at p0 by gp_core.condense, measured from its value at p0
+        obj = build_sp_objective(prob)
+        mono = [condense(d, p0) for d in obj.den]
+
+        def reference(p):
+            out = float(prob.lin @ np.log(p))
+            for num, m, w in zip(obj.num, mono, prob.w):
+                out += w * (math.log(num.value(p)) - math.log(m.value(p)))
+            return out
+
+        for _ in range(5):
+            y = rng.uniform(lo, hi)
+            val = check_derivatives(F, y)
+            assert val == pytest.approx(reference(np.exp(y)) - reference(p0), abs=1e-9)
+            # an upper bound of the true objective's change, tight at y0
+            gap = prob.true_objective(np.exp(y)) - prob.true_objective(p0)
+            assert gap <= val + 1e-9
+        # same gradient as the true objective at the condensation point
+        h = 1e-6
+        true_at = [prob.true_objective(np.exp(y0 + h * e)) for e in np.eye(len(y0))]
+        true_at_minus = [prob.true_objective(np.exp(y0 - h * e)) for e in np.eye(len(y0))]
+        fd = (np.array(true_at) - np.array(true_at_minus)) / (2 * h)
+        np.testing.assert_allclose(F(y0)[1], fd, rtol=1e-6, atol=1e-8)
+    assert kinds == {0, 1, 2}
 
 
 def test_single_link_solves_to_full_power():
@@ -286,6 +332,7 @@ def test_allocate_happy_path_equals_sp_output():
     assert diag["pruned"] == 0
     assert diag["status"] == STATUS_CONVERGED
     assert diag["outer_iterations"] >= 1
+    assert diag["outer_capped"] == 0
     assert diag["fallbacks"] == 0
     np.testing.assert_array_equal(p_direct, prob.p_max)
     np.testing.assert_array_equal(active_powers(prob, out), p_direct)
@@ -317,6 +364,8 @@ def test_allocate_prunes_in_ascending_gain_order(monkeypatch):
     out, diag = allocate_with_fallback(st, sel, g)
     assert removed == [(1, "d"), (2, "u"), (0, "d")]
     assert diag["pruned"] == 3
+    # every attempt stopped at the condensation-round limit
+    assert diag["outer_capped"] == 3
     assert diag["status"] == STATUS_MAX_ITER
     assert np.all(out.dl_ue == NONE) and np.all(out.ul_ue == NONE)
     assert not out.p_dl.any() and not out.p_ul.any()

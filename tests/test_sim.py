@@ -50,9 +50,12 @@ def test_config_validation_rejects_bad_values():
         dict(beta=0.0),
         dict(beta=1.0),
         dict(bandwidth_hz=0.0),
+        dict(bandwidth_hz=500.0),
         dict(scenario="Orbital"),
         dict(variant="TDMA"),
         dict(bs_power_dbm=-31.0),
+        dict(bs_power_dbm=70.0),
+        dict(ue_power_dbm=-10.0),
         dict(cancellation_db=-10.0),
         dict(energy_kappa=-1.0),
         dict(ues_per_cell=0),
@@ -293,6 +296,28 @@ def test_persist_roundtrip_and_byte_determinism(tmp_path, small_fd_cfg):
     assert manifest["files"] == w1
     assert manifest["config"]["seed"] == small_fd_cfg.seed
     assert manifest["results"][0]["variant"] == "FD"
+
+
+def test_manifest_records_summed_allocator_counters(tmp_path, small_fd_cfg):
+    manifests = []
+    for name in ("a", "b"):
+        results = run_variant(small_fd_cfg)
+        expected = {
+            k: sum(r.diagnostics[k] for r in results) for k in results[0].diagnostics
+        }
+        assert {"pruned", "fallbacks", "nonconverged_slots", "outer_iterations",
+                "outer_capped", "cap_rounds"} <= set(expected)
+        assert expected["outer_iterations"] > 0
+        m = aggregate(small_fd_cfg, results)
+        assert m.diagnostics == expected
+        written = persist(m, str(tmp_path / name), config=config_dict(small_fd_cfg))
+        # the counters sit next to the hashed files, not among them
+        assert set(written) == {"metrics.csv", "cdf_FD.csv"}
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["results"][0]["diagnostics"] == expected
+        assert manifest["files"] == written
+        manifests.append((tmp_path / name / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
 
 
 def test_persist_qualifies_cdf_names_on_repeat_variant(tmp_path, small_fd_cfg):
