@@ -18,7 +18,8 @@ posynomial <= 1 constraints go through a log-barrier path with a
 smoothed-max phase I. An objective is a callable y -> (value, gradient,
 hessian) whose hessian is a zero-argument callable built from that
 evaluation's intermediates, so the solver evaluates each point once and
-forms a Hessian only where it takes a Newton step.
+forms a Hessian only where it takes a Newton step. Each call returns a
+new matrix, which the solver may change in place.
 """
 
 from __future__ import annotations
@@ -175,53 +176,62 @@ class WeightedLogObjective:
         return float(self.w @ lse), self.w @ G, lambda: lse_hessian(self.A, p, G, self.w)
 
 
-def projected_grad_norm(y, g, lo, hi, atol=1e-10):
-    """Infinity norm of the KKT residual on a box."""
-    pg = g.copy()
-    at_lo = y <= lo + atol
-    at_hi = y >= hi - atol
-    pg[at_lo] = np.minimum(g[at_lo], 0.0)
-    pg[at_hi & ~at_lo] = np.maximum(g[at_hi & ~at_lo], 0.0)
-    return float(np.abs(pg).max()) if len(pg) else 0.0
+def _box_kkt(g, at_lo, at_hi):
+    """KKT residual norm and active set of gradient g on a box.
+
+    at_lo and at_hi mark the variables at their bounds. The residual
+    leaves out the components that push out of the box; a variable at
+    both bounds counts as at its lower one there. The active set holds
+    every variable a descent step would push out of the box.
+    """
+    out_lo = at_lo & (g > 0)
+    out_hi = at_hi & (g < 0)
+    held = out_lo | (out_hi & ~at_lo)
+    norm = float(np.abs(np.where(held, 0.0, g)).max()) if len(g) else 0.0
+    return norm, out_lo | out_hi
 
 
 def minimize_box(fgh, y0, lo, hi, tol=1e-8, max_iter=200):
     """Projected-Newton minimization of a smooth convex f over a box.
 
     fgh(y) -> (value, gradient, hessian), hessian a zero-argument callable
-    (see the module docstring). Returns (y, status, iterations); status
-    is converged once the projected gradient drops below tol.
+    returning a new matrix (see the module docstring; the solver adds
+    its regularization in place). Returns (y, status, iterations);
+    status is converged once the projected gradient drops below tol.
     """
-    y = np.clip(np.asarray(y0, dtype=float), lo, hi)
+    y = np.minimum(np.maximum(np.asarray(y0, dtype=float), lo), hi)
     n = len(y)
+    lo_tol = lo + 1e-10
+    hi_tol = hi - 1e-10
     f, g, hess = fgh(y)
     for it in range(max_iter):
-        if projected_grad_norm(y, g, lo, hi) <= tol:
+        kkt, active = _box_kkt(g, y <= lo_tol, y >= hi_tol)
+        n_active = np.count_nonzero(active)
+        if kkt <= tol or n_active == n:
             return y, STATUS_CONVERGED, it
-        atol = 1e-10
-        active = ((y <= lo + atol) & (g > 0)) | ((y >= hi - atol) & (g < 0))
-        free = ~active
-        d = np.zeros(n)
-        if free.any():
-            Hf = hess()[free][:, free]
-            gf = g[free]
-            Hf.flat[:: len(gf) + 1] += 1e-12 * (1.0 + np.trace(Hf) / len(gf))
-            try:
-                df = np.linalg.solve(Hf, -gf)
-                if df @ gf >= 0:
-                    df = -gf
-            except np.linalg.LinAlgError:
-                df = -gf
-            d[free] = df
-        if not np.any(d):
+        H, gf = hess(), g
+        if n_active:
+            free = ~active
+            H, gf = H[free][:, free], g[free]
+        H.flat[:: len(gf) + 1] += 1e-12 * (1.0 + H.trace() / len(gf))
+        try:
+            d = np.linalg.solve(H, -gf)
+            if d @ gf >= 0:
+                d = -gf
+        except np.linalg.LinAlgError:
+            d = -gf
+        if n_active:
+            d_free, d = d, np.zeros(n)
+            d[free] = d_free
+        if not np.count_nonzero(d):
             return y, STATUS_CONVERGED, it
         alpha = 1.0
         accepted = False
         tried = None
         for _ in range(60):
-            y_new = np.clip(y + alpha * d, lo, hi)
+            y_new = np.minimum(np.maximum(y + alpha * d, lo), hi)
             step = y_new - y
-            if not np.any(step):
+            if not np.count_nonzero(step):
                 break
             alpha *= 0.5
             if y_new.tobytes() == tried:
@@ -233,8 +243,7 @@ def minimize_box(fgh, y0, lo, hi, tol=1e-8, max_iter=200):
                 break
         if not accepted:
             # numerical stall: no descent step representable
-            ok = projected_grad_norm(y, g, lo, hi) <= 10 * tol
-            return y, STATUS_CONVERGED if ok else STATUS_MAX_ITER, it
+            return y, STATUS_CONVERGED if kkt <= 10 * tol else STATUS_MAX_ITER, it
         y, f, g, hess = y_new, f_new, g_new, hess_new
     return y, STATUS_MAX_ITER, max_iter
 

@@ -31,6 +31,7 @@ writes the slot decision once, at the end.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from .sinr_rate import slot_rates, slot_sinrs  # noqa: F401
 POWER_FLOOR_RATIO = 1e-6      # floor = ratio * cap, GP needs positive vars
 SE_CAP_SINR = 2.0**MAX_SE - 1.0
 MAX_OUTER = 30                # SP condensation rounds per solve
-SP_COUNTERS = ("outer_iterations", "outer_capped", "cap_rounds")
+SP_COUNTERS = ("outer_iterations", "inner_iterations", "outer_capped", "cap_rounds")
 
 
 @dataclass
@@ -102,9 +103,14 @@ class PowerProblem:
     def n_vars(self) -> int:
         return len(self.p_max)
 
+    @cached_property
+    def interference(self) -> np.ndarray:
+        """The gain matrix without its diagonal (the own signals)."""
+        return _interference(self.gain)
+
     def true_objective(self, p: np.ndarray) -> float:
         """Weighted log objective at powers p (lower is better)."""
-        num = self.noise + _interference(self.gain) @ p
+        num = self.noise + self.interference @ p
         den = num + np.diagonal(self.gain) * p
         return float(self.w @ np.log(num / den) + self.lin @ np.log(p))
 
@@ -231,7 +237,7 @@ def build_sp_objective(prob: PowerProblem) -> SPObjective:
     """Posynomial-ratio form of the slot objective (for checks and dumps)."""
     if prob.energy_kappa < 0:
         raise ConfigError("energy penalty must be non-negative")
-    num = [_linear_posynomial(*nr) for nr in zip(prob.noise, _interference(prob.gain))]
+    num = [_linear_posynomial(*nr) for nr in zip(prob.noise, prob.interference)]
     den = [_linear_posynomial(*nr) for nr in zip(prob.noise, prob.gain)]
     return SPObjective(num, den, prob.w.copy(), prob.lin.copy(), prob.w_scale)
 
@@ -250,7 +256,7 @@ class _LinkSurrogate:
     """
 
     def __init__(self, prob: PowerProblem, y0: np.ndarray):
-        self.G = _interference(prob.gain)
+        self.G = prob.interference
         self.noise = prob.noise
         self.w = prob.w
         self.y0 = y0
@@ -278,7 +284,8 @@ def solve_power_sp(prob: PowerProblem, P0: np.ndarray):
     """Successive condensation loop; returns (powers, status, info).
 
     At most MAX_OUTER condensation rounds; outer_capped in info is 1
-    when the loop stops there. info also carries the true-objective
+    when the loop stops there, inner_iterations sums the Newton
+    iterations of every round. info also carries the true-objective
     trajectory (one entry per outer iteration, evaluated at that
     iteration's solution) and the iterate step norms, for diagnostics
     and the monotonicity tests.
@@ -289,9 +296,10 @@ def solve_power_sp(prob: PowerProblem, P0: np.ndarray):
     trajectory = [prob.true_objective(np.exp(y))]
     steps = []
     status = STATUS_CONVERGED
-    outer = capped = 0
+    outer = inner = capped = 0
     for outer in range(1, MAX_OUTER + 1):
-        y_new, inner_status, _ = minimize_box(_LinkSurrogate(prob, y), y, lo, hi)
+        y_new, inner_status, iters = minimize_box(_LinkSurrogate(prob, y), y, lo, hi)
+        inner += iters
         step = float(np.linalg.norm(np.exp(y_new) - np.exp(y)))
         steps.append(step)
         y = y_new
@@ -304,7 +312,7 @@ def solve_power_sp(prob: PowerProblem, P0: np.ndarray):
     else:
         status = STATUS_MAX_ITER
         capped = 1
-    info = {"outer_iterations": outer, "outer_capped": capped,
+    info = {"outer_iterations": outer, "inner_iterations": inner, "outer_capped": capped,
             "trajectory": trajectory, "steps": steps}
     return np.exp(y), status, info
 
@@ -409,13 +417,13 @@ def _capped_solve(prob: PowerProblem):
     """
     fixed = np.zeros(prob.n_vars, dtype=bool)
     p = prob.p_max.copy()
-    info = {"outer_iterations": 0, "outer_capped": 0, "cap_rounds": 0}
+    info = dict.fromkeys(SP_COUNTERS, 0)
     for _ in range(prob.n_vars + 1):
         sub, free = _reduce_problem(prob, p, fixed)
         if sub is not None:
             p_sub, status, info_s = solve_power_sp(sub, p[free])
-            info["outer_iterations"] += info_s["outer_iterations"]
-            info["outer_capped"] += info_s["outer_capped"]
+            for k in ("outer_iterations", "inner_iterations", "outer_capped"):
+                info[k] += info_s[k]
             if status != STATUS_CONVERGED:
                 return None, fixed, status, info
             p[free] = p_sub

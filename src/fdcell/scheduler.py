@@ -9,9 +9,22 @@ the interference it inflicts on everything already scheduled. A pure
 half-duplex variant runs only the first pass with the direction forced,
 and round-robin baselines ignore utilities altogether.
 
-get_utility is the reference evaluator for one candidate; the selector
-runs a vectorized scan over whole candidate sets that is numerically
-equivalent (modulo summation order) and property-tested against it.
+One slot state (_SlotState) lives through a whole selection. It holds
+the noise plus interference at every receiver, each UE and each BS (a
+BS's own residual gamma*p_dl included), and every active link's signal,
+denominator and chi. A scan scores all of one cell's candidates at
+once: it reads their denominators from the receiver vector and adds
+each candidate's gains to the active links' denominators, then
+evaluates the candidates' own chi and the active links' new chi in one
+call. Accepting a candidate adds its transmitter's gain row to the
+receiver vector (a rank-1 update) and keeps the scan's link terms, so
+no slot-wide SINR evaluation runs during a selection.
+
+get_utility is the reference evaluator for one candidate: it evaluates
+the whole slot anew on every call. The scans are numerically
+equivalent to it (modulo summation order), which
+test_scan_matches_get_utility in tests/test_scheduler.py checks on
+multi-cell networks.
 """
 
 from __future__ import annotations
@@ -21,7 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import GainTable
-from .sinr_rate import MIN_SE, NONE, SlotDecision, rate_from_sinr, slot_link_terms, slot_rates
+from .sinr_rate import MIN_SE, NONE, SlotDecision, rate_from_sinr, slot_rates
+# unused here, but the benchmark tracer patches this name in this module
+from .sinr_rate import slot_link_terms  # noqa: F401
 
 DL = "DL"
 UL = "UL"
@@ -132,24 +147,80 @@ def get_utility(c, d, u, Q, R, g: GainTable, powers, st: PFState, fd_ue=False, b
     return gain - loss
 
 
-class _ScanContext:
-    """Shared per-assignment-state quantities for the candidate scans."""
+@dataclass
+class Selection:
+    decision: SlotDecision
+    du_dl: np.ndarray    # accepted utility gain per cell, nan where idle
+    du_ul: np.ndarray
 
-    def __init__(self, Q, R, g: GainTable, powers, st: PFState, fd_ue: bool):
-        self.Q, self.R, self.g, self.st, self.fd_ue = Q, R, g, st, fd_ue
+
+@dataclass
+class _Scan:
+    """One cell's candidates in one direction, as _SlotState.scan left them.
+
+    du is each candidate's net utility change, num, den and gain its
+    link's signal, denominator and chi (den is shared by the uplink
+    candidates). den1 and chi1 are the active links' new denominators
+    and chi: shared by the downlink candidates, one row per uplink one.
+    Only ks is set when no candidate is eligible.
+    """
+
+    cell: int
+    direction: str
+    ks: np.ndarray
+    du: np.ndarray = None
+    num: np.ndarray = None
+    den: np.ndarray = None
+    gain: np.ndarray = None
+    den1: np.ndarray = None
+    chi1: np.ndarray = None
+
+    def best(self):
+        """(du, position) of the first best candidate; (-inf, NONE) if none."""
+        if len(self.ks) == 0:
+            return -np.inf, NONE
+        i = int(self.du.argmax())
+        return float(self.du[i]), i
+
+
+class _SlotState:
+    """What a partial slot assignment puts at every receiver and link.
+
+    Receivers are the N UEs, then the B BSs (BS b at N + b). tx_bs[b]
+    and tx_ue[u] hold the gains from BS b and from UE u to every
+    receiver; a BS hears the residual gamma from its own downlink, and
+    with fd_ue so does a UE from its own uplink. rx_den is the noise
+    plus everything the scheduled transmitters put at each receiver.
+    Each active link keeps its receiver, signal, denominator, chi and PF
+    average, downlinks by cell and then uplinks by cell.
+    """
+
+    def __init__(self, g: GainTable, powers, st: PFState, fd_ue: bool):
+        self.g, self.powers, self.st, self.fd_ue = g, powers, st, fd_ue
         self.p_dl_w, self.p_ul_w = powers
-        base = _base_decision(Q, R, g, powers, fd_ue)
-        self.sig_d, self.den_d, self.sig_u, self.den_u = slot_link_terms(base, g)
-        self.act_dl = np.where(R >= 0)[0]
-        self.act_ul = np.where(Q >= 0)[0]
-        self.r_dl = R[self.act_dl]           # receiver UEs of active DL links
-        self.u_ul = Q[self.act_ul]           # transmitter UEs of active UL links
-        W = g.bandwidth_hz
-        b = st.beta
-        rate0_d = rate_from_sinr(self.sig_d[self.act_dl] / self.den_d[self.act_dl], W)
-        rate0_u = rate_from_sinr(self.sig_u[self.act_ul] / self.den_u[self.act_ul], W)
-        self.chi0_dl = chi(st.avg_dl[self.r_dl], rate0_d, b)
-        self.chi0_ul = chi(st.avg_ul[self.u_ul], rate0_u, b)
+        B, N = g.n_cells, g.n_ues
+        self.R = np.full(B, NONE, dtype=int)
+        self.Q = np.full(B, NONE, dtype=int)
+        self.du_dl = np.full(B, np.nan)
+        self.du_ul = np.full(B, np.nan)
+        self.tx_bs = np.hstack([g.g_dl, g.g_bs])
+        np.fill_diagonal(self.tx_bs[:, N:], g.gamma)
+        self.tx_ue = np.hstack([g.g_ue, g.g_dl.T])
+        if fd_ue:
+            np.fill_diagonal(self.tx_ue[:, :N], g.gamma)
+        self.rx_den = np.concatenate([np.full(N, g.noise_ue_w), np.full(B, g.noise_bs_w)])
+        # link slot b is cell b's downlink, B + b its uplink
+        self.on = np.zeros(2 * B, dtype=bool)
+        self.slot_rx = np.zeros(2 * B, dtype=int)
+        self.slot_terms = np.zeros((4, 2 * B))     # signal, denominator, chi, PF average
+        self._gather()
+
+    def _gather(self):
+        """Pick the active links' terms out of the link slots."""
+        self.act = self.on.nonzero()[0]
+        self.nd = int(self.act.searchsorted(self.g.n_cells))   # active downlinks
+        self.rx = self.slot_rx[self.act]
+        self.sig, self.den, self.chi0, self.avg = self.slot_terms[:, self.act]
 
     def eligible(self, c: int, direction: str) -> np.ndarray:
         ids = self.g.cell_ue_ids[c]
@@ -158,71 +229,66 @@ class _ScanContext:
             return ids[ids != other]
         return ids
 
-    def scan(self, c: int, direction: str):
-        """Utility change of every eligible candidate; (du, ue_ids)."""
+    def scan(self, c: int, direction: str) -> _Scan:
+        """Utility change of adding each eligible candidate at cell c."""
         g, st = self.g, self.st
-        W, b = g.bandwidth_hz, st.beta
+        W, b, nd = g.bandwidth_hz, st.beta, self.nd
         ks = self.eligible(c, direction)
-        if len(ks) == 0:
-            return np.empty(0), ks
+        K = len(ks)
+        if K == 0:
+            return _Scan(c, direction, ks)
         if direction == DL:
             num = self.p_dl_w * g.g_dl[c, ks]
-            den = (
-                g.noise_ue_w
-                + self.p_dl_w * g.g_dl[self.act_dl][:, ks].sum(axis=0)
-                + self.p_ul_w * g.g_ue[self.u_ul][:, ks].sum(axis=0)
-            )
-            if self.fd_ue and self.Q[c] >= 0:
-                den = den + np.where(ks == self.Q[c], self.p_ul_w * g.gamma, 0.0)
-            gain = chi(st.avg_dl[ks], rate_from_sinr(num / den, W), b)
+            den = self.rx_den[ks]
             # the inflicted interference is candidate-independent
-            den_d1 = self.den_d[self.act_dl] + self.p_dl_w * g.g_dl[c, self.r_dl]
-            into_ul = np.where(self.act_ul == c, g.gamma, g.g_bs[c, self.act_ul])
-            den_u1 = self.den_u[self.act_ul] + self.p_dl_w * into_ul
-            chi1_dl = chi(st.avg_dl[self.r_dl], rate_from_sinr(self.sig_d[self.act_dl] / den_d1, W), b)
-            chi1_ul = chi(st.avg_ul[self.u_ul], rate_from_sinr(self.sig_u[self.act_ul] / den_u1, W), b)
-            loss = float(np.sum(self.chi0_dl - chi1_dl) + np.sum(self.chi0_ul - chi1_ul))
-            return gain - loss, ks
+            den1 = self.den + self.p_dl_w * self.tx_bs[c, self.rx]
+            sinr = np.concatenate([num / den, self.sig / den1])
+            chi1 = chi(np.concatenate([st.avg_dl[ks], self.avg]), rate_from_sinr(sinr, W), b)
+            gain, chi1 = chi1[:K], chi1[K:]
+            loss = float((self.chi0[:nd] - chi1[:nd]).sum() + (self.chi0[nd:] - chi1[nd:]).sum())
+            return _Scan(c, DL, ks, gain - loss, num, den, gain, den1, chi1)
 
         num = self.p_ul_w * g.g_dl[c, ks]
-        den = (
-            g.noise_bs_w
-            + (self.p_dl_w * g.gamma if self.R[c] >= 0 else 0.0)
-            + self.p_dl_w * g.g_bs[self.act_dl, c].sum()
-            + self.p_ul_w * g.g_dl[c, self.u_ul].sum()
-        )
-        gain = chi(st.avg_ul[ks], rate_from_sinr(num / den, W), b)
-        # interference into assigned downlink receivers, per candidate
-        into_dl = g.g_ue[ks][:, self.r_dl]                       # (K, Jd)
-        if self.fd_ue and self.R[c] >= 0:
-            same = (ks[:, None] == self.R[c]) & (self.act_dl[None, :] == c)
-            into_dl = np.where(same, g.gamma, into_dl)
-        den_d1 = self.den_d[self.act_dl][None, :] + self.p_ul_w * into_dl
-        rate1 = rate_from_sinr(self.sig_d[self.act_dl][None, :] / den_d1, W)
-        chi1_dl = chi(st.avg_dl[self.r_dl][None, :], rate1, b)
-        # interference into assigned uplink receivers (their BSs)
-        into_ul = g.g_dl[self.act_ul][:, ks].T                   # (K, Ju)
-        den_u1 = self.den_u[self.act_ul][None, :] + self.p_ul_w * into_ul
-        rate1 = rate_from_sinr(self.sig_u[self.act_ul][None, :] / den_u1, W)
-        chi1_ul = chi(st.avg_ul[self.u_ul][None, :], rate1, b)
-        loss = np.sum(self.chi0_dl[None, :] - chi1_dl, axis=1) + np.sum(
-            self.chi0_ul[None, :] - chi1_ul, axis=1
-        )
-        return gain - loss, ks
+        den = self.rx_den[g.n_ues + c]
+        # interference into every active link's receiver, per candidate
+        den1 = self.den + self.p_ul_w * self.tx_ue[ks[:, None], self.rx]      # (K, J)
+        sinr = np.concatenate([(num / den)[:, None], self.sig / den1], axis=1)
+        avg = np.empty_like(sinr)
+        avg[:, 0] = st.avg_ul[ks]
+        avg[:, 1:] = self.avg
+        chi1 = chi(avg, rate_from_sinr(sinr, W), b)
+        gain, chi1 = chi1[:, 0], chi1[:, 1:]
+        loss = (self.chi0[:nd] - chi1[:, :nd]).sum(axis=1) + (
+            self.chi0[nd:] - chi1[:, nd:]
+        ).sum(axis=1)
+        return _Scan(c, UL, ks, gain - loss, num, den, gain, den1, chi1)
 
+    def accept(self, scan: _Scan, i: int) -> None:
+        """Schedule candidate i of a scan and carry its terms into the state."""
+        c, k = scan.cell, int(scan.ks[i])
+        N, B = self.g.n_ues, self.g.n_cells
+        if scan.direction == DL:
+            self.R[c] = k
+            self.du_dl[c] = scan.du[i]
+            slot, rx, avg, den = c, k, self.st.avg_dl[k], scan.den[i]
+            den1, chi1 = scan.den1, scan.chi1
+            self.rx_den += self.p_dl_w * self.tx_bs[c]
+        else:
+            self.Q[c] = k
+            self.du_ul[c] = scan.du[i]
+            slot, rx, avg, den = B + c, N + c, self.st.avg_ul[k], scan.den
+            den1, chi1 = scan.den1[i], scan.chi1[i]
+            self.rx_den += self.p_ul_w * self.tx_ue[k]
+        self.slot_terms[1, self.act] = den1
+        self.slot_terms[2, self.act] = chi1
+        self.slot_terms[:, slot] = scan.num[i], den, scan.gain[i], avg
+        self.slot_rx[slot] = rx
+        self.on[slot] = True
+        self._gather()
 
-def _best_of(du: np.ndarray, ks: np.ndarray):
-    if len(du) == 0:
-        return -np.inf, NONE
-    i = int(np.argmax(du))
-    return float(du[i]), int(ks[i])
-
-
-@dataclass
-class Selection:
-    decision: SlotDecision
-    du_dl: np.ndarray    # accepted utility gain per cell, nan where idle
-    du_ul: np.ndarray
+    def selection(self) -> Selection:
+        dec = _base_decision(self.Q, self.R, self.g, self.powers, self.fd_ue)
+        return Selection(dec, self.du_dl, self.du_ul)
 
 
 def select_ues(st: PFState, g: GainTable, P_init, rng: np.random.Generator, fd_ue=False) -> Selection:
@@ -233,63 +299,42 @@ def select_ues(st: PFState, g: GainTable, P_init, rng: np.random.Generator, fd_u
     net utility. P_init is (downlink watts, uplink watts) applied to
     every candidate during evaluation.
     """
-    B = g.n_cells
-    order = rng.permutation(B)
-    R = np.full(B, NONE, dtype=int)
-    Q = np.full(B, NONE, dtype=int)
-    du_dl = np.full(B, np.nan)
-    du_ul = np.full(B, np.nan)
+    order = rng.permutation(g.n_cells)
+    state = _SlotState(g, P_init, st, fd_ue)
 
     for c in order:
-        ctx = _ScanContext(Q, R, g, P_init, st, fd_ue)
-        du_d, ue_d = _best_of(*ctx.scan(c, DL))
-        du_u, ue_u = _best_of(*ctx.scan(c, UL))
+        scan_d = state.scan(c, DL)
+        scan_u = state.scan(c, UL)
+        du_d, i_d = scan_d.best()
+        du_u, i_u = scan_u.best()
         if max(du_d, du_u) > 0.0:
             if du_d >= du_u:                     # tie prefers downlink
-                R[c] = ue_d
-                du_dl[c] = du_d
+                state.accept(scan_d, i_d)
             else:
-                Q[c] = ue_u
-                du_ul[c] = du_u
+                state.accept(scan_u, i_u)
 
     for c in order:
-        has_dl = R[c] >= 0
-        has_ul = Q[c] >= 0
-        if has_dl == has_ul:
+        has_dl = state.R[c] >= 0
+        if has_dl == (state.Q[c] >= 0):
             continue
-        ctx = _ScanContext(Q, R, g, P_init, st, fd_ue)
-        direction = UL if has_dl else DL
-        du, ue = _best_of(*ctx.scan(c, direction))
+        scan = state.scan(c, UL if has_dl else DL)
+        du, i = scan.best()
         if du > 0.0:
-            if direction == UL:
-                Q[c] = ue
-                du_ul[c] = du
-            else:
-                R[c] = ue
-                du_dl[c] = du
+            state.accept(scan, i)
 
-    return Selection(_base_decision(Q, R, g, P_init, fd_ue), du_dl, du_ul)
+    return state.selection()
 
 
 def hd_select_ues(st: PFState, g: GainTable, P_init, direction: str, rng: np.random.Generator) -> Selection:
     """Single-direction greedy pass with all cells synchronized."""
-    B = g.n_cells
-    order = rng.permutation(B)
-    R = np.full(B, NONE, dtype=int)
-    Q = np.full(B, NONE, dtype=int)
-    du_dl = np.full(B, np.nan)
-    du_ul = np.full(B, np.nan)
+    order = rng.permutation(g.n_cells)
+    state = _SlotState(g, P_init, st, False)
     for c in order:
-        ctx = _ScanContext(Q, R, g, P_init, st, False)
-        du, ue = _best_of(*ctx.scan(c, direction))
+        scan = state.scan(c, direction)
+        du, i = scan.best()
         if du > 0.0:
-            if direction == DL:
-                R[c] = ue
-                du_dl[c] = du
-            else:
-                Q[c] = ue
-                du_ul[c] = du
-    return Selection(_base_decision(Q, R, g, P_init, False), du_dl, du_ul)
+            state.accept(scan, i)
+    return state.selection()
 
 
 @dataclass

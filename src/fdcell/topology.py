@@ -10,7 +10,6 @@ feeds the penetration loss. All coordinates are meters.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -221,37 +220,3 @@ def distance(a, b, topo: NetworkTopology):
     d, w = pairwise_distance(topo, np.asarray(a, float)[None, :], np.asarray(b, float)[None, :])
     return float(d[0, 0]), int(w[0, 0])
 
-
-def to_json(topo: NetworkTopology) -> str:
-    doc = {
-        "layout": topo.layout,
-        "room_side_m": topo.room_side_m,
-        "rooms_per_side": topo.rooms_per_side,
-        "hex_apothem_m": topo.hex_apothem_m,
-        "cell_radius_m": topo.cell_radius_m,
-        "cells": [
-            {
-                "cell_id": c.cell_id,
-                "bs_xy": c.bs_xy.tolist(),
-                "ue_xy": c.ue_xy.tolist(),
-            }
-            for c in topo.cells
-        ],
-    }
-    return json.dumps(doc, indent=1)
-
-
-def from_json(text: str) -> NetworkTopology:
-    doc = json.loads(text)
-    cells = [
-        Cell(c["cell_id"], np.array(c["bs_xy"], float), np.array(c["ue_xy"], float))
-        for c in doc["cells"]
-    ]
-    return NetworkTopology(
-        layout=doc["layout"],
-        cells=cells,
-        room_side_m=doc["room_side_m"],
-        rooms_per_side=doc["rooms_per_side"],
-        hex_apothem_m=doc["hex_apothem_m"],
-        cell_radius_m=doc["cell_radius_m"],
-    )

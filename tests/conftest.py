@@ -3,10 +3,17 @@
 import numpy as np
 import pytest
 
-from fdcell.channel import GainTable, build_gains, dbm_to_w, indoor_params, noise_power_w
+from fdcell.channel import (
+    GainTable,
+    build_gains,
+    dbm_to_w,
+    indoor_params,
+    noise_power_w,
+    outdoor_params,
+)
 from fdcell.scheduler import chi
 from fdcell.sinr_rate import NONE, SlotDecision, slot_rates
-from fdcell.topology import IndoorConfig, build_indoor
+from fdcell.topology import IndoorConfig, OutdoorConfig, build_indoor, build_outdoor
 
 
 def toy_gains(
@@ -51,6 +58,13 @@ def indoor_network(seed=0, ues_per_cell=8, cancellation_db=None, rooms_per_side=
         IndoorConfig(ues_per_cell=ues_per_cell, rooms_per_side=rooms_per_side), rng
     )
     g = build_gains(topo, indoor_params(), rng).with_cancellation(cancellation_db)
+    return topo, g
+
+
+def outdoor_network(seed=0, cancellation_db=None):
+    rng = np.random.default_rng(seed)
+    topo = build_outdoor(OutdoorConfig(), rng)
+    g = build_gains(topo, outdoor_params(), rng).with_cancellation(cancellation_db)
     return topo, g
 
 

@@ -3,12 +3,20 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import cell_options, indoor_network, make_decision, total_slot_utility, toy_gains
+from conftest import (
+    cell_options,
+    indoor_network,
+    make_decision,
+    outdoor_network,
+    total_slot_utility,
+    toy_gains,
+)
 from fdcell.scheduler import (
     DL,
     UL,
     PFState,
     RoundRobinState,
+    _SlotState,
     chi,
     get_utility,
     hd_select_ues,
@@ -137,6 +145,41 @@ def test_get_utility_rejects_bad_candidates():
         get_utility(0, 1, None, Q, R, g, P, st)       # direction taken
     with pytest.raises(ValueError):
         get_utility(1, None, 0, Q, R, g, P, st)       # UE already scheduled
+
+
+@pytest.mark.parametrize("fd_ue", [False, True])
+@pytest.mark.parametrize("network", [indoor_network, outdoor_network])
+def test_scan_matches_get_utility(network, fd_ue):
+    # the selector's carried slot state scores every eligible candidate
+    # as the whole-slot reference evaluator does, on random partial
+    # slots (FD cells included) built through the state's own updates
+    rng = np.random.default_rng(17)
+    checked = fd_cells = 0
+    for trial in range(6):
+        _, g = network(seed=40 + trial, cancellation_db=(75.0, 95.0, 110.0)[trial % 3])
+        B, N = g.n_cells, g.n_ues
+        # spread averages: no two candidates tie
+        st = PFState(*(2.6e6 * 10 ** rng.uniform(0.0, 1.5, (2, N))))
+        P = (g.p_bs_w, g.p_ue_w)
+        state = _SlotState(g, P, st, fd_ue)
+        for c in rng.permutation(B):
+            for direction in (DL, UL):
+                if rng.random() < 0.55:
+                    scan = state.scan(c, direction)
+                    if len(scan.ks):
+                        state.accept(scan, int(rng.integers(len(scan.ks))))
+        fd_cells += int(np.sum((state.R >= 0) & (state.Q >= 0)))
+        for c in range(B):
+            for direction, taken in ((DL, state.R), (UL, state.Q)):
+                if taken[c] >= 0:
+                    continue
+                scan = state.scan(c, direction)
+                for k, du in zip(scan.ks, scan.du):
+                    d, u = (k, None) if direction == DL else (None, k)
+                    ref = get_utility(c, d, u, state.Q, state.R, g, P, st, fd_ue=fd_ue)
+                    assert du == pytest.approx(ref, rel=1e-12), (trial, c, direction, k)
+                    checked += 1
+    assert fd_cells > 0 and checked > 100
 
 
 def exhaustive_best(st, g, P):

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import fdcell.power_alloc as pa
 from conftest import make_decision, toy_gains
 from fdcell.channel import dbm_to_w
 from fdcell.errors import ConfigError
@@ -76,10 +77,25 @@ def test_drop_is_deterministic(small_fd_cfg, small_fd_drop):
     assert again.energy_ul_j == small_fd_drop.energy_ul_j
 
 
-def test_drop_reports_allocator_counters(small_fd_cfg, small_fd_drop):
+def test_drop_reports_allocator_counters(small_fd_cfg, small_fd_drop, monkeypatch):
     d = small_fd_drop.diagnostics
     assert d["cap_rounds"] >= 1
     assert d["outer_iterations"] >= 1
+    # inner_iterations is the sum of the Newton iterations minimize_box
+    # returned over the drop, one call per outer iteration
+    calls = []
+    solve = pa.minimize_box
+
+    def counted(*args, **kwargs):
+        out = solve(*args, **kwargs)
+        calls.append(out[2])
+        return out
+
+    monkeypatch.setattr(pa, "minimize_box", counted)
+    again = run_drop(small_fd_cfg, 0).diagnostics
+    assert again == d
+    assert d["inner_iterations"] == sum(calls) > 0
+    assert len(calls) == d["outer_iterations"]
 
 
 def test_network_depends_on_drop_not_variant():
@@ -306,8 +322,8 @@ def test_manifest_records_summed_allocator_counters(tmp_path, small_fd_cfg):
             k: sum(r.diagnostics[k] for r in results) for k in results[0].diagnostics
         }
         assert {"pruned", "fallbacks", "nonconverged_slots", "outer_iterations",
-                "outer_capped", "cap_rounds"} <= set(expected)
-        assert expected["outer_iterations"] > 0
+                "inner_iterations", "outer_capped", "cap_rounds"} <= set(expected)
+        assert expected["outer_iterations"] > 0 and expected["inner_iterations"] > 0
         m = aggregate(small_fd_cfg, results)
         assert m.diagnostics == expected
         written = persist(m, str(tmp_path / name), config=config_dict(small_fd_cfg))

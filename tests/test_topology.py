@@ -8,9 +8,7 @@ from fdcell.topology import (
     build_indoor,
     build_outdoor,
     distance,
-    from_json,
     pairwise_distance,
-    to_json,
 )
 
 
@@ -124,10 +122,3 @@ def test_outdoor_determinism():
     t2 = build_outdoor(OutdoorConfig(), np.random.default_rng(11))
     assert np.array_equal(t1.ue_positions(), t2.ue_positions())
 
-
-def test_json_roundtrip(indoor):
-    back = from_json(to_json(indoor))
-    assert back.layout == indoor.layout
-    assert np.allclose(back.ue_positions(), indoor.ue_positions())
-    assert np.allclose(back.bs_positions(), indoor.bs_positions())
-    assert back.period_m == indoor.period_m
