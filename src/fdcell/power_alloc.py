@@ -26,6 +26,14 @@ spectral-efficiency cap. That trim is a linear solve: the powers at
 which the links above the cap sit exactly at it. The policy works on
 one link power vector (downlinks by cell, then uplinks by cell) and
 writes the slot decision once, at the end.
+
+The starting point, full power trimmed to the cap, is also a
+certificate: without an energy penalty, when it leaves every link at the
+cap it attains the bound -sum w log(1+cap) that no power vector beats,
+so it is returned as is and the SP never runs. Whenever that point is
+returned (certified, or picked by the safeguard), its links at the cap
+count as pinned, so the floor pruning spares a near link that the trim
+legitimately parks below the floor.
 """
 
 from __future__ import annotations
@@ -53,6 +61,8 @@ POWER_FLOOR_RATIO = 1e-6      # floor = ratio * cap, GP needs positive vars
 SE_CAP_SINR = 2.0**MAX_SE - 1.0
 MAX_OUTER = 30                # SP condensation rounds per solve
 SP_COUNTERS = ("outer_iterations", "inner_iterations", "outer_capped", "cap_rounds")
+# per-slot allocator counters: the SP_COUNTERS plus the policy's own
+ALLOC_COUNTERS = ("pruned", "fallbacks", "certified", *SP_COUNTERS)
 
 
 @dataclass
@@ -157,6 +167,11 @@ def _link_sinr(gain: np.ndarray, noise: np.ndarray, p: np.ndarray) -> np.ndarray
     """SINR of every link at powers p over a links x links gain matrix."""
     sig = np.diagonal(gain) * p
     return sig / (noise + gain @ p - sig)
+
+
+def _at_cap(gain: np.ndarray, noise: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Links at (or, by rounding, just under) the SE cap at powers p."""
+    return _link_sinr(gain, noise, p) >= SE_CAP_SINR * (1 - 1e-9)
 
 
 def build_power_problem(
@@ -429,8 +444,7 @@ def _capped_solve(prob: PowerProblem):
             p[free] = p_sub
         p = trim_to_se_cap(prob.gain, prob.noise, p)
         info["cap_rounds"] += 1
-        at_cap = _link_sinr(prob.gain, prob.noise, p) >= SE_CAP_SINR * (1 - 1e-9)
-        newly = at_cap & ~fixed
+        newly = _at_cap(prob.gain, prob.noise, p) & ~fixed
         if not newly.any():
             break
         fixed |= newly
@@ -471,28 +485,37 @@ def allocate_with_fallback(
     Returns (final SlotDecision, diagnostics dict). The decision may
     carry fewer links than the selection: solver failures drop the
     weakest candidates, and links the optimizer parks at the numerical
-    floor are zeroed. The SP_COUNTERS add up over every attempt.
+    floor are zeroed. An attempt whose trimmed full power certifies
+    itself skips the SP and counts in "certified". The ALLOC_COUNTERS add
+    up over every attempt.
     """
-    diag = {"pruned": 0, "status": "idle", "fallbacks": 0, **dict.fromkeys(SP_COUNTERS, 0)}
+    diag = {"status": "idle", **dict.fromkeys(ALLOC_COUNTERS, 0)}
     sel = selection
     while True:
         dec = sel.decision
         if not (np.any(dec.dl_ue >= 0) or np.any(dec.ul_ue >= 0)):
             return dec.copy(), diag
         prob = build_power_problem(st, sel, g, cfg)
+        base = trim_to_se_cap(prob.gain, prob.noise, prob.p_max)
+        base_capped = _at_cap(prob.gain, prob.noise, base)
+        if base_capped.all() and not prob.lin.any():
+            # every link attains the capped rate: no power vector does better
+            p, pinned = base, base_capped
+            diag["certified"] += 1
+            diag["status"] = STATUS_CONVERGED
+            break
         p, pinned, status, info = _capped_solve(prob)
         for k in SP_COUNTERS:
             diag[k] += info[k]
         diag["status"] = status
         if status == STATUS_CONVERGED:
+            if realized_objective(prob, p) > realized_objective(prob, base):
+                p, pinned = base, base_capped
+                diag["fallbacks"] += 1
             break
         sel = _drop_weakest(sel)
         diag["pruned"] += 1
 
-    base = trim_to_se_cap(prob.gain, prob.noise, prob.p_max)
-    if realized_objective(prob, p) > realized_objective(prob, base):
-        p, pinned = base, np.zeros(prob.n_vars, dtype=bool)
-        diag["fallbacks"] += 1
     p = _floor_prune(prob, p, pinned)
     # p is trimmed already, but zeroed links stop interfering and may
     # lift the others above the cap

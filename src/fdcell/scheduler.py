@@ -74,7 +74,7 @@ def chi(avg, rate, beta):
     return np.log1p((1.0 - beta) * np.asarray(rate) / (beta * np.asarray(avg))) / np.log(10.0)
 
 
-def _base_decision(Q, R, g: GainTable, powers, fd_ue: bool) -> SlotDecision:
+def _base_decision(Q, R, powers, fd_ue: bool) -> SlotDecision:
     p_dl_w, p_ul_w = powers
     R = np.asarray(R)
     Q = np.asarray(Q)
@@ -99,7 +99,7 @@ def _assigned_chi(dec: SlotDecision, g: GainTable, st: PFState):
     return rate_dl, rate_ul, c_dl, c_ul
 
 
-def get_utility(c, d, u, Q, R, g: GainTable, powers, st: PFState, fd_ue=False, before=None):
+def get_utility(c, d, u, Q, R, g: GainTable, powers, st: PFState, fd_ue=False):
     """Net utility change of adding one candidate link to a partial slot.
 
     Exactly one of d (downlink UE) / u (uplink UE) must be a valid UE id;
@@ -111,7 +111,7 @@ def get_utility(c, d, u, Q, R, g: GainTable, powers, st: PFState, fd_ue=False, b
     u = NONE if u is None else u
     if (d >= 0) == (u >= 0):
         raise ValueError("exactly one of d, u must be a candidate UE")
-    base = _base_decision(Q, R, g, powers, fd_ue)
+    base = _base_decision(Q, R, powers, fd_ue)
     cand = d if d >= 0 else u
     if g.ue_cell[cand] != c:
         raise ValueError(f"candidate UE {cand} does not belong to cell {c}")
@@ -122,10 +122,7 @@ def get_utility(c, d, u, Q, R, g: GainTable, powers, st: PFState, fd_ue=False, b
         if not (fd_ue and ((d >= 0 and Q[c] == cand) or (u >= 0 and R[c] == cand))):
             raise ValueError(f"UE {cand} is already scheduled this slot")
 
-    if before is None:
-        _, _, c_dl0, c_ul0 = _assigned_chi(base, g, st)
-    else:
-        c_dl0, c_ul0 = before
+    _, _, c_dl0, c_ul0 = _assigned_chi(base, g, st)
 
     trial = base
     p_dl_w, p_ul_w = powers
@@ -287,7 +284,7 @@ class _SlotState:
         self._gather()
 
     def selection(self) -> Selection:
-        dec = _base_decision(self.Q, self.R, self.g, self.powers, self.fd_ue)
+        dec = _base_decision(self.Q, self.R, self.powers, self.fd_ue)
         return Selection(dec, self.du_dl, self.du_ul)
 
 
@@ -381,4 +378,4 @@ def round_robin_select(
                     Q[c] = partner
                 else:
                     R[c] = partner
-    return _base_decision(Q, R, g, P_init, False)
+    return _base_decision(Q, R, P_init, False)

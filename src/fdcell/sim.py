@@ -32,7 +32,7 @@ import numpy as np
 
 from .channel import GainTable, build_gains, dbm_to_w, indoor_params, outdoor_params
 from .errors import ConfigError
-from .power_alloc import SP_COUNTERS, AllocConfig, allocate_with_fallback
+from .power_alloc import ALLOC_COUNTERS, AllocConfig, allocate_with_fallback
 from .scheduler import (
     DL,
     UL,
@@ -218,7 +218,7 @@ def run_drop(cfg: RunConfig, drop_index: int) -> DropResult:
     trace_ul_ue = np.full((cfg.slots, B), -1, dtype=np.int32)
     trace_p_dl = np.zeros((cfg.slots, B))
     trace_p_ul = np.zeros((cfg.slots, B))
-    diag_tot = dict.fromkeys(("pruned", "fallbacks", "nonconverged_slots", *SP_COUNTERS), 0)
+    diag_tot = dict.fromkeys((*ALLOC_COUNTERS, "nonconverged_slots"), 0)
 
     for t in range(cfg.slots):
         direction = DL if t % 2 == 0 else UL
@@ -250,7 +250,7 @@ def run_drop(cfg: RunConfig, drop_index: int) -> DropResult:
         trace_p_dl[t] = dec.p_dl
         trace_p_ul[t] = dec.p_ul
         if diag:
-            for k in ("pruned", "fallbacks", *SP_COUNTERS):
+            for k in ALLOC_COUNTERS:
                 diag_tot[k] += diag[k]
             if diag["status"] not in ("converged", "idle"):
                 diag_tot["nonconverged_slots"] += 1

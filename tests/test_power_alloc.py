@@ -339,7 +339,9 @@ def test_allocate_happy_path_equals_sp_output():
 
 
 def test_allocate_prunes_in_ascending_gain_order(monkeypatch):
-    g = toy_gains([[1e-8, 1e-13, 1e-13], [1e-13, 1e-8, 1e-13], [1e-13, 1e-13, 1e-8]],
+    # weak direct gains keep every link below the SE cap, so no attempt
+    # certifies full power and each one runs the SP
+    g = toy_gains([[1e-11, 1e-13, 1e-13], [1e-13, 1e-11, 1e-13], [1e-13, 1e-13, 1e-11]],
                   ue_cell=[0, 1, 2])
     dec = make_decision(g, dl=[0, 1, None], ul=[None, None, 2])
     st = state_with([1e7, 1e7, 1e7])
@@ -372,7 +374,7 @@ def test_allocate_prunes_in_ascending_gain_order(monkeypatch):
 
 
 def test_allocate_single_link_exhaustion_goes_idle(monkeypatch):
-    g = toy_gains([[1e-8]])
+    g = toy_gains([[1e-11]])      # below the SE cap at full power
     dec = make_decision(g, dl=[0])
     st = state_with([1e7])
     monkeypatch.setattr(pa, "MAX_OUTER", 0)
@@ -430,17 +432,20 @@ def trim_counter(monkeypatch):
 
 
 def test_allocate_trims_once_per_cap_round_without_pruned_links(monkeypatch):
-    # both links start far above the cap; neither ends at the floor
-    g = toy_gains([[1e-8, 2e-11], [2e-11, 1e-8]], ue_cell=[0, 1])
+    # link 0 starts far above the cap, link 1 stays below it at full
+    # power, so full power is not certified; neither ends at the floor
+    g = toy_gains([[1e-8, 2e-13], [2e-13, 1e-11]], ue_cell=[0, 1])
     sel = selection_of(make_decision(g, dl=[0, 1]))
     calls = trim_counter(monkeypatch)
     out, diag = allocate_with_fallback(state_with([1e7, 1e7]), sel, g)
+    assert diag["certified"] == 0
     assert diag["cap_rounds"] >= 1 and diag["fallbacks"] == 0
     assert (out.dl_ue >= 0).all()
     # one trim per cap round and one of the full-power baseline
     assert len(calls) == diag["cap_rounds"] + 1
     sinr_d, _ = slot_sinrs(out, g)
-    np.testing.assert_allclose(sinr_d, SE_CAP_SINR, rtol=1e-9)
+    assert sinr_d[0] == pytest.approx(SE_CAP_SINR, rel=1e-9)
+    assert sinr_d[1] < SE_CAP_SINR and out.p_dl[1] == g.p_bs_w
 
 
 def test_allocate_retrims_kept_links_after_floor_prune(monkeypatch):
@@ -583,6 +588,113 @@ def test_allocate_respects_cap_and_never_beats_baseline():
         slack = 0.02 * (prob.n_vars + 1)
         p_out = active_powers(prob, out)
         assert realized_objective(prob, p_out) <= realized_objective(prob, base) + slack
+
+
+def certified_instance(near_gain=1e-8):
+    """Two strong, weakly coupled downlinks: full power trimmed to the SE
+    cap leaves both at the cap. (state, selection, gains)"""
+    g = toy_gains([[near_gain, 1e-13], [1e-13, 1e-8]], ue_cell=[0, 1])
+    return state_with([1e7, 1e7]), selection_of(make_decision(g, dl=[0, 1])), g
+
+
+def sp_counter(monkeypatch):
+    calls = []
+    orig = pa.solve_power_sp
+
+    def spy(prob, P0):
+        calls.append(prob.n_vars)
+        return orig(prob, P0)
+
+    monkeypatch.setattr(pa, "solve_power_sp", spy)
+    return calls
+
+
+def test_certified_slot_never_runs_sp(monkeypatch):
+    st, sel, g = certified_instance()
+    calls = sp_counter(monkeypatch)
+    _, diag = allocate_with_fallback(st, sel, g)
+    assert calls == []
+    assert all(diag[k] == 0 for k in pa.SP_COUNTERS)
+    assert diag["status"] == STATUS_CONVERGED
+
+
+def test_certified_slot_returns_trimmed_full_power():
+    # the near UE's link sits at the cap below the power floor and is kept
+    for near_gain in (1e-8, 1e-4):
+        st, sel, g = certified_instance(near_gain)
+        prob = build_power_problem(st, sel, g, AllocConfig())
+        base = trim_to_se_cap(prob.gain, prob.noise, prob.p_max)
+        assert (base[0] < prob.p_floor[0]) == (near_gain == 1e-4)
+        out, _ = allocate_with_fallback(st, sel, g)
+        assert (out.dl_ue >= 0).all()
+        np.testing.assert_array_equal(active_powers(prob, out), base)
+        sinr_d, _ = slot_sinrs(out, g)
+        np.testing.assert_allclose(sinr_d, SE_CAP_SINR, rtol=1e-9)
+
+
+def test_certified_slot_counts_once():
+    st, sel, g = certified_instance()
+    _, diag = allocate_with_fallback(st, sel, g)
+    assert diag["certified"] == 1
+    assert diag["fallbacks"] == 0 and diag["pruned"] == 0
+
+
+def test_certificate_not_taken_with_energy_penalty_or_link_below_cap(monkeypatch):
+    calls = sp_counter(monkeypatch)
+    st, sel, g = certified_instance()
+    _, diag = allocate_with_fallback(st, sel, g, AllocConfig(energy_kappa=0.05))
+    assert diag["certified"] == 0 and len(calls) >= 1
+    # link 1 stays below the cap at full power
+    calls.clear()
+    g = toy_gains([[1e-8, 1e-13], [1e-13, 1e-11]], ue_cell=[0, 1])
+    _, diag = allocate_with_fallback(st, selection_of(make_decision(g, dl=[0, 1])), g)
+    assert diag["certified"] == 0 and len(calls) >= 1
+
+
+def test_certificate_bounds_the_capped_solve():
+    # wherever the check passes, the SP path cannot beat trimmed full
+    # power by more than the rounding the "at the cap" test allows
+    rng = np.random.default_rng(43)
+    n_cert = 0
+    for i in range(60):
+        if i % 2:
+            st, sel, g = random_power_instance(rng)
+        else:
+            dec, g = coupled_cap_instance(rng)
+            st, sel = state_with(10 ** rng.uniform(6.5, 7.5, g.n_ues)), selection_of(dec)
+        prob = build_power_problem(st, sel, g, AllocConfig())
+        base = trim_to_se_cap(prob.gain, prob.noise, prob.p_max)
+        if not pa._at_cap(prob.gain, prob.noise, base).all():
+            continue
+        n_cert += 1
+        p, _, status, _ = pa._capped_solve(prob)
+        assert status == STATUS_CONVERGED
+        slack = prob.w.sum() * (np.log1p(SE_CAP_SINR) - np.log1p(SE_CAP_SINR * (1 - 1e-9)))
+        bound = -prob.w.sum() * np.log1p(SE_CAP_SINR)
+        assert realized_objective(prob, base) <= bound + slack
+        assert realized_objective(prob, p) >= realized_objective(prob, base) - slack
+    assert n_cert >= 10
+
+
+def test_fallback_keeps_links_at_cap_below_the_floor(monkeypatch):
+    # UE 0 sits next to its BS, so the trim parks its link at the cap
+    # below the power floor; link 1 stays below the cap at full power
+    g = toy_gains([[1e-4, 1e-13], [1e-13, 1e-11]], ue_cell=[0, 1])
+    st, sel = state_with([1e7, 1e7]), selection_of(make_decision(g, dl=[0, 1]))
+    prob = build_power_problem(st, sel, g, AllocConfig())
+    base = trim_to_se_cap(prob.gain, prob.noise, prob.p_max)
+    assert base[0] < prob.p_floor[0] and base[1] == prob.p_max[1]
+
+    def losing_solve(prob):
+        # a converged answer worse than base: everything at the floor
+        return (prob.p_floor.copy(), np.zeros(prob.n_vars, dtype=bool),
+                STATUS_CONVERGED, dict.fromkeys(pa.SP_COUNTERS, 0))
+
+    monkeypatch.setattr(pa, "_capped_solve", losing_solve)
+    out, diag = allocate_with_fallback(st, sel, g)
+    assert diag["fallbacks"] == 1 and diag["certified"] == 0
+    assert (out.dl_ue >= 0).all()
+    np.testing.assert_array_equal(active_powers(prob, out), base)
 
 
 def test_energy_kappa_zero_is_plain_problem():

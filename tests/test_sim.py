@@ -321,7 +321,7 @@ def test_manifest_records_summed_allocator_counters(tmp_path, small_fd_cfg):
         expected = {
             k: sum(r.diagnostics[k] for r in results) for k in results[0].diagnostics
         }
-        assert {"pruned", "fallbacks", "nonconverged_slots", "outer_iterations",
+        assert {"pruned", "fallbacks", "certified", "nonconverged_slots", "outer_iterations",
                 "inner_iterations", "outer_capped", "cap_rounds"} <= set(expected)
         assert expected["outer_iterations"] > 0 and expected["inner_iterations"] > 0
         m = aggregate(small_fd_cfg, results)
