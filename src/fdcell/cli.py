@@ -71,9 +71,9 @@ def parse_cancellation(token: str):
         v = float(t)
     except ValueError as e:
         raise SchemaError(f"cannot parse cancellation value {token!r}") from e
-    if v < 0:
+    if not v >= 0:
         raise RangeError(f"cancellation must be non-negative dB, got {v}")
-    return v
+    return None if v == np.inf else v
 
 
 def _parse_int(key, raw, lo=None):
@@ -91,7 +91,7 @@ def _parse_float(key, raw, lo=None, hi=None):
         v = float(raw)
     except ValueError as e:
         raise SchemaError(f"{key} expects a number, got {raw!r}") from e
-    if lo is not None and v < lo or hi is not None and v > hi:
+    if not np.isfinite(v) or lo is not None and v < lo or hi is not None and v > hi:
         raise RangeError(f"{key} out of range: {v}")
     return v
 
@@ -241,6 +241,12 @@ def cmd_run(spec: ExperimentSpec, jobs: int = 1, trace: str | None = None) -> in
           f"DL {m.dl.mean_tput_bps / 1e6:.2f} Mbps, UL {m.ul.mean_tput_bps / 1e6:.2f} Mbps, "
           f"modes FD/HD/idle {m.frac_fd:.2f}/{m.frac_hd:.2f}/{m.frac_idle:.2f}")
     print(f"wrote {spec.output_dir}/metrics.csv")
+    # the allocator counters summed over the drops, kept off stdout
+    d = m.diagnostics
+    print(f"allocator: certified {d['certified']}, fallbacks {d['fallbacks']}, "
+          f"pruned {d['pruned']}, SP outer {d['outer_iterations']} / "
+          f"Newton {d['inner_iterations']} iterations, cap rounds {d['cap_rounds']}",
+          file=sys.stderr)
     return EXIT_OK
 
 

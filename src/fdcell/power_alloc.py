@@ -27,10 +27,14 @@ which the links above the cap sit exactly at it. The policy works on
 one link power vector (downlinks by cell, then uplinks by cell) and
 writes the slot decision once, at the end.
 
-The starting point, full power trimmed to the cap, is also a
-certificate: without an energy penalty, when it leaves every link at the
-cap it attains the bound -sum w log(1+cap) that no power vector beats,
-so it is returned as is and the SP never runs. Whenever that point is
+Without an energy penalty the SP starts at full power trimmed to the
+cap, with the links that point leaves at the cap pinned: their capped
+rate is the most the rate model pays, so only the links below the cap
+are optimized. When no link is left free, the starting point attains
+the bound -sum w log(1+cap) that no power vector beats; it is returned
+as is and the SP never runs (the slot is "certified"). With an energy
+penalty a capped link may still trade rate for power, so the SP starts
+at full power with nothing pinned. Whenever trimmed full power is
 returned (certified, or picked by the safeguard), its links at the cap
 count as pinned, so the floor pruning spares a near link that the trim
 legitimately parks below the floor.
@@ -418,20 +422,23 @@ def realized_objective(prob: PowerProblem, p: np.ndarray) -> float:
     return val
 
 
-def _capped_solve(prob: PowerProblem):
+def _capped_solve(prob: PowerProblem, p0: np.ndarray, pinned: np.ndarray):
     """Successive SP solves conditioned on links that reach the SE cap.
 
     The plain SP objective keeps valuing SINR beyond the cap, which
     inflates transmit powers (and the self-interference they cause) past
-    the point where realized rates saturate. Each round therefore trims
-    the solution to the cap, pins every capped link at its trimmed power
-    (its rate is constant from here on; it persists only as a fixed
-    interference source), and re-solves the remaining links. At most one
-    round per link, in practice 2-4. Returns (p, pinned, status, info);
-    p is None unless the status is converged.
+    the point where realized rates saturate. The solve starts at link
+    powers p0 with the links in `pinned` held there: trimmed full power
+    and its links at the cap without an energy penalty, full power and
+    no pinned link with one (see the module docstring). Each round solves
+    the free links, trims the solution to the cap, pins every capped link
+    at its trimmed power (its rate is constant from here on; it persists
+    only as a fixed interference source), and re-solves the remaining
+    links. At most one round per link, in practice 1-4. Returns
+    (p, pinned, status, info); p is None unless the status is converged.
     """
-    fixed = np.zeros(prob.n_vars, dtype=bool)
-    p = prob.p_max.copy()
+    fixed = pinned.copy()
+    p = p0.copy()
     info = dict.fromkeys(SP_COUNTERS, 0)
     for _ in range(prob.n_vars + 1):
         sub, free = _reduce_problem(prob, p, fixed)
@@ -485,9 +492,10 @@ def allocate_with_fallback(
     Returns (final SlotDecision, diagnostics dict). The decision may
     carry fewer links than the selection: solver failures drop the
     weakest candidates, and links the optimizer parks at the numerical
-    floor are zeroed. An attempt whose trimmed full power certifies
-    itself skips the SP and counts in "certified". The ALLOC_COUNTERS add
-    up over every attempt.
+    floor are zeroed. Without an energy penalty an attempt starts at
+    trimmed full power with its capped links pinned, and one that leaves
+    no link free skips the SP and counts in "certified". The
+    ALLOC_COUNTERS add up over every attempt.
     """
     diag = {"status": "idle", **dict.fromkeys(ALLOC_COUNTERS, 0)}
     sel = selection
@@ -498,13 +506,18 @@ def allocate_with_fallback(
         prob = build_power_problem(st, sel, g, cfg)
         base = trim_to_se_cap(prob.gain, prob.noise, prob.p_max)
         base_capped = _at_cap(prob.gain, prob.noise, base)
-        if base_capped.all() and not prob.lin.any():
+        if prob.lin.any():
+            # a capped link may still trade rate for energy: pin nothing
+            p0, pinned = prob.p_max, np.zeros(prob.n_vars, dtype=bool)
+        else:
+            p0, pinned = base, base_capped
+        if pinned.all():
             # every link attains the capped rate: no power vector does better
-            p, pinned = base, base_capped
+            p = base
             diag["certified"] += 1
             diag["status"] = STATUS_CONVERGED
             break
-        p, pinned, status, info = _capped_solve(prob)
+        p, pinned, status, info = _capped_solve(prob, p0, pinned)
         for k in SP_COUNTERS:
             diag[k] += info[k]
         diag["status"] = status

@@ -84,19 +84,21 @@ class RunConfig:
             raise ConfigError(f"slots must be >= 1, got {self.slots}")
         if self.drops < 1:
             raise ConfigError(f"drops must be >= 1, got {self.drops}")
-        if not self.bandwidth_hz >= 1e3:
-            raise ConfigError(f"bandwidth_hz must be >= 1e3, got {self.bandwidth_hz}")
+        if not 1e3 <= self.bandwidth_hz < np.inf:
+            raise ConfigError(f"bandwidth_hz must be finite and >= 1e3, got {self.bandwidth_hz}")
         if not 0 < self.beta < 1:
             raise ConfigError(f"beta must be in (0, 1), got {self.beta}")
         if not (0 <= self.bs_power_dbm <= 60 and 0 <= self.ue_power_dbm <= 60):
             raise ConfigError("power caps must be in [0, 60] dBm")
         if self.ues_per_cell is not None and self.ues_per_cell < 1:
             raise ConfigError(f"ues_per_cell must be >= 1, got {self.ues_per_cell}")
-        if self.energy_kappa < 0:
-            raise ConfigError(f"energy_kappa must be non-negative, got {self.energy_kappa}")
-        if self.cancellation_db is not None and self.cancellation_db < 0:
+        if not 0 <= self.energy_kappa < np.inf:
+            raise ConfigError(f"energy_kappa must be finite and non-negative, got {self.energy_kappa}")
+        if self.cancellation_db is None:
+            return self
+        if not self.cancellation_db >= 0:
             raise ConfigError(f"cancellation must be non-negative dB, got {self.cancellation_db}")
-        if self.cancellation_db is not None and not np.isfinite(self.cancellation_db):
+        if self.cancellation_db == np.inf:
             return replace(self, cancellation_db=None)
         return self
 

@@ -44,6 +44,10 @@ def test_parse_cancellation_tokens():
         assert parse_cancellation(token) is None
     assert parse_cancellation(" 95 ") == 95.0
     assert parse_cancellation("7.5") == 7.5
+    # an infinite value stays perfect cancellation, a NaN is out of range
+    assert parse_cancellation("1e999") is None
+    with pytest.raises(RangeError):
+        parse_cancellation("nan")
     with pytest.raises(RangeError):
         parse_cancellation("-5")
     with pytest.raises(SchemaError):
@@ -103,6 +107,25 @@ def test_exit_codes_for_config_problems(tmp_path, body, code):
     assert main(["run", "--config", cfg]) == code
 
 
+@pytest.mark.parametrize(
+    "body,flags",
+    [
+        ("energy_kappa = nan", []),
+        ("energy_kappa = inf", []),
+        ("bandwidth_hz = inf", []),
+        ("", ["--cancellation", "nan"]),
+    ],
+    ids=["energy_kappa-nan", "energy_kappa-inf", "bandwidth_hz-inf", "cancellation-nan"],
+)
+def test_run_rejects_non_finite_values(tmp_path, capsys, body, flags):
+    cfg = write_config(tmp_path / "c.conf", BASE_CONFIG + body + "\n")
+    argv = ["run", "--config", cfg, "--out", str(tmp_path / "r"), *flags]
+    assert main(argv) == EXIT_RANGE
+    assert not (tmp_path / "r").exists()
+    # a config value is rejected while parsing, so the error names its line
+    assert ("c.conf:" in capsys.readouterr().err) == bool(body)
+
+
 def test_jobs_below_one_is_a_range_error(tmp_path):
     cfg = write_config(tmp_path / "c.conf", BASE_CONFIG)
     for jobs in ("0", "-2"):
@@ -140,6 +163,24 @@ def test_run_writes_outputs(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["variant"] == "HD"
     assert manifest["results"][0]["scenario"] == "Indoor"
+
+
+def test_run_prints_allocator_summary_on_stderr(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.conf", BASE_CONFIG + "variant = FD\ncancellation = 95\n")
+    out = tmp_path / "r"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    captured = capsys.readouterr()
+    # stdout keeps its two lines
+    assert [x.split()[0] for x in captured.out.splitlines()] == ["Indoor", "wrote"]
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    diag = json.loads((out / "manifest.json").read_text())["results"][0]["diagnostics"]
+    assert lines[0] == (
+        f"allocator: certified {diag['certified']}, fallbacks {diag['fallbacks']}, "
+        f"pruned {diag['pruned']}, SP outer {diag['outer_iterations']} / "
+        f"Newton {diag['inner_iterations']} iterations, cap rounds {diag['cap_rounds']}"
+    )
+    assert diag["certified"] + diag["outer_iterations"] > 0
 
 
 def test_run_trace_writes_drop_zero_decisions(tmp_path, monkeypatch):

@@ -597,12 +597,16 @@ def certified_instance(near_gain=1e-8):
     return state_with([1e7, 1e7]), selection_of(make_decision(g, dl=[0, 1])), g
 
 
-def sp_counter(monkeypatch):
+def sp_counter(monkeypatch, starts=None):
+    """Spy on solve_power_sp: the number of links of each call, and each
+    call's start point appended to `starts` when given."""
     calls = []
     orig = pa.solve_power_sp
 
     def spy(prob, P0):
         calls.append(prob.n_vars)
+        if starts is not None:
+            starts.append(np.array(P0, dtype=float))
         return orig(prob, P0)
 
     monkeypatch.setattr(pa, "solve_power_sp", spy)
@@ -667,7 +671,9 @@ def test_certificate_bounds_the_capped_solve():
         if not pa._at_cap(prob.gain, prob.noise, base).all():
             continue
         n_cert += 1
-        p, _, status, _ = pa._capped_solve(prob)
+        # the capped solve from full power with nothing pinned, the start
+        # it had before trimmed full power pinned the capped links
+        p, _, status, _ = pa._capped_solve(prob, prob.p_max, np.zeros(prob.n_vars, dtype=bool))
         assert status == STATUS_CONVERGED
         slack = prob.w.sum() * (np.log1p(SE_CAP_SINR) - np.log1p(SE_CAP_SINR * (1 - 1e-9)))
         bound = -prob.w.sum() * np.log1p(SE_CAP_SINR)
@@ -685,16 +691,57 @@ def test_fallback_keeps_links_at_cap_below_the_floor(monkeypatch):
     base = trim_to_se_cap(prob.gain, prob.noise, prob.p_max)
     assert base[0] < prob.p_floor[0] and base[1] == prob.p_max[1]
 
-    def losing_solve(prob):
+    starts = []
+
+    def losing_solve(prob, p0, pinned):
         # a converged answer worse than base: everything at the floor
+        starts.append((p0.copy(), pinned.copy()))
         return (prob.p_floor.copy(), np.zeros(prob.n_vars, dtype=bool),
                 STATUS_CONVERGED, dict.fromkeys(pa.SP_COUNTERS, 0))
 
     monkeypatch.setattr(pa, "_capped_solve", losing_solve)
     out, diag = allocate_with_fallback(st, sel, g)
     assert diag["fallbacks"] == 1 and diag["certified"] == 0
+    # the solve started at base with the near link pinned
+    assert len(starts) == 1
+    np.testing.assert_array_equal(starts[0][0], base)
+    assert starts[0][1].tolist() == [True, False]
     assert (out.dl_ue >= 0).all()
     np.testing.assert_array_equal(active_powers(prob, out), base)
+
+
+def partly_capped_instance():
+    """Links 0 and 2 end at the SE cap after the trim, link 1 stays below
+    it at full power. (state, selection, gains)"""
+    g = toy_gains([[1e-8, 1e-13, 1e-13], [1e-13, 1e-11, 1e-13], [1e-13, 1e-13, 1e-8]],
+                  ue_cell=[0, 1, 2])
+    return state_with([1e7] * 3), selection_of(make_decision(g, dl=[0, 1, 2])), g
+
+
+def test_sp_starts_at_trimmed_full_power_with_capped_links_pinned(monkeypatch):
+    st, sel, g = partly_capped_instance()
+    prob = build_power_problem(st, sel, g, AllocConfig())
+    base = trim_to_se_cap(prob.gain, prob.noise, prob.p_max)
+    assert pa._at_cap(prob.gain, prob.noise, base).tolist() == [True, False, True]
+    starts = []
+    calls = sp_counter(monkeypatch, starts)
+    _, diag = allocate_with_fallback(st, sel, g)
+    assert diag["certified"] == 0 and diag["status"] == STATUS_CONVERGED
+    # the first solve sees only the link below the cap, at full power
+    assert calls[0] == 1
+    np.testing.assert_array_equal(starts[0], prob.p_max[[1]])
+
+
+def test_sp_with_energy_penalty_starts_every_link_at_full_power(monkeypatch):
+    st, sel, g = partly_capped_instance()
+    cfg = AllocConfig(energy_kappa=0.05)
+    prob = build_power_problem(st, sel, g, cfg)
+    assert prob.lin.any()
+    starts = []
+    calls = sp_counter(monkeypatch, starts)
+    allocate_with_fallback(st, sel, g, cfg)
+    assert calls[0] == 3
+    np.testing.assert_array_equal(starts[0], prob.p_max)
 
 
 def test_energy_kappa_zero_is_plain_problem():

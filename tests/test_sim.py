@@ -67,6 +67,22 @@ def test_config_validation_rejects_bad_values():
     assert RunConfig(cancellation_db=95.0).validated().cancellation_db == 95.0
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(energy_kappa=float("nan")),
+        dict(energy_kappa=float("inf")),
+        dict(bandwidth_hz=float("inf")),
+        dict(cancellation_db=float("nan")),
+    ],
+    ids=["energy_kappa-nan", "energy_kappa-inf", "bandwidth_hz-inf", "cancellation_db-nan"],
+)
+def test_config_validation_rejects_non_finite_values(bad):
+    # a NaN cancellation must not pass for perfect cancellation
+    with pytest.raises(ConfigError):
+        RunConfig(**bad).validated()
+
+
 def test_drop_is_deterministic(small_fd_cfg, small_fd_drop):
     again = run_drop(small_fd_cfg, 0)
     np.testing.assert_array_equal(again.bits_dl, small_fd_drop.bits_dl)
