@@ -9,6 +9,7 @@ Shadowing is drawn once per unordered node pair so links are reciprocal.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -145,10 +146,31 @@ class GainTable:
     def n_ues(self) -> int:
         return self.g_ue.shape[0]
 
+    @cached_property
+    def tx_rx(self) -> np.ndarray:
+        """(B+N) x (N+B) gain from every transmitter to every receiver.
+
+        Transmitters are the B BSs, then the N UEs; receivers the N UEs,
+        then the B BSs. A node that both transmits and receives hears
+        its own residual gamma: the BS diagonal, and the UE diagonal,
+        which only a UE on both directions (fd_ue) reads.
+        """
+        B, N = self.n_cells, self.n_ues
+        out = np.block([[self.g_dl, self.g_bs], [self.g_ue, self.g_dl.T]])
+        np.fill_diagonal(out[:B, N:], self.gamma)
+        np.fill_diagonal(out[B:, :N], self.gamma)
+        return out
+
+    @cached_property
+    def rx_noise(self) -> np.ndarray:
+        """Noise at every receiver, in tx_rx's column order."""
+        return np.repeat([self.noise_ue_w, self.noise_bs_w], [self.n_ues, self.n_cells])
+
     def with_cancellation(self, cancellation_db) -> "GainTable":
         """Copy sharing the gain arrays, with gamma = 10^(-C/10).
 
-        None or +inf cancellation means perfect suppression (gamma 0).
+        The copy builds its own tx_rx table. None or +inf cancellation
+        means perfect suppression (gamma 0).
         """
         if cancellation_db is None or np.isinf(cancellation_db):
             return replace(self, gamma=0.0)

@@ -244,7 +244,7 @@ def cmd_run(spec: ExperimentSpec, jobs: int = 1, trace: str | None = None) -> in
     # the allocator counters summed over the drops, kept off stdout
     d = m.diagnostics
     print(f"allocator: certified {d['certified']}, fallbacks {d['fallbacks']}, "
-          f"pruned {d['pruned']}, SP outer {d['outer_iterations']} / "
+          f"non-converged {d['nonconverged_slots']}, SP outer {d['outer_iterations']} / "
           f"Newton {d['inner_iterations']} iterations, cap rounds {d['cap_rounds']}",
           file=sys.stderr)
     return EXIT_OK

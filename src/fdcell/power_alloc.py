@@ -11,28 +11,30 @@ monotone successive approximation that stops once the power vector
 moves less than epsilon.
 
 Everything works on the links x links gain matrix of the active links,
-gathered from the gain table in one pass: entry (l, k) is the gain from
-link k's transmitter to link l's receiver, the diagonal is each link's
-own signal, so every SINR is one matrix-vector product. A link's
-numerator is its noise plus its off-diagonal row times the powers, its
-denominator adds the own signal; the condensed objective's value,
-gradient and Hessian are a few matrix products over that matrix.
+one gather from the gain table's transmitter x receiver matrix: entry
+(l, k) is the gain from link k's transmitter to link l's receiver, the
+diagonal is each link's own signal, so every SINR is one matrix-vector
+product. A link's numerator is its noise plus its off-diagonal row
+times the powers, its denominator adds the own signal; the condensed
+objective's value, gradient and Hessian are a few matrix products over
+that matrix.
 
-The allocator wraps the loop with the scheduler-facing policy: start at
-maximum power, prune the weakest selection on solver failure, zero out
-links parked at the numerical floor, never return a point worse than
-the starting one, and shed the power that only overshoots the
-spectral-efficiency cap. That trim is a linear solve: the powers at
-which the links above the cap sit exactly at it. The policy works on
-one link power vector (downlinks by cell, then uplinks by cell) and
-writes the slot decision once, at the end.
+The allocator wraps the loop with the scheduler-facing policy: keep
+every selected link, take the SP's point even when a round stops at an
+iteration limit (successive condensation never makes the objective
+worse), never return a point worse than trimmed full power, zero out
+links parked at the numerical floor, and shed the power that only
+overshoots the spectral-efficiency cap. That trim is a linear solve:
+the powers at which the links above the cap sit exactly at it. The
+policy works on one link power vector (downlinks by cell, then uplinks
+by cell) and writes the slot decision once, at the end.
 
 Without an energy penalty the SP starts at full power trimmed to the
 cap, with the links that point leaves at the cap pinned: their capped
 rate is the most the rate model pays, so only the links below the cap
 are optimized. When no link is left free, the starting point attains
 the bound -sum w log(1+cap) that no power vector beats; it is returned
-as is and the SP never runs (the slot is "certified"). With an energy
+as is and no SP runs (the slot is "certified"). With an energy
 penalty a capped link may still trade rate for power, so the SP starts
 at full power with nothing pinned. Whenever trimmed full power is
 returned (certified, or picked by the safeguard), its links at the cap
@@ -66,7 +68,7 @@ SE_CAP_SINR = 2.0**MAX_SE - 1.0
 MAX_OUTER = 30                # SP condensation rounds per solve
 SP_COUNTERS = ("outer_iterations", "inner_iterations", "outer_capped", "cap_rounds")
 # per-slot allocator counters: the SP_COUNTERS plus the policy's own
-ALLOC_COUNTERS = ("pruned", "fallbacks", "certified", *SP_COUNTERS)
+ALLOC_COUNTERS = ("fallbacks", "certified", *SP_COUNTERS)
 
 
 @dataclass
@@ -107,7 +109,6 @@ class PowerProblem:
     lin: np.ndarray             # (L,) energy penalty in log space (rescaled)
     p_max: np.ndarray           # (L,)
     epsilon: float              # SP termination on ||P_s - P_{s-1}||_2
-    energy_kappa: float = 0.0
 
     @property
     def p_floor(self) -> np.ndarray:
@@ -139,27 +140,10 @@ def _link_gains(dec: SlotDecision, g: GainTable):
     """
     cells_dl = np.where(dec.dl_ue >= 0)[0]
     cells_ul = np.where(dec.ul_ue >= 0)[0]
-    ues_dl = dec.dl_ue[cells_dl]
-    ues_ul = dec.ul_ue[cells_ul]
-    ue_ue = g.g_ue[np.ix_(ues_ul, ues_dl)].T
-    if dec.fd_ue:
-        # a UE on both directions hears its own residual, not a UE-UE gain
-        ue_ue = np.where(ues_dl[:, None] == ues_ul[None, :], g.gamma, ue_ue)
-    bs_bs = np.where(
-        cells_ul[:, None] == cells_dl[None, :],
-        g.gamma,
-        g.g_bs[np.ix_(cells_dl, cells_ul)].T,
-    )
-    gain = np.block(
-        [
-            [g.g_dl[np.ix_(cells_dl, ues_dl)].T, ue_ue],
-            [bs_bs, g.g_dl[np.ix_(cells_ul, ues_ul)]],
-        ]
-    )
-    noise = np.concatenate(
-        [np.full(len(cells_dl), g.noise_ue_w), np.full(len(cells_ul), g.noise_bs_w)]
-    )
-    return cells_dl, cells_ul, gain, noise
+    tx = np.concatenate([cells_dl, g.n_cells + dec.ul_ue[cells_ul]])
+    rx = np.concatenate([dec.dl_ue[cells_dl], g.n_ues + cells_ul])
+    # gathered through the transpose so the matrix comes out C-ordered
+    return cells_dl, cells_ul, g.tx_rx.T[np.ix_(rx, tx)], g.rx_noise[rx]
 
 
 def _interference(gain: np.ndarray) -> np.ndarray:
@@ -223,7 +207,6 @@ def build_power_problem(
         lin=lin,
         p_max=p_max,
         epsilon=float(1e-3 * np.sqrt(2.0 * g.n_cells) * float(p_max.max())),
-        energy_kappa=cfg.energy_kappa,
     )
 
 
@@ -254,8 +237,6 @@ class SPObjective:
 
 def build_sp_objective(prob: PowerProblem) -> SPObjective:
     """Posynomial-ratio form of the slot objective (for checks and dumps)."""
-    if prob.energy_kappa < 0:
-        raise ConfigError("energy penalty must be non-negative")
     num = [_linear_posynomial(*nr) for nr in zip(prob.noise, prob.interference)]
     den = [_linear_posynomial(*nr) for nr in zip(prob.noise, prob.gain)]
     return SPObjective(num, den, prob.w.copy(), prob.lin.copy(), prob.w_scale)
@@ -350,12 +331,9 @@ def _reduce_problem(prob: PowerProblem, fixed_p: np.ndarray, fixed: np.ndarray):
     Pinned links keep transmitting at fixed_p: their rate rows leave the
     objective (the cap makes them constant) and the interference they
     cause at the remaining links joins those links' noise. Returns
-    (sub_problem, free_mask) or (None, free_mask) when nothing is left
-    to optimize.
+    (sub_problem, free_mask); at least one link must be free.
     """
     free = ~fixed
-    if not free.any():
-        return None, free
     if not fixed.any():
         return prob, free
     nd = len(prob.cells_dl)
@@ -434,51 +412,30 @@ def _capped_solve(prob: PowerProblem, p0: np.ndarray, pinned: np.ndarray):
     the free links, trims the solution to the cap, pins every capped link
     at its trimmed power (its rate is constant from here on; it persists
     only as a fixed interference source), and re-solves the remaining
-    links. At most one round per link, in practice 1-4. Returns
-    (p, pinned, status, info); p is None unless the status is converged.
+    links. At most one round per link, in practice 1-4; a start with
+    every link pinned returns p0 at once. A round that stops at an
+    iteration limit still lowers the objective, so its point is kept
+    and the rounds go on; the status is then that round's, not
+    converged. Returns (p, pinned, status, info).
     """
     fixed = pinned.copy()
     p = p0.copy()
+    status = STATUS_CONVERGED
     info = dict.fromkeys(SP_COUNTERS, 0)
-    for _ in range(prob.n_vars + 1):
+    while not fixed.all():
         sub, free = _reduce_problem(prob, p, fixed)
-        if sub is not None:
-            p_sub, status, info_s = solve_power_sp(sub, p[free])
-            for k in ("outer_iterations", "inner_iterations", "outer_capped"):
-                info[k] += info_s[k]
-            if status != STATUS_CONVERGED:
-                return None, fixed, status, info
-            p[free] = p_sub
+        p[free], round_status, info_s = solve_power_sp(sub, p[free])
+        for k in ("outer_iterations", "inner_iterations", "outer_capped"):
+            info[k] += info_s[k]
+        if round_status != STATUS_CONVERGED:
+            status = round_status
         p = trim_to_se_cap(prob.gain, prob.noise, p)
         info["cap_rounds"] += 1
         newly = _at_cap(prob.gain, prob.noise, p) & ~fixed
         if not newly.any():
             break
         fixed |= newly
-    return p, fixed, STATUS_CONVERGED, info
-
-
-def _drop_weakest(selection: Selection) -> Selection:
-    """Remove the active link with the smallest recorded selection gain.
-
-    Links are compared in the allocator's order (downlinks by cell, then
-    uplinks by cell), so a tie goes to the first; a non-finite gain
-    counts as 0.
-    """
-    dec = selection.decision.copy()
-    du_dl = selection.du_dl.copy()
-    du_ul = selection.du_ul.copy()
-    cells_dl = np.where(dec.dl_ue >= 0)[0]
-    cells_ul = np.where(dec.ul_ue >= 0)[0]
-    du = np.concatenate([du_dl[cells_dl], du_ul[cells_ul]])
-    k = int(np.argmin(np.where(np.isfinite(du), du, 0.0)))
-    if k < len(cells_dl):
-        c = cells_dl[k]
-        dec.dl_ue[c], dec.p_dl[c], du_dl[c] = NONE, 0.0, np.nan
-    else:
-        c = cells_ul[k - len(cells_dl)]
-        dec.ul_ue[c], dec.p_ul[c], du_ul[c] = NONE, 0.0, np.nan
-    return Selection(dec, du_dl, du_ul)
+    return p, fixed, status, info
 
 
 def allocate_with_fallback(
@@ -487,47 +444,36 @@ def allocate_with_fallback(
     g: GainTable,
     cfg: AllocConfig = AllocConfig(),
 ):
-    """Power-optimize the selection, pruning weakest links on failure.
+    """Power-optimize the selection in one pass, never below trimmed full power.
 
-    Returns (final SlotDecision, diagnostics dict). The decision may
-    carry fewer links than the selection: solver failures drop the
-    weakest candidates, and links the optimizer parks at the numerical
-    floor are zeroed. Without an energy penalty an attempt starts at
-    trimmed full power with its capped links pinned, and one that leaves
-    no link free skips the SP and counts in "certified". The
-    ALLOC_COUNTERS add up over every attempt.
+    Returns (final SlotDecision, diagnostics dict). Every selected link
+    stays on air unless the chosen powers park it at the numerical
+    floor, where it is zeroed. Without an energy penalty the solve
+    starts at trimmed full power with its capped links pinned, and a
+    start that leaves no link free runs no SP and counts in
+    "certified". An SP that stops at an iteration limit keeps its point
+    and reports that status. The safeguard then compares the result with
+    trimmed full power on the realized objective and keeps the better
+    one ("fallbacks" counts the slots where trimmed full power wins).
     """
     diag = {"status": "idle", **dict.fromkeys(ALLOC_COUNTERS, 0)}
-    sel = selection
-    while True:
-        dec = sel.decision
-        if not (np.any(dec.dl_ue >= 0) or np.any(dec.ul_ue >= 0)):
-            return dec.copy(), diag
-        prob = build_power_problem(st, sel, g, cfg)
-        base = trim_to_se_cap(prob.gain, prob.noise, prob.p_max)
-        base_capped = _at_cap(prob.gain, prob.noise, base)
-        if prob.lin.any():
-            # a capped link may still trade rate for energy: pin nothing
-            p0, pinned = prob.p_max, np.zeros(prob.n_vars, dtype=bool)
-        else:
-            p0, pinned = base, base_capped
-        if pinned.all():
-            # every link attains the capped rate: no power vector does better
-            p = base
-            diag["certified"] += 1
-            diag["status"] = STATUS_CONVERGED
-            break
-        p, pinned, status, info = _capped_solve(prob, p0, pinned)
-        for k in SP_COUNTERS:
-            diag[k] += info[k]
-        diag["status"] = status
-        if status == STATUS_CONVERGED:
-            if realized_objective(prob, p) > realized_objective(prob, base):
-                p, pinned = base, base_capped
-                diag["fallbacks"] += 1
-            break
-        sel = _drop_weakest(sel)
-        diag["pruned"] += 1
+    prob = build_power_problem(st, selection, g, cfg)
+    if prob is None:
+        return selection.decision.copy(), diag
+    base = trim_to_se_cap(prob.gain, prob.noise, prob.p_max)
+    base_capped = _at_cap(prob.gain, prob.noise, base)
+    if prob.lin.any():
+        # a capped link may still trade rate for energy: pin nothing
+        p0, pinned = prob.p_max, np.zeros(prob.n_vars, dtype=bool)
+    else:
+        p0, pinned = base, base_capped
+    # every link attains the capped rate: no power vector does better
+    diag["certified"] = int(pinned.all())
+    p, pinned, diag["status"], info = _capped_solve(prob, p0, pinned)
+    diag.update(info)
+    if realized_objective(prob, p) > realized_objective(prob, base):
+        p, pinned = base, base_capped
+        diag["fallbacks"] = 1
 
     p = _floor_prune(prob, p, pinned)
     # p is trimmed already, but zeroed links stop interfering and may
@@ -536,7 +482,7 @@ def allocate_with_fallback(
     if not on.all():
         p[on] = trim_to_se_cap(prob.gain[on][:, on], prob.noise[on], p[on])
 
-    out = dec.copy()
+    out = selection.decision.copy()
     nd = len(prob.cells_dl)
     out.p_dl[prob.cells_dl] = p[:nd]
     out.p_ul[prob.cells_ul] = p[nd:]

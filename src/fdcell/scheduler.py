@@ -184,10 +184,9 @@ class _SlotState:
     """What a partial slot assignment puts at every receiver and link.
 
     Receivers are the N UEs, then the B BSs (BS b at N + b). tx_bs[b]
-    and tx_ue[u] hold the gains from BS b and from UE u to every
-    receiver; a BS hears the residual gamma from its own downlink, and
-    with fd_ue so does a UE from its own uplink. rx_den is the noise
-    plus everything the scheduled transmitters put at each receiver.
+    and tx_ue[u] are the rows of g.tx_rx with the gains from BS b and
+    from UE u to every receiver. rx_den is the noise plus everything
+    the scheduled transmitters put at each receiver.
     Each active link keeps its receiver, signal, denominator, chi and PF
     average, downlinks by cell and then uplinks by cell.
     """
@@ -195,17 +194,13 @@ class _SlotState:
     def __init__(self, g: GainTable, powers, st: PFState, fd_ue: bool):
         self.g, self.powers, self.st, self.fd_ue = g, powers, st, fd_ue
         self.p_dl_w, self.p_ul_w = powers
-        B, N = g.n_cells, g.n_ues
+        B = g.n_cells
         self.R = np.full(B, NONE, dtype=int)
         self.Q = np.full(B, NONE, dtype=int)
         self.du_dl = np.full(B, np.nan)
         self.du_ul = np.full(B, np.nan)
-        self.tx_bs = np.hstack([g.g_dl, g.g_bs])
-        np.fill_diagonal(self.tx_bs[:, N:], g.gamma)
-        self.tx_ue = np.hstack([g.g_ue, g.g_dl.T])
-        if fd_ue:
-            np.fill_diagonal(self.tx_ue[:, :N], g.gamma)
-        self.rx_den = np.concatenate([np.full(N, g.noise_ue_w), np.full(B, g.noise_bs_w)])
+        self.tx_bs, self.tx_ue = g.tx_rx[:B], g.tx_rx[B:]
+        self.rx_den = g.rx_noise.copy()
         # link slot b is cell b's downlink, B + b its uplink
         self.on = np.zeros(2 * B, dtype=bool)
         self.slot_rx = np.zeros(2 * B, dtype=int)

@@ -166,6 +166,35 @@ def test_cancellation_encoding():
     assert g.with_cancellation(75.0).g_dl is g.g_dl
 
 
+def test_tx_rx_table_layout_and_cancellation_copy():
+    from conftest import indoor_network
+
+    _, g = indoor_network(ues_per_cell=2, cancellation_db=95.0)
+    B, N = g.n_cells, g.n_ues
+    t = g.tx_rx
+    assert t.shape == (B + N, N + B) and g.tx_rx is t
+    # transmitters BSs then UEs, receivers UEs then BSs
+    np.testing.assert_array_equal(t[:B, :N], g.g_dl)
+    np.testing.assert_array_equal(t[B:, N:], g.g_dl.T)
+    off_bs = ~np.eye(B, dtype=bool)
+    off_ue = ~np.eye(N, dtype=bool)
+    np.testing.assert_array_equal(t[:B, N:][off_bs], g.g_bs[off_bs])
+    np.testing.assert_array_equal(t[B:, :N][off_ue], g.g_ue[off_ue])
+    # a node that transmits and receives hears its own residual
+    assert np.all(np.diagonal(t[:B, N:]) == g.gamma)
+    assert np.all(np.diagonal(t[B:, :N]) == g.gamma)
+    np.testing.assert_array_equal(g.rx_noise, [g.noise_ue_w] * N + [g.noise_bs_w] * B)
+    # a copy with another cancellation builds its own table
+    g2 = g.with_cancellation(75.0)
+    assert g2.gamma == pytest.approx(10.0**-7.5, rel=1e-12)
+    assert g2.tx_rx is not t
+    assert np.all(np.diagonal(g2.tx_rx[:B, N:]) == g2.gamma)
+    assert np.all(np.diagonal(g2.tx_rx[B:, :N]) == g2.gamma)
+    np.testing.assert_array_equal(g2.tx_rx[:B, :N], g.g_dl)
+    # the original keeps its gamma
+    assert np.all(np.diagonal(g.tx_rx[:B, N:]) == g.gamma)
+
+
 def test_wall_loss_applied():
     # same geometry, one wall vs none: 20 dB difference when NLOS state
     # and shadowing are pinned

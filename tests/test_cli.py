@@ -177,7 +177,7 @@ def test_run_prints_allocator_summary_on_stderr(tmp_path, capsys):
     diag = json.loads((out / "manifest.json").read_text())["results"][0]["diagnostics"]
     assert lines[0] == (
         f"allocator: certified {diag['certified']}, fallbacks {diag['fallbacks']}, "
-        f"pruned {diag['pruned']}, SP outer {diag['outer_iterations']} / "
+        f"non-converged {diag['nonconverged_slots']}, SP outer {diag['outer_iterations']} / "
         f"Newton {diag['inner_iterations']} iterations, cap rounds {diag['cap_rounds']}"
     )
     assert diag["certified"] + diag["outer_iterations"] > 0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import fdcell.power_alloc as pa
+import fdcell.sim as sim
 from conftest import make_decision, toy_gains
 from fdcell.channel import dbm_to_w
 from fdcell.errors import ConfigError
@@ -112,6 +113,38 @@ def test_drop_reports_allocator_counters(small_fd_cfg, small_fd_drop, monkeypatc
     assert again == d
     assert d["inner_iterations"] == sum(calls) > 0
     assert len(calls) == d["outer_iterations"]
+
+
+def test_drop_counts_sp_stopped_at_round_limit_as_nonconverged(small_fd_cfg, monkeypatch):
+    diags = []
+
+    def recorded(*args, **kwargs):
+        out, diag = allocate_with_fallback(*args, **kwargs)
+        diags.append(diag)
+        return out, diag
+
+    monkeypatch.setattr(sim, "allocate_with_fallback", recorded)
+    monkeypatch.setattr(pa, "MAX_OUTER", 0)
+    d = run_drop(small_fd_cfg, 0).diagnostics
+    capped = sum(x["outer_capped"] > 0 for x in diags)
+    assert capped > 0
+    assert d["nonconverged_slots"] == capped == d["outer_capped"]
+
+
+def test_cap_rounds_count_sp_solves(monkeypatch):
+    # every cap round runs an SP: a round that only re-trims a point
+    # with every link pinned would count without one
+    calls = []
+    solve = pa.solve_power_sp
+
+    def counted(prob, P0):
+        calls.append(prob.n_vars)
+        return solve(prob, P0)
+
+    monkeypatch.setattr(pa, "solve_power_sp", counted)
+    cfg = RunConfig(variant="FD", cancellation_db=95.0, slots=20, seed=0)
+    d = run_drop(cfg, 1).diagnostics
+    assert d["cap_rounds"] == len(calls) > 0
 
 
 def test_network_depends_on_drop_not_variant():
@@ -337,7 +370,7 @@ def test_manifest_records_summed_allocator_counters(tmp_path, small_fd_cfg):
         expected = {
             k: sum(r.diagnostics[k] for r in results) for k in results[0].diagnostics
         }
-        assert {"pruned", "fallbacks", "certified", "nonconverged_slots", "outer_iterations",
+        assert {"fallbacks", "certified", "nonconverged_slots", "outer_iterations",
                 "inner_iterations", "outer_capped", "cap_rounds"} <= set(expected)
         assert expected["outer_iterations"] > 0 and expected["inner_iterations"] > 0
         m = aggregate(small_fd_cfg, results)
