@@ -162,6 +162,13 @@ class GainTable:
         return out
 
     @cached_property
+    def ue_id_matrix(self) -> np.ndarray:
+        """(B, U) UE ids, row b being cell_ue_ids[b]; needs U UEs in every cell."""
+        if len({len(ids) for ids in self.cell_ue_ids}) != 1:
+            raise ValueError("cells hold different numbers of UEs; no (B, U) UE-id matrix")
+        return np.stack(self.cell_ue_ids)
+
+    @cached_property
     def rx_noise(self) -> np.ndarray:
         """Noise at every receiver, in tx_rx's column order."""
         return np.repeat([self.noise_ue_w, self.noise_bs_w], [self.n_ues, self.n_cells])

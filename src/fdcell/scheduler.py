@@ -350,27 +350,20 @@ def round_robin_select(
     """Cursor-based selection; mode FD adds a random opposite partner.
 
     The cursor pick matches what the HD round robin would schedule in
-    the same slot, so FD/HD round-robin runs stay UE-aligned.
+    the same slot, so FD/HD round-robin runs stay UE-aligned. The
+    partner is a uniform draw over the cell's other UEs; one vector draw
+    gives the values and generator state of one rng.choice per cell.
     """
-    B = g.n_cells
-    R = np.full(B, NONE, dtype=int)
-    Q = np.full(B, NONE, dtype=int)
-    for c in range(B):
-        ids = g.cell_ue_ids[c]
-        if direction == DL:
-            pick = int(ids[rr.cursor_dl[c] % len(ids)])
-            rr.cursor_dl[c] += 1
-            R[c] = pick
-        else:
-            pick = int(ids[rr.cursor_ul[c] % len(ids)])
-            rr.cursor_ul[c] += 1
-            Q[c] = pick
-        if mode == "FD":
-            others = ids[ids != pick]
-            if len(others):
-                partner = int(rng.choice(others))
-                if direction == DL:
-                    Q[c] = partner
-                else:
-                    R[c] = partner
+    ids = g.ue_id_matrix
+    B, U = ids.shape
+    cells = np.arange(B)
+    cursor = rr.cursor_dl if direction == DL else rr.cursor_ul
+    pos = cursor % U
+    cursor += 1
+    pick = ids[cells, pos]
+    partner = np.full(B, NONE, dtype=int)
+    if mode == "FD" and U > 1:
+        k = rng.integers(0, np.full(B, U - 1))
+        partner = ids[cells, k + (k >= pos)]
+    R, Q = (pick, partner) if direction == DL else (partner, pick)
     return _base_decision(Q, R, P_init, False)

@@ -175,13 +175,9 @@ def _build_network(cfg: RunConfig, topo_rng, chan_rng):
 
 
 def _classify(dec: SlotDecision) -> np.ndarray:
-    has_dl = dec.dl_ue >= 0
-    has_ul = dec.ul_ue >= 0
-    mode = np.full(len(dec.dl_ue), MODE_IDLE, dtype=np.int8)
-    mode[has_dl & ~has_ul] = MODE_HD_DL
-    mode[~has_dl & has_ul] = MODE_HD_UL
-    mode[has_dl & has_ul] = MODE_FD
-    return mode
+    # MODE_FD == MODE_HD_DL + MODE_HD_UL, MODE_IDLE == 0
+    mode = (dec.dl_ue >= 0) * MODE_HD_DL + (dec.ul_ue >= 0) * MODE_HD_UL
+    return mode.astype(np.int8)
 
 
 def drop_rngs(seed: int, drop_index: int):
@@ -237,10 +233,11 @@ def run_drop(cfg: RunConfig, drop_index: int) -> DropResult:
         validate(dec, g)
 
         rate_dl, rate_ul = slot_rates(dec, g)
+        # validate served each UE by its own cell: no UE twice per direction
         on = dec.dl_ue >= 0
-        np.add.at(bits_dl, dec.dl_ue[on], rate_dl[on] * dt)
+        bits_dl[dec.dl_ue[on]] += rate_dl[on] * dt
         on = dec.ul_ue >= 0
-        np.add.at(bits_ul, dec.ul_ue[on], rate_ul[on] * dt)
+        bits_ul[dec.ul_ue[on]] += rate_ul[on] * dt
         energy_dl += float(dec.p_dl.sum()) * dt
         energy_ul += float(dec.p_ul.sum()) * dt
 

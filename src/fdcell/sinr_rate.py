@@ -43,26 +43,30 @@ class SlotDecision:
 
 
 def validate(dec: SlotDecision, g: GainTable) -> None:
-    """Assert the structural invariants of a decision."""
-    B = g.n_cells
+    """Assert the structural invariants of a decision.
+
+    Each invariant is one per-cell violation mask, in check order; a
+    decision that breaks any raises the message of the first broken one.
+    """
     dl_on = dec.dl_ue >= 0
     ul_on = dec.ul_ue >= 0
-    if not dec.fd_ue:
-        both = dl_on & ul_on
-        if np.any(dec.dl_ue[both] == dec.ul_ue[both]):
-            raise AssertionError("half-duplex UE scheduled in both directions")
-    if np.any(dec.p_dl[~dl_on] != 0) or np.any(dec.p_ul[~ul_on] != 0):
-        raise AssertionError("power on an unassigned link")
-    if np.any(dec.p_dl < 0) or np.any(dec.p_dl > g.p_bs_w * (1 + 1e-9)):
-        raise AssertionError("downlink power out of bounds")
-    if np.any(dec.p_ul < 0) or np.any(dec.p_ul > g.p_ue_w * (1 + 1e-9)):
-        raise AssertionError("uplink power out of bounds")
-    own = g.ue_cell[np.where(dl_on, dec.dl_ue, 0)]
-    if np.any(own[dl_on] != np.arange(B)[dl_on]):
-        raise AssertionError("downlink UE served by a foreign cell")
-    own = g.ue_cell[np.where(ul_on, dec.ul_ue, 0)]
-    if np.any(own[ul_on] != np.arange(B)[ul_on]):
-        raise AssertionError("uplink UE served by a foreign cell")
+    cells = np.arange(g.n_cells)
+    checks = (
+        (dl_on & (dec.dl_ue == dec.ul_ue) & (not dec.fd_ue),
+         "half-duplex UE scheduled in both directions"),
+        ((~dl_on & (dec.p_dl != 0)) | (~ul_on & (dec.p_ul != 0)),
+         "power on an unassigned link"),
+        ((dec.p_dl < 0) | (dec.p_dl > g.p_bs_w * (1 + 1e-9)),
+         "downlink power out of bounds"),
+        ((dec.p_ul < 0) | (dec.p_ul > g.p_ue_w * (1 + 1e-9)),
+         "uplink power out of bounds"),
+        (dl_on & (g.ue_cell[dec.dl_ue] != cells),
+         "downlink UE served by a foreign cell"),
+        (ul_on & (g.ue_cell[dec.ul_ue] != cells),
+         "uplink UE served by a foreign cell"),
+    )
+    if np.logical_or.reduce([bad for bad, _ in checks], axis=None):
+        raise AssertionError(next(msg for bad, msg in checks if bad.any()))
 
 
 def slot_link_terms(dec: SlotDecision, g: GainTable):
@@ -118,10 +122,9 @@ def rate_from_sinr(sinr, bandwidth_hz: float):
 
 
 def slot_rates(dec: SlotDecision, g: GainTable):
-    """Downlink and uplink rate vectors for the decision, bits/second."""
-    sinr_d, sinr_u = slot_sinrs(dec, g)
-    rate_d = rate_from_sinr(sinr_d, g.bandwidth_hz)
-    rate_u = rate_from_sinr(sinr_u, g.bandwidth_hz)
-    rate_d = np.where(dec.dl_ue >= 0, rate_d, 0.0)
-    rate_u = np.where(dec.ul_ue >= 0, rate_u, 0.0)
-    return rate_d, rate_u
+    """Downlink and uplink rate vectors for the decision, bits/second.
+
+    Inactive links have SINR 0 and so rate 0.
+    """
+    rate = rate_from_sinr(np.concatenate(slot_sinrs(dec, g)), g.bandwidth_hz)
+    return rate[: g.n_cells], rate[g.n_cells :]

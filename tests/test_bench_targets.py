@@ -1,11 +1,14 @@
-"""The benchmark tracer's patch targets exist under their current names
-and return what the tracer reads from them."""
+"""The benchmark tracer's patch targets exist under their current names,
+return what the tracer reads from them, and are called where it expects."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+import fdcell.sim as sim
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -36,3 +39,36 @@ def test_minimize_box_returns_iteration_count():
     out = minimize_box(fgh, np.array([1.0, -2.0]), np.full(2, -3.0), np.full(2, 3.0))
     assert len(out) == 3
     assert type(out[2]) is int and out[2] >= 1
+
+
+# per variant: the selector run_drop calls, and whether the allocator runs
+SLOT_LOOP_CALLS = {
+    "RR_FD": ("round_robin_select", False),
+    "FD": ("select_ues", True),
+    "HD": ("hd_select_ues", True),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(SLOT_LOOP_CALLS))
+def test_slot_loop_calls_each_layer_once_per_slot(variant, monkeypatch):
+    # the benchmark's slot clock cuts at every sim.update_state call and the
+    # tracer times each layer through sim's namespace: inlining one of these
+    # calls would blind the clock or zero a traced layer
+    selector, allocates = SLOT_LOOP_CALLS[variant]
+    names = ["update_state", selector, "validate", "slot_rates"]
+    if allocates:
+        names.append("allocate_with_fallback")
+    calls = dict.fromkeys(names, 0)
+
+    def spy(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(sim, name, spy(name, getattr(sim, name)))
+    cfg = sim.RunConfig(variant=variant, cancellation_db=85.0, slots=5, drops=1, ues_per_cell=2)
+    sim.run_drop(cfg, 0)
+    assert calls == dict.fromkeys(names, cfg.slots)

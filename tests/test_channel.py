@@ -195,6 +195,17 @@ def test_tx_rx_table_layout_and_cancellation_copy():
     assert np.all(np.diagonal(g.tx_rx[:B, N:]) == g.gamma)
 
 
+def test_ue_id_matrix_rows_are_cells():
+    from conftest import indoor_network, outdoor_network
+
+    for _, g in (indoor_network(ues_per_cell=3), outdoor_network()):
+        ids = g.ue_id_matrix
+        assert ids.shape == (g.n_cells, len(g.cell_ue_ids[0])) and g.ue_id_matrix is ids
+        for b, row in enumerate(ids):
+            np.testing.assert_array_equal(row, g.cell_ue_ids[b])
+        assert np.all(g.ue_cell[ids] == np.arange(g.n_cells)[:, None])
+
+
 def test_wall_loss_applied():
     # same geometry, one wall vs none: 20 dB difference when NLOS state
     # and shadowing are pinned

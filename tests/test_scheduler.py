@@ -347,3 +347,58 @@ def test_round_robin_single_ue_degenerates_to_hd():
     dec = round_robin_select(rr, "FD", DL, g, (g.p_bs_w, g.p_ue_w), np.random.default_rng(0))
     assert np.all(dec.dl_ue >= 0)
     assert np.all(dec.ul_ue == NONE)
+
+
+def reference_round_robin(rr, mode, direction, g, rng):
+    """Per-cell loop with one rng.choice per partner: the specification
+    round_robin_select reproduces with array operations."""
+    B = g.n_cells
+    R = np.full(B, NONE, dtype=int)
+    Q = np.full(B, NONE, dtype=int)
+    for c in range(B):
+        ids = g.cell_ue_ids[c]
+        cursor = rr.cursor_dl if direction == DL else rr.cursor_ul
+        pick = int(ids[cursor[c] % len(ids)])
+        cursor[c] += 1
+        partner = NONE
+        others = ids[ids != pick]
+        if mode == "FD" and len(others):
+            partner = int(rng.choice(others))
+        if direction == DL:
+            R[c], Q[c] = pick, partner
+        else:
+            Q[c], R[c] = pick, partner
+    return R, Q
+
+
+@pytest.mark.parametrize(
+    "network", [("Indoor", 1), ("Indoor", 2), ("Indoor", 8), ("Outdoor", 10)]
+)
+def test_round_robin_matches_per_cell_choice_reference(network):
+    scenario, ues_per_cell = network
+    if scenario == "Indoor":
+        _, g = indoor_network(seed=3, ues_per_cell=ues_per_cell)
+    else:
+        _, g = outdoor_network(seed=3)
+    assert all(len(ids) == ues_per_cell for ids in g.cell_ue_ids)
+    P = (g.p_bs_w, g.p_ue_w)
+    for seed in range(20):
+        for mode in ("FD", "HD"):
+            rr, rr_ref = RoundRobinState.fresh(g.n_cells), RoundRobinState.fresh(g.n_cells)
+            rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for t in range(16):
+                direction = DL if t % 2 == 0 else UL
+                dec = round_robin_select(rr, mode, direction, g, P, rng)
+                R, Q = reference_round_robin(rr_ref, mode, direction, g, rng_ref)
+                assert np.array_equal(dec.dl_ue, R) and np.array_equal(dec.ul_ue, Q)
+                assert np.array_equal(rr.cursor_dl, rr_ref.cursor_dl)
+                assert np.array_equal(rr.cursor_ul, rr_ref.cursor_ul)
+                assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_round_robin_rejects_ragged_cells():
+    # unequal cells have no (B, U) UE-id matrix; fail loudly, never misindex
+    g = toy_gains(np.full((2, 3), 1e-9), ue_cell=[0, 0, 1])
+    rr = RoundRobinState.fresh(g.n_cells)
+    with pytest.raises(ValueError, match="different numbers of UEs"):
+        round_robin_select(rr, "FD", DL, g, (g.p_bs_w, g.p_ue_w), np.random.default_rng(0))

@@ -23,6 +23,7 @@ from fdcell.sim import (
     Metrics,
     RunConfig,
     _build_network,
+    _classify,
     aggregate,
     config_dict,
     drop_rngs,
@@ -30,7 +31,7 @@ from fdcell.sim import (
     run_drop,
     run_variant,
 )
-from fdcell.sinr_rate import slot_rates
+from fdcell.sinr_rate import SlotDecision, slot_rates
 
 
 @pytest.fixture(scope="module")
@@ -289,6 +290,39 @@ def test_mode_accounting(small_fd_cfg, small_fd_drop):
     assert np.all(res.trace_dl_ue[fd_mask] >= 0)
     assert np.all(res.trace_ul_ue[fd_mask] >= 0)
     assert np.all(res.trace_dl_ue[res.trace_mode == MODE_HD_UL] == -1)
+
+
+def test_classify_codes_every_link_combination():
+    g = toy_gains(np.full((4, 8), 1e-9))
+    dec = make_decision(g, dl=[None, 2, None, 6], ul=[None, None, 5, 7])
+    mode = _classify(dec)
+    assert mode.dtype == np.int8
+    np.testing.assert_array_equal(mode, [MODE_IDLE, MODE_HD_DL, MODE_HD_UL, MODE_FD])
+
+
+def test_fdue_drop_bits_equal_per_slot_rate_sums():
+    # the slot loop adds each slot's rates by fancy-indexed +=, which is
+    # np.add.at as long as no UE appears twice in one direction of a slot
+    cfg = RunConfig(
+        variant="FD_FDUE", cancellation_db=110.0, slots=12, drops=1, ues_per_cell=2, seed=4
+    )
+    res = run_drop(cfg, 0)
+    topo_rng, chan_rng, _ = drop_rngs(cfg.seed, 0)
+    _, g = _build_network(cfg, topo_rng, chan_rng)
+    bits_dl = np.zeros(res.n_ues)
+    bits_ul = np.zeros(res.n_ues)
+    shared = 0
+    for t in range(cfg.slots):
+        dl_ue = res.trace_dl_ue[t].astype(int)
+        ul_ue = res.trace_ul_ue[t].astype(int)
+        dec = SlotDecision(dl_ue, ul_ue, res.trace_p_dl[t], res.trace_p_ul[t], fd_ue=True)
+        rd, ru = slot_rates(dec, g)
+        np.add.at(bits_dl, dl_ue[dl_ue >= 0], rd[dl_ue >= 0] * SLOT_DURATION_S)
+        np.add.at(bits_ul, ul_ue[ul_ue >= 0], ru[ul_ue >= 0] * SLOT_DURATION_S)
+        shared += int(np.sum((dl_ue >= 0) & (dl_ue == ul_ue)))
+    assert shared > 0
+    np.testing.assert_array_equal(res.bits_dl, bits_dl)
+    np.testing.assert_array_equal(res.bits_ul, bits_ul)
 
 
 def test_run_variant_parallel_matches_sequential():

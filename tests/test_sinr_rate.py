@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import make_decision, toy_gains
+from conftest import indoor_network, make_decision, toy_gains
 from fdcell.channel import dbm_to_w
 from fdcell.sinr_rate import (
     MAX_SE,
     MIN_SE,
+    NONE,
     rate_from_sinr,
     slot_link_terms,
     slot_rates,
@@ -97,25 +98,61 @@ def test_validate_rejects_bad_decisions():
     g = toy_gains([[1e-8, 1e-8]])
     ok = make_decision(g, dl=[0], ul=[1])
     validate(ok, g)
-
-    same_ue = make_decision(g, dl=[0], ul=[0])
-    with pytest.raises(AssertionError):
-        validate(same_ue, g)
+    # an FD-capable UE may take both directions of its cell
     validate(make_decision(g, dl=[0], ul=[0], fd_ue=True), g)
+
+    def rejects(dec, gains, message):
+        with pytest.raises(AssertionError, match=f"^{message}$"):
+            validate(dec, gains)
+
+    rejects(make_decision(g, dl=[0], ul=[0]), g, "half-duplex UE scheduled in both directions")
 
     ghost_power = make_decision(g)
     ghost_power.p_dl[0] = 0.1
-    with pytest.raises(AssertionError):
-        validate(ghost_power, g)
+    rejects(ghost_power, g, "power on an unassigned link")
+    ghost_power = make_decision(g, dl=[0])
+    ghost_power.p_ul[0] = 0.1
+    rejects(ghost_power, g, "power on an unassigned link")
 
-    hot = make_decision(g, dl=[0], p_dl=g.p_bs_w * 2.0)
-    with pytest.raises(AssertionError):
-        validate(hot, g)
+    rejects(make_decision(g, dl=[0], p_dl=-1e-3), g, "downlink power out of bounds")
+    rejects(make_decision(g, dl=[0], p_dl=g.p_bs_w * 2.0), g, "downlink power out of bounds")
+    rejects(make_decision(g, ul=[1], p_ul=-1e-3), g, "uplink power out of bounds")
+    rejects(make_decision(g, ul=[1], p_ul=g.p_ue_w * 2.0), g, "uplink power out of bounds")
 
     g2 = toy_gains(np.full((2, 4), 1e-9), ue_cell=[0, 0, 1, 1])
-    foreign = make_decision(g2, dl=[2, None])
-    with pytest.raises(AssertionError):
-        validate(foreign, g2)
+    rejects(make_decision(g2, dl=[2, None]), g2, "downlink UE served by a foreign cell")
+    rejects(make_decision(g2, ul=[None, 1]), g2, "uplink UE served by a foreign cell")
+    # a decision that breaks several invariants names the first in check order
+    rejects(make_decision(g2, dl=[2, 3], ul=[None, 3]), g2, "half-duplex UE scheduled in both directions")
+    rejects(make_decision(g2, dl=[2, None], ul=[1, None]), g2, "downlink UE served by a foreign cell")
+
+
+def test_slot_rates_equal_per_direction_rate_from_sinr():
+    # slot_rates evaluates both directions in one call; element-wise, so
+    # the bits equal one rate_from_sinr call per direction
+    _, g = indoor_network(seed=2, ues_per_cell=3, cancellation_db=80.0)
+    rng = np.random.default_rng(7)
+    shared = 0
+    for trial in range(40):
+        fd_ue = trial % 2 == 1
+        dl, ul = [], []
+        for ids in g.cell_ue_ids:
+            d, u = rng.choice(np.append(ids, NONE), size=2)
+            if u == d and not fd_ue:
+                u = NONE
+            shared += fd_ue and d == u != NONE
+            dl.append(d)
+            ul.append(u)
+        dec = make_decision(g, dl=dl, ul=ul, fd_ue=fd_ue)
+        dec.p_dl *= rng.random(g.n_cells)
+        dec.p_ul *= rng.random(g.n_cells)
+        validate(dec, g)
+        sinr_d, sinr_u = slot_sinrs(dec, g)
+        rate_d, rate_u = slot_rates(dec, g)
+        assert np.array_equal(rate_d, rate_from_sinr(sinr_d, g.bandwidth_hz))
+        assert np.array_equal(rate_u, rate_from_sinr(sinr_u, g.bandwidth_hz))
+        assert not rate_d[dec.dl_ue < 0].any() and not rate_u[dec.ul_ue < 0].any()
+    assert shared > 0
 
 
 def test_rates_zero_on_idle_cells():
