@@ -122,7 +122,7 @@ def apply_key(spec: ExperimentSpec, key: str, raw: str) -> ExperimentSpec:
     elif key == "drops":
         spec.base = replace(b, drops=_parse_int(key, raw, lo=1))
     elif key == "seed":
-        spec.base = replace(b, seed=_parse_int(key, raw))
+        spec.base = replace(b, seed=_parse_int(key, raw, lo=0))
     elif key == "ues_per_cell":
         spec.base = replace(b, ues_per_cell=_parse_int(key, raw, lo=1))
     elif key == "bandwidth_hz":
@@ -219,7 +219,7 @@ def _spec_from_args(args) -> ExperimentSpec:
         spec.output_dir = args.out
     if spec.base.seed is None:
         env = os.environ.get("FDCELL_SEED")
-        spec.base = replace(spec.base, seed=_parse_int("FDCELL_SEED", env) if env else 0)
+        spec.base = replace(spec.base, seed=_parse_int("FDCELL_SEED", env, lo=0) if env else 0)
     _validate_spec(spec)
     return spec
 

@@ -11,14 +11,16 @@ and round-robin baselines ignore utilities altogether.
 
 One slot state (_SlotState) lives through a whole selection. It holds
 the noise plus interference at every receiver, each UE and each BS (a
-BS's own residual gamma*p_dl included), and every active link's signal,
-denominator and chi. A scan scores all of one cell's candidates at
-once: it reads their denominators from the receiver vector and adds
-each candidate's gains to the active links' denominators, then
-evaluates the candidates' own chi and the active links' new chi in one
-call. Accepting a candidate adds its transmitter's gain row to the
-receiver vector (a rank-1 update) and keeps the scan's link terms, so
-no slot-wide SINR evaluation runs during a selection.
+BS's own residual gamma*p_dl included), every active link's signal,
+denominator and chi, and the PF averages scaled by beta once per slot.
+A scan scores all of one cell's candidates at once: it reads their
+denominators from the receiver vector and adds each candidate's gains
+to the active links' denominators, then evaluates the candidates' own
+chi and the active links' new chi in one call. Pass 1 scores both
+directions of a cell in one such call (scan_cell). Accepting a
+candidate adds its transmitter's gain row to the receiver vector (a
+rank-1 update) and keeps the scan's link terms, so no slot-wide SINR
+evaluation runs during a selection.
 
 get_utility is the reference evaluator for one candidate: it evaluates
 the whole slot anew on every call. The scans are numerically
@@ -42,6 +44,7 @@ DL = "DL"
 UL = "UL"
 
 BETA_DEFAULT = 0.99
+LN10 = np.log(10.0)
 
 
 @dataclass
@@ -71,7 +74,12 @@ def update_state(st: PFState, dec: SlotDecision, rate_dl, rate_ul) -> PFState:
 
 def chi(avg, rate, beta):
     """Marginal PF utility of delivering `rate` to a link averaging `avg`."""
-    return np.log1p((1.0 - beta) * np.asarray(rate) / (beta * np.asarray(avg))) / np.log(10.0)
+    return _chi_scaled(np.asarray(rate), beta * np.asarray(avg), 1.0 - beta)
+
+
+def _chi_scaled(rate, b_avg, one_minus_beta):
+    """chi with the average already scaled by beta (b_avg = beta * avg)."""
+    return np.log1p(one_minus_beta * rate / b_avg) / LN10
 
 
 def _base_decision(Q, R, powers, fd_ue: bool) -> SlotDecision:
@@ -147,8 +155,6 @@ def get_utility(c, d, u, Q, R, g: GainTable, powers, st: PFState, fd_ue=False):
 @dataclass
 class Selection:
     decision: SlotDecision
-    du_dl: np.ndarray    # accepted utility gain per cell, nan where idle
-    du_ul: np.ndarray
 
 
 @dataclass
@@ -187,24 +193,26 @@ class _SlotState:
     and tx_ue[u] are the rows of g.tx_rx with the gains from BS b and
     from UE u to every receiver. rx_den is the noise plus everything
     the scheduled transmitters put at each receiver.
-    Each active link keeps its receiver, signal, denominator, chi and PF
-    average, downlinks by cell and then uplinks by cell.
+    Each active link keeps its receiver, signal, denominator, chi and
+    PF average, downlinks by cell and then uplinks by cell. The averages
+    are fixed through a selection, so b_avg_dl and b_avg_ul scale them
+    by beta once per slot for _chi_scaled.
     """
 
     def __init__(self, g: GainTable, powers, st: PFState, fd_ue: bool):
-        self.g, self.powers, self.st, self.fd_ue = g, powers, st, fd_ue
+        self.g, self.powers, self.fd_ue = g, powers, fd_ue
         self.p_dl_w, self.p_ul_w = powers
         B = g.n_cells
         self.R = np.full(B, NONE, dtype=int)
         self.Q = np.full(B, NONE, dtype=int)
-        self.du_dl = np.full(B, np.nan)
-        self.du_ul = np.full(B, np.nan)
         self.tx_bs, self.tx_ue = g.tx_rx[:B], g.tx_rx[B:]
         self.rx_den = g.rx_noise.copy()
+        self.b_avg_dl, self.b_avg_ul = st.beta * st.avg_dl, st.beta * st.avg_ul
+        self.one_minus_beta = 1.0 - st.beta
         # link slot b is cell b's downlink, B + b its uplink
         self.on = np.zeros(2 * B, dtype=bool)
         self.slot_rx = np.zeros(2 * B, dtype=int)
-        self.slot_terms = np.zeros((4, 2 * B))     # signal, denominator, chi, PF average
+        self.slot_terms = np.zeros((4, 2 * B))     # signal, denominator, chi, beta * PF average
         self._gather()
 
     def _gather(self):
@@ -212,7 +220,13 @@ class _SlotState:
         self.act = self.on.nonzero()[0]
         self.nd = int(self.act.searchsorted(self.g.n_cells))   # active downlinks
         self.rx = self.slot_rx[self.act]
-        self.sig, self.den, self.chi0, self.avg = self.slot_terms[:, self.act]
+        self.sig, self.den, self.chi0, self.act_b_avg = self.slot_terms.take(self.act, axis=1)
+
+    def _loss(self, chi1):
+        """Utility the active links lose, per row of their new chi."""
+        d = self.chi0 - chi1
+        nd = self.nd
+        return np.add.reduce(d[..., :nd], axis=-1) + np.add.reduce(d[..., nd:], axis=-1)
 
     def eligible(self, c: int, direction: str) -> np.ndarray:
         ids = self.g.cell_ue_ids[c]
@@ -223,37 +237,66 @@ class _SlotState:
 
     def scan(self, c: int, direction: str) -> _Scan:
         """Utility change of adding each eligible candidate at cell c."""
-        g, st = self.g, self.st
-        W, b, nd = g.bandwidth_hz, st.beta, self.nd
+        g, W = self.g, self.g.bandwidth_hz
         ks = self.eligible(c, direction)
         K = len(ks)
         if K == 0:
             return _Scan(c, direction, ks)
         if direction == DL:
-            num = self.p_dl_w * g.g_dl[c, ks]
+            num = self.p_dl_w * g.g_dl[c][ks]
             den = self.rx_den[ks]
             # the inflicted interference is candidate-independent
-            den1 = self.den + self.p_dl_w * self.tx_bs[c, self.rx]
+            den1 = self.den + self.p_dl_w * self.tx_bs[c][self.rx]
             sinr = np.concatenate([num / den, self.sig / den1])
-            chi1 = chi(np.concatenate([st.avg_dl[ks], self.avg]), rate_from_sinr(sinr, W), b)
+            b_avg = np.concatenate([self.b_avg_dl[ks], self.act_b_avg])
+            chi1 = _chi_scaled(rate_from_sinr(sinr, W), b_avg, self.one_minus_beta)
             gain, chi1 = chi1[:K], chi1[K:]
-            loss = float((self.chi0[:nd] - chi1[:nd]).sum() + (self.chi0[nd:] - chi1[nd:]).sum())
-            return _Scan(c, DL, ks, gain - loss, num, den, gain, den1, chi1)
+            return _Scan(c, DL, ks, gain - self._loss(chi1), num, den, gain, den1, chi1)
 
-        num = self.p_ul_w * g.g_dl[c, ks]
+        num = self.p_ul_w * g.g_dl[c][ks]
         den = self.rx_den[g.n_ues + c]
         # interference into every active link's receiver, per candidate
         den1 = self.den + self.p_ul_w * self.tx_ue[ks[:, None], self.rx]      # (K, J)
         sinr = np.concatenate([(num / den)[:, None], self.sig / den1], axis=1)
-        avg = np.empty_like(sinr)
-        avg[:, 0] = st.avg_ul[ks]
-        avg[:, 1:] = self.avg
-        chi1 = chi(avg, rate_from_sinr(sinr, W), b)
+        b_avg = np.empty_like(sinr)
+        b_avg[:, 0] = self.b_avg_ul[ks]
+        b_avg[:, 1:] = self.act_b_avg
+        chi1 = _chi_scaled(rate_from_sinr(sinr, W), b_avg, self.one_minus_beta)
         gain, chi1 = chi1[:, 0], chi1[:, 1:]
-        loss = (self.chi0[:nd] - chi1[:, :nd]).sum(axis=1) + (
-            self.chi0[nd:] - chi1[:, nd:]
-        ).sum(axis=1)
-        return _Scan(c, UL, ks, gain - loss, num, den, gain, den1, chi1)
+        return _Scan(c, UL, ks, gain - self._loss(chi1), num, den, gain, den1, chi1)
+
+    def scan_cell(self, c: int):
+        """(scan(c, DL), scan(c, UL)) for a cell with neither direction taken.
+
+        One rate and one utility evaluation of a flat array: the K
+        downlink and then the K uplink candidates' own SINRs, then the J
+        active links' new SINRs under the cell's BS (row 0) and under
+        each uplink candidate (rows 1..K). All of it is element-wise and
+        each row's loss sums a contiguous run, so the values equal the
+        two scans' bit for bit.
+        """
+        g = self.g
+        ks = g.cell_ue_ids[c]
+        K, J = len(ks), len(self.act)
+        gk = g.g_dl[c][ks]
+        num_dl, num_ul = self.p_dl_w * gk, self.p_ul_w * gk
+        den_dl, den_ul = self.rx_den[ks], self.rx_den[g.n_ues + c]
+        den1 = np.empty((K + 1, J))
+        den1[0] = self.p_dl_w * self.tx_bs[c][self.rx]
+        den1[1:] = self.p_ul_w * self.tx_ue[ks[:, None], self.rx]
+        den1 += self.den
+        sinr = np.concatenate([num_dl / den_dl, num_ul / den_ul, (self.sig / den1).ravel()])
+        b_avg = np.empty_like(sinr)
+        b_avg[:K] = self.b_avg_dl[ks]
+        b_avg[K : 2 * K] = self.b_avg_ul[ks]
+        b_avg[2 * K :].reshape(K + 1, J)[:] = self.act_b_avg
+        chi1 = _chi_scaled(rate_from_sinr(sinr, g.bandwidth_hz), b_avg, self.one_minus_beta)
+        gain, chi1 = chi1[: 2 * K].reshape(2, K), chi1[2 * K :].reshape(K + 1, J)
+        loss = self._loss(chi1)     # row 0: the downlink candidates' shared loss
+        return (
+            _Scan(c, DL, ks, gain[0] - loss[0], num_dl, den_dl, gain[0], den1[0], chi1[0]),
+            _Scan(c, UL, ks, gain[1] - loss[1:], num_ul, den_ul, gain[1], den1[1:], chi1[1:]),
+        )
 
     def accept(self, scan: _Scan, i: int) -> None:
         """Schedule candidate i of a scan and carry its terms into the state."""
@@ -261,26 +304,26 @@ class _SlotState:
         N, B = self.g.n_ues, self.g.n_cells
         if scan.direction == DL:
             self.R[c] = k
-            self.du_dl[c] = scan.du[i]
-            slot, rx, avg, den = c, k, self.st.avg_dl[k], scan.den[i]
+            slot, rx, b_avg, den = c, k, self.b_avg_dl[k], scan.den[i]
             den1, chi1 = scan.den1, scan.chi1
             self.rx_den += self.p_dl_w * self.tx_bs[c]
         else:
             self.Q[c] = k
-            self.du_ul[c] = scan.du[i]
-            slot, rx, avg, den = B + c, N + c, self.st.avg_ul[k], scan.den
+            slot, rx, b_avg, den = B + c, N + c, self.b_avg_ul[k], scan.den
             den1, chi1 = scan.den1[i], scan.chi1[i]
             self.rx_den += self.p_ul_w * self.tx_ue[k]
-        self.slot_terms[1, self.act] = den1
-        self.slot_terms[2, self.act] = chi1
-        self.slot_terms[:, slot] = scan.num[i], den, scan.gain[i], avg
+        terms = self.slot_terms
+        # indexing a row view once is cheaper than one mixed index
+        terms[1][self.act] = den1
+        terms[2][self.act] = chi1
+        terms[0, slot], terms[1, slot] = scan.num[i], den
+        terms[2, slot], terms[3, slot] = scan.gain[i], b_avg
         self.slot_rx[slot] = rx
         self.on[slot] = True
         self._gather()
 
     def selection(self) -> Selection:
-        dec = _base_decision(self.Q, self.R, self.powers, self.fd_ue)
-        return Selection(dec, self.du_dl, self.du_ul)
+        return Selection(_base_decision(self.Q, self.R, self.powers, self.fd_ue))
 
 
 def select_ues(st: PFState, g: GainTable, P_init, rng: np.random.Generator, fd_ue=False) -> Selection:
@@ -295,8 +338,7 @@ def select_ues(st: PFState, g: GainTable, P_init, rng: np.random.Generator, fd_u
     state = _SlotState(g, P_init, st, fd_ue)
 
     for c in order:
-        scan_d = state.scan(c, DL)
-        scan_u = state.scan(c, UL)
+        scan_d, scan_u = state.scan_cell(c)
         du_d, i_d = scan_d.best()
         du_u, i_u = scan_u.best()
         if max(du_d, du_u) > 0.0:

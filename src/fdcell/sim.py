@@ -94,6 +94,9 @@ class RunConfig:
             raise ConfigError(f"ues_per_cell must be >= 1, got {self.ues_per_cell}")
         if not 0 <= self.energy_kappa < np.inf:
             raise ConfigError(f"energy_kappa must be finite and non-negative, got {self.energy_kappa}")
+        # None is a spec whose seed the CLI fills in later
+        if self.seed is not None and not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.cancellation_db is None:
             return self
         if not self.cancellation_db >= 0:

@@ -139,15 +139,11 @@ def build_outdoor(cfg: OutdoorConfig, rng: np.random.Generator) -> NetworkTopolo
     if cfg.hex_apothem_m <= 0 or cfg.cell_radius_m <= 0:
         raise ConfigError("hex_apothem_m and cell_radius_m must be positive")
     circumradius = cfg.hex_apothem_m * 2.0 / math.sqrt(3.0)
+    high = np.array([circumradius, cfg.hex_apothem_m])
     bs_list = []
     for _ in range(cfg.n_cells):
         for attempt in range(cfg.max_tries):
-            p = np.array(
-                [
-                    rng.uniform(-circumradius, circumradius),
-                    rng.uniform(-cfg.hex_apothem_m, cfg.hex_apothem_m),
-                ]
-            )
+            p = rng.uniform(-high, high)
             if not _in_hexagon(p, cfg.hex_apothem_m):
                 continue
             if all(
@@ -159,13 +155,13 @@ def build_outdoor(cfg: OutdoorConfig, rng: np.random.Generator) -> NetworkTopolo
             raise PlacementError(
                 f"could not place BS {len(bs_list)} after {cfg.max_tries} tries"
             )
-    cells = []
-    for cid, bs in enumerate(bs_list):
-        # uniform in the disc around the BS
-        radius = cfg.cell_radius_m * np.sqrt(rng.random(cfg.ues_per_cell))
-        theta = rng.random(cfg.ues_per_cell) * 2.0 * np.pi
-        ues = bs + np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
-        cells.append(Cell(cid, bs, ues))
+    # uniform in the disc around each BS: per cell, its radius draws and
+    # then its angle draws, the stream order of one draw per cell each
+    u = rng.random((cfg.n_cells, 2, cfg.ues_per_cell))
+    radius = cfg.cell_radius_m * np.sqrt(u[:, 0])
+    theta = u[:, 1] * 2.0 * np.pi
+    ues = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=-1)
+    cells = [Cell(cid, bs, bs + ues[cid]) for cid, bs in enumerate(bs_list)]
     return NetworkTopology(
         layout=OUTDOOR_HEX,
         cells=cells,
@@ -197,19 +193,16 @@ def pairwise_distance(topo: NetworkTopology, a_xy: np.ndarray, b_xy: np.ndarray)
     """
     a = np.atleast_2d(np.asarray(a_xy, dtype=float))
     b = np.atleast_2d(np.asarray(b_xy, dtype=float))
-    diff = b[None, :, :] - a[:, None, :]
+    # the two coordinate planes, (len(a), len(b)) each
+    dx = b[None, :, 0] - a[:, None, 0]
+    dy = b[None, :, 1] - a[:, None, 1]
     if not topo.wrap:
-        dist = np.linalg.norm(diff, axis=-1)
-        return dist, np.zeros(dist.shape, dtype=int)
-    period = topo.period_m
-    wrapped = _wrap_axis(diff, period)
-    dist = np.linalg.norm(wrapped, axis=-1)
-    stop = a[:, None, :] + wrapped
-    walls = (
-        _wall_count(a[:, None, 0], stop[:, :, 0], topo.room_side_m)
-        + _wall_count(a[:, None, 1], stop[:, :, 1], topo.room_side_m)
-    )
-    return dist, walls.astype(int)
+        return np.sqrt(dx * dx + dy * dy), np.zeros(dx.shape, dtype=int)
+    dx, dy = _wrap_axis(dx, topo.period_m), _wrap_axis(dy, topo.period_m)
+    ax, ay = a[:, None, 0], a[:, None, 1]
+    side = topo.room_side_m
+    walls = _wall_count(ax, ax + dx, side) + _wall_count(ay, ay + dy, side)
+    return np.sqrt(dx * dx + dy * dy), walls.astype(int)
 
 
 def distance(a, b, topo: NetworkTopology):

@@ -134,9 +134,10 @@ def random_power_instance(rng, n_cells=None):
     if all(x is None for x in dl) and all(x is None for x in ul):
         dl[0], ul[0] = 0, 1
     dec = make_decision(g, dl=dl, ul=ul)
-    du_dl = np.where(dec.dl_ue >= 0, rng.uniform(0.0, 0.1, size=B), np.nan)
-    du_ul = np.where(dec.ul_ue >= 0, rng.uniform(0.0, 0.1, size=B), np.nan)
-    return st, Selection(dec, du_dl, du_ul), g
+    # two discarded draws keep the stream the criteria 3 and 5 fixtures consume
+    rng.uniform(0.0, 0.1, size=B)
+    rng.uniform(0.0, 0.1, size=B)
+    return st, Selection(dec), g
 
 
 def cell_options(ids, allow_fd=True):

@@ -100,6 +100,7 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
         ("scenario = Orbital", EXIT_RANGE),
         ("energy_kappa = -1", EXIT_RANGE),
         ("ues_per_cell = 0", EXIT_RANGE),
+        ("seed = -1", EXIT_RANGE),
     ],
 )
 def test_exit_codes_for_config_problems(tmp_path, body, code):
@@ -231,6 +232,18 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
         out3 = tmp_path / "zero"
         assert main(["run", *argv, "--out", str(out3)]) == EXIT_OK
         assert json.loads((out3 / "manifest.json").read_text())["config"]["seed"] == 0
+
+
+def test_negative_seed_is_a_range_error(tmp_path, monkeypatch, capsys):
+    cfg = write_config(tmp_path / "c.conf", BASE_CONFIG + "slots = 1\n")
+    out = tmp_path / "r"
+    monkeypatch.delenv("FDCELL_SEED", raising=False)
+    assert main(["run", "--config", cfg, "--seed", "-1", "--out", str(out)]) == EXIT_RANGE
+    assert "seed must be >= 0" in capsys.readouterr().err
+    monkeypatch.setenv("FDCELL_SEED", "-1")
+    assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_RANGE
+    assert "FDCELL_SEED must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_overrides_preset(tmp_path):

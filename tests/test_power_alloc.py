@@ -39,12 +39,6 @@ def state_with(avg_dl, avg_ul=None, beta=0.99):
     return PFState(avg_dl, avg_ul, beta)
 
 
-def selection_of(dec):
-    du_dl = np.where(dec.dl_ue >= 0, 0.01, np.nan)
-    du_ul = np.where(dec.ul_ue >= 0, 0.01, np.nan)
-    return Selection(dec, du_dl, du_ul)
-
-
 def active_powers(prob, dec):
     return np.concatenate([dec.p_dl[prob.cells_dl], dec.p_ul[prob.cells_ul]])
 
@@ -64,7 +58,7 @@ def test_pf_weights_oracle():
     g = toy_gains([[1e-8, 1e-8]])
     dec = make_decision(g, dl=[0], ul=[1])
     st = state_with([1e7, 1e7])
-    w_dl, w_ul = pf_weights(st, selection_of(dec))
+    w_dl, w_ul = pf_weights(st, Selection(dec))
     expected = 0.01 / (0.99 * 1e7 * math.log(10.0))
     assert w_dl[0] == pytest.approx(expected, rel=1e-12)
     assert w_ul[0] == pytest.approx(expected, rel=1e-12)
@@ -72,10 +66,10 @@ def test_pf_weights_oracle():
 
     # halving the average doubles the weight; idle direction carries zero
     st2 = state_with([5e6, 1e7])
-    w2_dl, _ = pf_weights(st2, selection_of(dec))
+    w2_dl, _ = pf_weights(st2, Selection(dec))
     assert w2_dl[0] == pytest.approx(2.0 * expected, rel=1e-12)
     dec_dl_only = make_decision(g, dl=[0])
-    w3_dl, w3_ul = pf_weights(st, selection_of(dec_dl_only))
+    w3_dl, w3_ul = pf_weights(st, Selection(dec_dl_only))
     assert w3_dl[0] > 0 and w3_ul[0] == 0.0
 
 
@@ -83,7 +77,7 @@ def test_problem_structure_single_link():
     g = toy_gains([[1e-8]])
     dec = make_decision(g, dl=[0])
     st = state_with([1e7])
-    prob = build_power_problem(st, selection_of(dec), g, AllocConfig())
+    prob = build_power_problem(st, Selection(dec), g, AllocConfig())
     assert prob.n_vars == 1
     assert prob.w.tolist() == [1.0]
     assert prob.w_scale == pytest.approx(0.01 / (0.99 * 1e7 * math.log(10.0)), rel=1e-12)
@@ -114,7 +108,7 @@ def test_problem_fd_pair_interference_terms():
     st = state_with([1e7, 1e7])
 
     dec = make_decision(g, dl=[0], ul=[1])
-    prob = build_power_problem(st, selection_of(dec), g, AllocConfig())
+    prob = build_power_problem(st, Selection(dec), g, AllocConfig())
     assert len(prob.w) == 2 and np.all(prob.w > 0)
     # entry (l, k) is link k's power at link l's receiver: the noise and
     # the off-diagonal terms form the numerator, the own signal (the
@@ -135,7 +129,7 @@ def test_problem_fd_pair_interference_terms():
 
     # same-UE pair: the UE receiver sees its own residual, not a UE-UE gain
     dec_same = make_decision(g, dl=[0], ul=[0], fd_ue=True)
-    prob_same = build_power_problem(st, selection_of(dec_same), g, AllocConfig())
+    prob_same = build_power_problem(st, Selection(dec_same), g, AllocConfig())
     assert prob_same.gain[0, 1] == gamma
     assert pa._interference(prob_same.gain)[0, 1] == gamma
 
@@ -148,7 +142,7 @@ def test_objective_matches_sinr_module(rng):
     same.dl_ue[0] = same.ul_ue[0] = 0
     same.p_dl[0], same.p_ul[0] = g.p_bs_w, g.p_ue_w
     for dec0 in (sel.decision, same):
-        sel0 = Selection(dec0, sel.du_dl, sel.du_ul)
+        sel0 = Selection(dec0)
         prob = build_power_problem(st, sel0, g, AllocConfig())
         u = rng.uniform(0.05, 1.0, size=prob.n_vars)
         p = prob.p_floor * (prob.p_max / prob.p_floor) ** u
@@ -196,7 +190,7 @@ def surrogate_instances(rng):
             g = dataclasses.replace(g, gamma=0.0)
         kappa = 0.05 if i % 3 == 2 else 0.0
         st = state_with(10 ** rng.uniform(6.5, 7.5, g.n_ues), 10 ** rng.uniform(6.5, 7.5, g.n_ues))
-        prob = build_power_problem(st, selection_of(dec), g, AllocConfig(energy_kappa=kappa))
+        prob = build_power_problem(st, Selection(dec), g, AllocConfig(energy_kappa=kappa))
         yield prob, i % 3
 
 
@@ -243,7 +237,7 @@ def test_single_link_solves_to_full_power():
     g = toy_gains([[1e-8]])
     dec = make_decision(g, dl=[0])
     st = state_with([1e7])
-    prob = build_power_problem(st, selection_of(dec), g, AllocConfig())
+    prob = build_power_problem(st, Selection(dec), g, AllocConfig())
     p, status, info = solve_power_sp(prob, prob.p_max.copy())
     assert status == STATUS_CONVERGED
     assert p[0] == pytest.approx(P_BS, rel=1e-12)
@@ -270,7 +264,7 @@ def two_cell_problem(case):
     g = toy_gains([[a, d], [b, c]], ue_cell=[0, 1])
     dec = make_decision(g, dl=[0, 1])
     st = state_with([1e7, 1e7])
-    prob = build_power_problem(st, selection_of(dec), g, AllocConfig())
+    prob = build_power_problem(st, Selection(dec), g, AllocConfig())
     return prob, (a, b, c, d)
 
 
@@ -326,7 +320,7 @@ def test_allocate_happy_path_equals_sp_output():
     g = toy_gains([[1e-11, 1e-13], [1e-13, 1e-11]], ue_cell=[0, 1])
     dec = make_decision(g, dl=[0, 1])
     st = state_with([1e7, 1e7])
-    sel = selection_of(dec)
+    sel = Selection(dec)
     prob = build_power_problem(st, sel, g, AllocConfig())
     p_direct, status, _ = solve_power_sp(prob, prob.p_max.copy())
     assert status == STATUS_CONVERGED
@@ -346,7 +340,7 @@ def test_allocate_keeps_the_point_of_an_sp_stopped_at_its_round_limit(monkeypatc
                   ue_cell=[0, 1, 2])
     dec = make_decision(g, dl=[0, 1, None], ul=[None, None, 2])
     st = state_with([1e7, 1e7, 1e7])
-    sel = selection_of(dec)
+    sel = Selection(dec)
     monkeypatch.setattr(pa, "MAX_OUTER", 0)
     out, diag = allocate_with_fallback(st, sel, g)
     assert diag["status"] == STATUS_MAX_ITER
@@ -364,7 +358,7 @@ def test_floor_prune_spares_pinned_links():
     g = toy_gains([[1e-8, 1e-13, 1e-13], [1e-13, 1e-8, 1e-13], [1e-13, 1e-13, 1e-8]],
                   ue_cell=[0, 1, 2])
     dec = make_decision(g, dl=[0, 1, 2])
-    prob = build_power_problem(state_with([1e7] * 3), selection_of(dec), g, AllocConfig())
+    prob = build_power_problem(state_with([1e7] * 3), Selection(dec), g, AllocConfig())
     floor = prob.p_floor
     p = np.array([floor[0] / 10, floor[1] * (1 + 1e-10), 2 * floor[2]])
     free = np.zeros(3, dtype=bool)
@@ -392,7 +386,7 @@ def test_allocate_trims_once_per_cap_round_without_pruned_links(monkeypatch):
     # link 0 starts far above the cap, link 1 stays below it at full
     # power, so full power is not certified; neither ends at the floor
     g = toy_gains([[1e-8, 2e-13], [2e-13, 1e-11]], ue_cell=[0, 1])
-    sel = selection_of(make_decision(g, dl=[0, 1]))
+    sel = Selection(make_decision(g, dl=[0, 1]))
     calls = trim_counter(monkeypatch)
     out, diag = allocate_with_fallback(state_with([1e7, 1e7]), sel, g)
     assert diag["certified"] == 0
@@ -410,7 +404,7 @@ def test_allocate_retrims_kept_links_after_floor_prune(monkeypatch):
     # the far one (1 km) at full power, above the cap
     dist = np.array([[8.0, 1000.0], [8.0, 1000.0]])
     g = toy_gains([[1e-8, 2e-11], [2e-11, 1e-8]], ue_cell=[0, 1], dist_m=dist)
-    sel = selection_of(make_decision(g, dl=[0, 1]))
+    sel = Selection(make_decision(g, dl=[0, 1]))
     calls = trim_counter(monkeypatch)
     out, diag = allocate_with_fallback(
         state_with([1e7, 1e7]), sel, g, AllocConfig(energy_kappa=0.2)
@@ -521,7 +515,7 @@ def test_realized_objective_matches_true_below_cap(rng):
     g = toy_gains([[3e-11, 5e-13], [7e-13, 4e-11]], ue_cell=[0, 1], gamma=1e-9)
     dec = make_decision(g, dl=[0, None], ul=[None, 1])
     st = state_with([8e6, 1.2e7])
-    sel = selection_of(dec)
+    sel = Selection(dec)
     prob = build_power_problem(st, sel, g, AllocConfig())
     p = prob.p_max * rng.uniform(0.3, 1.0, size=prob.n_vars)
     assert realized_objective(prob, p) == pytest.approx(prob.true_objective(p), rel=1e-12)
@@ -551,7 +545,7 @@ def certified_instance(near_gain=1e-8):
     """Two strong, weakly coupled downlinks: full power trimmed to the SE
     cap leaves both at the cap. (state, selection, gains)"""
     g = toy_gains([[near_gain, 1e-13], [1e-13, 1e-8]], ue_cell=[0, 1])
-    return state_with([1e7, 1e7]), selection_of(make_decision(g, dl=[0, 1])), g
+    return state_with([1e7, 1e7]), Selection(make_decision(g, dl=[0, 1])), g
 
 
 def sp_counter(monkeypatch, starts=None):
@@ -608,7 +602,7 @@ def test_certificate_not_taken_with_energy_penalty_or_link_below_cap(monkeypatch
     # link 1 stays below the cap at full power
     calls.clear()
     g = toy_gains([[1e-8, 1e-13], [1e-13, 1e-11]], ue_cell=[0, 1])
-    _, diag = allocate_with_fallback(st, selection_of(make_decision(g, dl=[0, 1])), g)
+    _, diag = allocate_with_fallback(st, Selection(make_decision(g, dl=[0, 1])), g)
     assert diag["certified"] == 0 and len(calls) >= 1
 
 
@@ -622,7 +616,7 @@ def test_certificate_bounds_the_capped_solve():
             st, sel, g = random_power_instance(rng)
         else:
             dec, g = coupled_cap_instance(rng)
-            st, sel = state_with(10 ** rng.uniform(6.5, 7.5, g.n_ues)), selection_of(dec)
+            st, sel = state_with(10 ** rng.uniform(6.5, 7.5, g.n_ues)), Selection(dec)
         prob = build_power_problem(st, sel, g, AllocConfig())
         base = trim_to_se_cap(prob.gain, prob.noise, prob.p_max)
         if not pa._at_cap(prob.gain, prob.noise, base).all():
@@ -643,7 +637,7 @@ def test_fallback_keeps_links_at_cap_below_the_floor(monkeypatch):
     # UE 0 sits next to its BS, so the trim parks its link at the cap
     # below the power floor; link 1 stays below the cap at full power
     g = toy_gains([[1e-4, 1e-13], [1e-13, 1e-11]], ue_cell=[0, 1])
-    st, sel = state_with([1e7, 1e7]), selection_of(make_decision(g, dl=[0, 1]))
+    st, sel = state_with([1e7, 1e7]), Selection(make_decision(g, dl=[0, 1]))
     prob = build_power_problem(st, sel, g, AllocConfig())
     base = trim_to_se_cap(prob.gain, prob.noise, prob.p_max)
     assert base[0] < prob.p_floor[0] and base[1] == prob.p_max[1]
@@ -672,7 +666,7 @@ def partly_capped_instance():
     it at full power. (state, selection, gains)"""
     g = toy_gains([[1e-8, 1e-13, 1e-13], [1e-13, 1e-11, 1e-13], [1e-13, 1e-13, 1e-8]],
                   ue_cell=[0, 1, 2])
-    return state_with([1e7] * 3), selection_of(make_decision(g, dl=[0, 1, 2])), g
+    return state_with([1e7] * 3), Selection(make_decision(g, dl=[0, 1, 2])), g
 
 
 def test_sp_starts_at_trimmed_full_power_with_capped_links_pinned(monkeypatch):
@@ -705,7 +699,7 @@ def test_energy_kappa_zero_is_plain_problem():
     g = toy_gains([[1e-8, 2e-11], [2e-11, 1e-8]], ue_cell=[0, 1])
     dec = make_decision(g, dl=[0, 1])
     st = state_with([1e7, 1e7])
-    sel = selection_of(dec)
+    sel = Selection(dec)
     prob0 = build_power_problem(st, sel, g, AllocConfig(energy_kappa=0.0))
     assert not prob0.lin.any()
     p0, _, _ = solve_power_sp(prob0, prob0.p_max.copy())
@@ -730,7 +724,7 @@ def energy_single_link(kappa, dist_m=8.0):
     g = toy_gains([[1e-8]], dist_m=np.full((1, 1), dist_m))
     dec = make_decision(g, dl=[0])
     st = state_with([1e7])
-    prob = build_power_problem(st, selection_of(dec), g, AllocConfig(energy_kappa=kappa))
+    prob = build_power_problem(st, Selection(dec), g, AllocConfig(energy_kappa=kappa))
     return dataclasses.replace(prob, epsilon=1e-9)
 
 
@@ -794,7 +788,7 @@ def test_energy_aware_objective_value_and_validation(rng):
     with pytest.raises(ConfigError):
         build_power_problem(
             state_with([1e7]),
-            selection_of(make_decision(toy_gains([[1e-8]]), dl=[0])),
+            Selection(make_decision(toy_gains([[1e-8]]), dl=[0])),
             toy_gains([[1e-8]]),
             AllocConfig(energy_kappa=-0.1),
         )
@@ -804,7 +798,7 @@ def test_empty_selection_short_circuits():
     g = toy_gains([[1e-8]])
     dec = make_decision(g)
     st = state_with([1e7])
-    assert build_power_problem(st, selection_of(dec), g, AllocConfig()) is None
-    out, diag = allocate_with_fallback(st, selection_of(dec), g)
+    assert build_power_problem(st, Selection(dec), g, AllocConfig()) is None
+    out, diag = allocate_with_fallback(st, Selection(dec), g)
     assert diag["status"] == "idle"
     assert np.all(out.dl_ue == NONE) and np.all(out.ul_ue == NONE)

@@ -182,6 +182,89 @@ def test_scan_matches_get_utility(network, fd_ue):
     assert fd_cells > 0 and checked > 100
 
 
+SCAN_FIELDS = ("ks", "du", "num", "den", "gain", "den1", "chi1")
+
+
+@pytest.mark.parametrize("fd_ue", [False, True])
+@pytest.mark.parametrize("network", [indoor_network, outdoor_network])
+def test_joint_scan_equals_single_scans(network, fd_ue):
+    # pass 1's joint scan of a free cell holds the two single-direction
+    # scans bit for bit, over partial slots built through the state's own
+    # accepts; the denser slots give outdoor nd >= 8 active downlinks
+    rng = np.random.default_rng(23)
+    checked = 0
+    active = set()
+    for trial in range(9):
+        _, g = network(seed=60 + trial, cancellation_db=(75.0, 95.0, None)[trial % 3])
+        B, N = g.n_cells, g.n_ues
+        st = PFState(*(2.6e6 * 10 ** rng.uniform(0.0, 1.5, (2, N))))
+        state = _SlotState(g, (g.p_bs_w, g.p_ue_w), st, fd_ue)
+        free = rng.choice(B, size=2, replace=False)
+        p_link = (0.3, 0.6, 0.95)[trial // 3]
+        for c in rng.permutation(B):
+            for direction in (DL, UL):
+                if c not in free and rng.random() < p_link:
+                    scan = state.scan(c, direction)
+                    if len(scan.ks):
+                        state.accept(scan, int(rng.integers(len(scan.ks))))
+        active.add((state.nd, len(state.act) - state.nd))
+        for c in range(B):
+            if state.R[c] >= 0 or state.Q[c] >= 0:
+                continue
+            joint = state.scan_cell(c)
+            for direction, got in zip((DL, UL), joint):
+                ref = state.scan(c, direction)
+                assert got.cell == c and got.direction == direction
+                for field in SCAN_FIELDS:
+                    assert np.array_equal(getattr(got, field), getattr(ref, field)), (trial, c, field)
+                checked += 1
+    assert checked >= 36
+    if network is outdoor_network:
+        assert max(nd for nd, _ in active) >= 8 and max(nu for _, nu in active) >= 8
+
+
+def reference_select_ues(st, g, P, rng, fd_ue=False):
+    """select_ues with pass 1 scoring each direction by its own scan."""
+    order = rng.permutation(g.n_cells)
+    state = _SlotState(g, P, st, fd_ue)
+    for c in order:
+        scan_d = state.scan(c, DL)
+        scan_u = state.scan(c, UL)
+        du_d, i_d = scan_d.best()
+        du_u, i_u = scan_u.best()
+        if max(du_d, du_u) > 0.0:
+            if du_d >= du_u:
+                state.accept(scan_d, i_d)
+            else:
+                state.accept(scan_u, i_u)
+    for c in order:
+        has_dl = state.R[c] >= 0
+        if has_dl == (state.Q[c] >= 0):
+            continue
+        scan = state.scan(c, UL if has_dl else DL)
+        du, i = scan.best()
+        if du > 0.0:
+            state.accept(scan, i)
+    return state.selection()
+
+
+@pytest.mark.parametrize("fd_ue", [False, True])
+@pytest.mark.parametrize("ues_per_cell", [1, 2, 8])
+def test_select_ues_matches_two_scan_reference(ues_per_cell, fd_ue):
+    _, g = indoor_network(seed=5, ues_per_cell=ues_per_cell, cancellation_db=85.0)
+    P = (g.p_bs_w, g.p_ue_w)
+    for seed in range(20):
+        st = init_state(g.n_ues, g.bandwidth_hz)
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(10):
+            dec = select_ues(st, g, P, rng, fd_ue=fd_ue).decision
+            ref = reference_select_ues(st, g, P, rng_ref, fd_ue=fd_ue).decision
+            assert np.array_equal(dec.dl_ue, ref.dl_ue) and np.array_equal(dec.ul_ue, ref.ul_ue)
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
+            # the PF averages evolve as in a drop
+            st = update_state(st, dec, *slot_rates(dec, g))
+
+
 def exhaustive_best(st, g, P):
     best_u, best = -np.inf, None
     opts = [cell_options(g.cell_ue_ids[b]) for b in range(g.n_cells)]

@@ -85,6 +85,22 @@ def test_config_validation_rejects_non_finite_values(bad):
         RunConfig(**bad).validated()
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, "3"])
+def test_config_validation_rejects_bad_seed(seed):
+    # a negative seed used to reach SeedSequence and die there
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        RunConfig(seed=seed).validated()
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        run_drop(RunConfig(seed=seed, slots=1, drops=1), 0)
+
+
+def test_config_validation_accepts_unset_and_numpy_seeds():
+    # None is a CLI spec whose seed is filled in after the config file
+    assert RunConfig(seed=None).validated().seed is None
+    assert RunConfig(seed=np.int64(4)).validated().seed == 4
+    assert RunConfig(seed=0).validated().seed == 0
+
+
 def test_drop_is_deterministic(small_fd_cfg, small_fd_drop):
     again = run_drop(small_fd_cfg, 0)
     np.testing.assert_array_equal(again.bits_dl, small_fd_drop.bits_dl)

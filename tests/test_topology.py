@@ -122,3 +122,81 @@ def test_outdoor_determinism():
     t2 = build_outdoor(OutdoorConfig(), np.random.default_rng(11))
     assert np.array_equal(t1.ue_positions(), t2.ue_positions())
 
+
+
+def reference_distance(topo, a, b):
+    """The (A, B, 2) displacement form with np.linalg.norm: the
+    specification pairwise_distance reproduces on two coordinate planes."""
+    from fdcell.topology import _wall_count, _wrap_axis
+
+    diff = b[None, :, :] - a[:, None, :]
+    if not topo.wrap:
+        dist = np.linalg.norm(diff, axis=-1)
+        return dist, np.zeros(dist.shape, dtype=int)
+    wrapped = _wrap_axis(diff, topo.period_m)
+    stop = a[:, None, :] + wrapped
+    walls = _wall_count(a[:, None, 0], stop[:, :, 0], topo.room_side_m) + _wall_count(
+        a[:, None, 1], stop[:, :, 1], topo.room_side_m
+    )
+    return np.linalg.norm(wrapped, axis=-1), walls.astype(int)
+
+
+def test_pairwise_distance_matches_norm_reference(indoor):
+    outdoor = build_outdoor(OutdoorConfig(), np.random.default_rng(3))
+    # points exactly half a period apart tie between the direct and the
+    # wrapped path on one or both axes
+    ties = np.array([[0.0, 0.0], [75.0, 0.0], [0.0, 75.0], [75.0, 75.0], [149.0, 74.0]])
+    cases = [
+        (indoor, indoor.bs_positions(), indoor.ue_positions()),
+        (indoor, indoor.ue_positions(), indoor.ue_positions()),
+        (indoor, ties, ties),
+        (outdoor, outdoor.bs_positions(), outdoor.ue_positions()),
+        (outdoor, outdoor.ue_positions(), outdoor.ue_positions()),
+    ]
+    for topo, a, b in cases:
+        dist, walls = pairwise_distance(topo, a, b)
+        ref_dist, ref_walls = reference_distance(topo, a, b)
+        assert np.array_equal(dist, ref_dist)
+        assert np.array_equal(walls, ref_walls)
+    dist, _ = pairwise_distance(indoor, ties, ties)
+    assert dist[0, 1] == dist[0, 2] == 75.0
+
+
+def reference_outdoor(cfg, rng):
+    """BS and UE positions drawn one scalar per coordinate and one draw
+    per cell: the stream order build_outdoor's vector draws keep."""
+    from fdcell.topology import _in_hexagon
+
+    circumradius = cfg.hex_apothem_m * 2.0 / np.sqrt(3.0)
+    bs_list = []
+    for _ in range(cfg.n_cells):
+        for _ in range(cfg.max_tries):
+            p = np.array(
+                [
+                    rng.uniform(-circumradius, circumradius),
+                    rng.uniform(-cfg.hex_apothem_m, cfg.hex_apothem_m),
+                ]
+            )
+            if not _in_hexagon(p, cfg.hex_apothem_m):
+                continue
+            if all(np.hypot(*(p - q)) >= cfg.min_bs_spacing_m for q in bs_list):
+                bs_list.append(p)
+                break
+    ues = []
+    for bs in bs_list:
+        radius = cfg.cell_radius_m * np.sqrt(rng.random(cfg.ues_per_cell))
+        theta = rng.random(cfg.ues_per_cell) * 2.0 * np.pi
+        ues.append(bs + np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1))
+    return np.array(bs_list), ues
+
+
+@pytest.mark.parametrize("cfg", [OutdoorConfig(), OutdoorConfig(n_cells=3, ues_per_cell=2)])
+def test_outdoor_draws_match_scalar_reference(cfg):
+    for seed in range(30):
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        topo = build_outdoor(cfg, rng)
+        bs, ues = reference_outdoor(cfg, rng_ref)
+        assert np.array_equal(topo.bs_positions(), bs)
+        for cell, ref in zip(topo.cells, ues, strict=True):
+            assert np.array_equal(cell.ue_xy, ref)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
