@@ -1,5 +1,10 @@
 """Command-line front end: config parsing, runs, sweeps, comparisons.
 
+This module only parses: each config key, flag and FDCELL_SEED value is
+converted to its type here, and RunConfig.validated() alone decides
+whether it is in range (only --jobs, which is not a RunConfig field, is
+checked here). Every config-file error names its file and line.
+
 Exit codes: 0 success; 1 runtime failure (placement, solver, I/O during
 a run); 2 missing config file; 3 config schema violation (unknown key,
 unparsable value, bad flag combination); 4 out-of-range config value.
@@ -19,6 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, PlacementError, SolverError
 from .sim import (
+    SCENARIOS,
     VARIANTS,
     RunConfig,
     aggregate,
@@ -63,46 +69,45 @@ class ExperimentSpec:
     output_dir: str = "runs"
 
 
+# config keys that set one RunConfig field, and the type each value parses
+# to; RunConfig.validated() owns every range
+FIELD_KEYS = {
+    "scenario": str.strip, "variant": str.strip,
+    "slots": int, "drops": int, "seed": int, "ues_per_cell": int,
+    "bandwidth_hz": float, "beta": float, "bs_power_dbm": float,
+    "ue_power_dbm": float, "energy_kappa": float,
+}
+
+
+def _parse(key: str, raw: str, kind):
+    try:
+        return kind(raw)
+    except ValueError as e:
+        raise SchemaError(f"{key} expects {'an integer' if kind is int else 'a number'}, "
+                          f"got {raw!r}") from e
+
+
+def _checked(cfg: RunConfig) -> RunConfig:
+    """cfg.validated(), with its ConfigError raised as a RangeError."""
+    try:
+        return cfg.validated()
+    except ConfigError as e:
+        raise RangeError(str(e)) from e
+
+
 def parse_cancellation(token: str):
     t = token.strip().lower()
     if t in ("inf", "infinite", "none", "perfect"):
         return None
-    try:
-        v = float(t)
-    except ValueError as e:
-        raise SchemaError(f"cannot parse cancellation value {token!r}") from e
-    if not v >= 0:
-        raise RangeError(f"cancellation must be non-negative dB, got {v}")
-    return None if v == np.inf else v
-
-
-def _parse_int(key, raw, lo=None):
-    try:
-        v = int(raw)
-    except ValueError as e:
-        raise SchemaError(f"{key} expects an integer, got {raw!r}") from e
-    if lo is not None and v < lo:
-        raise RangeError(f"{key} must be >= {lo}, got {v}")
-    return v
-
-
-def _parse_float(key, raw, lo=None, hi=None):
-    try:
-        v = float(raw)
-    except ValueError as e:
-        raise SchemaError(f"{key} expects a number, got {raw!r}") from e
-    if not np.isfinite(v) or lo is not None and v < lo or hi is not None and v > hi:
-        raise RangeError(f"{key} out of range: {v}")
-    return v
+    v = _parse("cancellation", token, float)
+    return _checked(RunConfig(cancellation_db=v)).cancellation_db
 
 
 def apply_key(spec: ExperimentSpec, key: str, raw: str) -> ExperimentSpec:
     """One `key = value` assignment of the documented schema."""
-    b = spec.base
-    if key == "scenario":
-        spec.base = replace(b, scenario=raw.strip())
-    elif key == "variant":
-        spec.base = replace(b, variant=raw.strip())
+    if key in FIELD_KEYS:
+        value = _parse(key, raw, FIELD_KEYS[key])
+        spec.base = _checked(replace(spec.base, **{key: value}))
     elif key == "variants":
         vs = tuple(v.strip() for v in raw.split(",") if v.strip())
         if not vs:
@@ -117,24 +122,6 @@ def apply_key(spec: ExperimentSpec, key: str, raw: str) -> ExperimentSpec:
             raise SchemaError("cancellation list is empty")
         spec.sweep_cancellation = vals
         spec.base = replace(spec.base, cancellation_db=vals[0])
-    elif key == "slots":
-        spec.base = replace(b, slots=_parse_int(key, raw, lo=1))
-    elif key == "drops":
-        spec.base = replace(b, drops=_parse_int(key, raw, lo=1))
-    elif key == "seed":
-        spec.base = replace(b, seed=_parse_int(key, raw, lo=0))
-    elif key == "ues_per_cell":
-        spec.base = replace(b, ues_per_cell=_parse_int(key, raw, lo=1))
-    elif key == "bandwidth_hz":
-        spec.base = replace(b, bandwidth_hz=_parse_float(key, raw, lo=1e3))
-    elif key == "beta":
-        spec.base = replace(b, beta=_parse_float(key, raw))
-    elif key == "bs_power_dbm":
-        spec.base = replace(b, bs_power_dbm=_parse_float(key, raw, lo=0.0, hi=60.0))
-    elif key == "ue_power_dbm":
-        spec.base = replace(b, ue_power_dbm=_parse_float(key, raw, lo=0.0, hi=60.0))
-    elif key == "energy_kappa":
-        spec.base = replace(b, energy_kappa=_parse_float(key, raw, lo=0.0))
     elif key == "out":
         spec.output_dir = raw.strip()
     else:
@@ -159,15 +146,7 @@ def parse_config(path: str, spec: ExperimentSpec | None = None) -> ExperimentSpe
                 spec = apply_key(spec, key.strip(), raw)
             except ConfigError as e:
                 raise type(e)(f"{path}:{lineno}: {e}") from e
-    _validate_spec(spec)
     return spec
-
-
-def _validate_spec(spec: ExperimentSpec) -> None:
-    try:
-        spec.base = spec.base.validated()
-    except ConfigError as e:
-        raise RangeError(str(e)) from e
 
 
 PRESETS = {
@@ -218,9 +197,10 @@ def _spec_from_args(args) -> ExperimentSpec:
     if getattr(args, "out", None) is not None:
         spec.output_dir = args.out
     if spec.base.seed is None:
-        env = os.environ.get("FDCELL_SEED")
-        spec.base = replace(spec.base, seed=_parse_int("FDCELL_SEED", env, lo=0) if env else 0)
-    _validate_spec(spec)
+        try:
+            spec = apply_key(spec, "seed", os.environ.get("FDCELL_SEED") or "0")
+        except ConfigError as e:
+            raise type(e)(f"FDCELL_SEED: {e}") from e
     return spec
 
 
@@ -334,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--preset", help="|".join(sorted(PRESETS)))
-        p.add_argument("--scenario", choices=("Indoor", "Outdoor"))
+        p.add_argument("--scenario", choices=SCENARIOS)
         p.add_argument("--variant", choices=VARIANTS)
         p.add_argument("--cancellation", help="dB value, comma list, or 'inf'")
         p.add_argument("--slots", type=int)

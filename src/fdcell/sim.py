@@ -80,23 +80,24 @@ class RunConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}, expected one of {SCENARIOS}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if self.slots < 1:
-            raise ConfigError(f"slots must be >= 1, got {self.slots}")
-        if self.drops < 1:
-            raise ConfigError(f"drops must be >= 1, got {self.drops}")
+        # None: ues_per_cell takes the scenario default, and the CLI fills a
+        # spec's seed in after its config file
+        for name, lo in (("slots", 1), ("drops", 1), ("ues_per_cell", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if v is None and name in ("ues_per_cell", "seed"):
+                continue
+            if not (isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= lo):
+                kind = "positive" if lo else "non-negative"
+                raise ConfigError(f"{name} must be a {kind} integer, got {v!r}")
         if not 1e3 <= self.bandwidth_hz < np.inf:
             raise ConfigError(f"bandwidth_hz must be finite and >= 1e3, got {self.bandwidth_hz}")
         if not 0 < self.beta < 1:
             raise ConfigError(f"beta must be in (0, 1), got {self.beta}")
-        if not (0 <= self.bs_power_dbm <= 60 and 0 <= self.ue_power_dbm <= 60):
-            raise ConfigError("power caps must be in [0, 60] dBm")
-        if self.ues_per_cell is not None and self.ues_per_cell < 1:
-            raise ConfigError(f"ues_per_cell must be >= 1, got {self.ues_per_cell}")
+        for name in ("bs_power_dbm", "ue_power_dbm"):
+            if not 0 <= getattr(self, name) <= 60:
+                raise ConfigError(f"{name} must be in [0, 60] dBm, got {getattr(self, name)}")
         if not 0 <= self.energy_kappa < np.inf:
             raise ConfigError(f"energy_kappa must be finite and non-negative, got {self.energy_kappa}")
-        # None is a spec whose seed the CLI fills in later
-        if self.seed is not None and not (isinstance(self.seed, (int, np.integer)) and self.seed >= 0):
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.cancellation_db is None:
             return self
         if not self.cancellation_db >= 0:

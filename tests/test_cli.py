@@ -1,5 +1,6 @@
 """Command-line driver: config schema, exit codes, presets, reproducibility."""
 
+import dataclasses
 import json
 
 import pytest
@@ -11,6 +12,7 @@ from fdcell.cli import (
     EXIT_RANGE,
     EXIT_RUNTIME,
     EXIT_SCHEMA,
+    FIELD_KEYS,
     ExperimentSpec,
     RangeError,
     SchemaError,
@@ -21,6 +23,7 @@ from fdcell.cli import (
     parse_cancellation,
     parse_config,
 )
+from fdcell.errors import ConfigError
 from fdcell.sim import MODE_NAMES, RunConfig, run_drop
 
 
@@ -101,11 +104,55 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
         ("energy_kappa = -1", EXIT_RANGE),
         ("ues_per_cell = 0", EXIT_RANGE),
         ("seed = -1", EXIT_RANGE),
+        ("drops = 0", EXIT_RANGE),
+        ("bandwidth_hz = 500", EXIT_RANGE),
+        ("ue_power_dbm = 61", EXIT_RANGE),
+        ("beta = 0", EXIT_RANGE),
+        ("cancellation = 95, -3", EXIT_RANGE),
     ],
 )
-def test_exit_codes_for_config_problems(tmp_path, body, code):
+def test_exit_codes_for_config_problems(tmp_path, capsys, body, code):
     cfg = write_config(tmp_path / "c.conf", body + "\n")
     assert main(["run", "--config", cfg]) == code
+    # every config-file error names its line
+    assert "c.conf:1: " in capsys.readouterr().err
+
+
+# (config key, value) pairs out of range for both the API and a config file
+PARITY_CASES = [
+    ("scenario", "Orbital"),
+    ("variant", "TDMA"),
+    ("slots", 0),
+    ("drops", 0),
+    ("seed", -1),
+    ("ues_per_cell", 0),
+    ("bandwidth_hz", 500.0),
+    ("bandwidth_hz", float("inf")),
+    ("beta", 0.0),
+    ("beta", 1.0),
+    ("bs_power_dbm", -5.0),
+    ("bs_power_dbm", 70.0),
+    ("ue_power_dbm", 61.0),
+    ("energy_kappa", -1.0),
+    ("energy_kappa", float("nan")),
+    ("cancellation", -3.0),
+    ("cancellation", float("nan")),
+]
+
+
+def test_api_and_config_file_reject_the_same_values(tmp_path, capsys):
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    # the `cancellation` key sets cancellation_db; every other field has its own key
+    assert set(FIELD_KEYS) == fields - {"cancellation_db"}
+    as_field = {"cancellation": "cancellation_db"}
+    assert {as_field.get(key, key) for key, _ in PARITY_CASES} == fields
+    for i, (key, bad) in enumerate(PARITY_CASES):
+        with pytest.raises(ConfigError):
+            RunConfig(**{as_field.get(key, key): bad}).validated()
+        cfg = write_config(tmp_path / f"c{i}.conf", f"{key} = {bad}\n")
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == EXIT_RANGE, key
+        assert f"c{i}.conf:1: " in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize(
@@ -239,10 +286,10 @@ def test_negative_seed_is_a_range_error(tmp_path, monkeypatch, capsys):
     out = tmp_path / "r"
     monkeypatch.delenv("FDCELL_SEED", raising=False)
     assert main(["run", "--config", cfg, "--seed", "-1", "--out", str(out)]) == EXIT_RANGE
-    assert "seed must be >= 0" in capsys.readouterr().err
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
     monkeypatch.setenv("FDCELL_SEED", "-1")
     assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_RANGE
-    assert "FDCELL_SEED must be >= 0" in capsys.readouterr().err
+    assert "FDCELL_SEED: seed must be a non-negative integer" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -94,6 +94,23 @@ def test_config_validation_rejects_bad_seed(seed):
         run_drop(RunConfig(seed=seed, slots=1, drops=1), 0)
 
 
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize("field", ["slots", "drops", "ues_per_cell"])
+def test_config_validation_rejects_non_integer_counts(field, value):
+    # a float or bool count used to pass and die in run_drop with a bare TypeError
+    bad = {"slots": 1, "drops": 1, field: value}
+    with pytest.raises(ConfigError, match=f"{field} must be a positive integer"):
+        RunConfig(**bad).validated()
+    with pytest.raises(ConfigError, match=f"{field} must be a positive integer"):
+        run_drop(RunConfig(**bad), 0)
+
+
+def test_config_validation_accepts_numpy_counts():
+    cfg = RunConfig(slots=np.int64(2), drops=np.int32(1), ues_per_cell=np.int64(2), seed=0)
+    assert cfg.validated() == cfg
+    assert run_drop(cfg, 0).slots == 2
+
+
 def test_config_validation_accepts_unset_and_numpy_seeds():
     # None is a CLI spec whose seed is filled in after the config file
     assert RunConfig(seed=None).validated().seed is None
