@@ -3,18 +3,20 @@
 Distances are kilometers inside the pathloss/LOS formulas and meters
 everywhere else. Gains are linear power ratios; a gain table built here
 is the single channel input consumed by the SINR and scheduling layers.
-Shadowing is drawn once per unordered node pair so links are reciprocal.
+Shadowing and LOS states are drawn once per unordered node pair, and the
+BS-BS and UE-UE blocks are evaluated once per unordered pair and mirrored,
+so links are reciprocal by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import ConfigError
-from .topology import INDOOR_GRID, NetworkTopology, pairwise_distance
+from .topology import INDOOR_GRID, NetworkTopology, paired_distance, pairwise_distance
 
 BS_BS = "BS_BS"
 BS_UE = "BS_UE"
@@ -188,21 +190,39 @@ def _gain_from_db(loss_db: np.ndarray) -> np.ndarray:
     return 10.0 ** (-loss_db / 10.0)
 
 
-def _symmetric_normal(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Unit normal per unordered pair, mirrored across the diagonal."""
-    draw = rng.standard_normal((n, n))
-    upper = np.triu(draw, k=1)
-    return upper + upper.T
+@lru_cache(maxsize=4)
+def _pair_index(n: int):
+    """Row, column and flat (i, j), (j, i) indices of the i < j pairs of an
+    (n, n) matrix; read-only, as they are shared between calls."""
+    i, j = np.triu_indices(n, k=1)
+    out = (i, j, i * n + j, j * n + i)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
-def _symmetric_uniform(rng: np.random.Generator, n: int) -> np.ndarray:
-    draw = rng.random((n, n))
-    upper = np.triu(draw, k=1)
-    return upper + upper.T
+def _reciprocal_gains(topo, params, kind, xy, rng) -> np.ndarray:
+    """Gain block among one node kind, evaluated once per unordered pair.
+
+    Draws an (n, n) uniform matrix and then an (n, n) normal matrix and
+    reads their i < j entries, so the stream is that of a full-matrix draw.
+    Each pair's gain goes to both triangles; the diagonal is 0.
+    """
+    n = len(xy)
+    i, j, upper, lower = _pair_index(n)
+    los_u = rng.random((n, n)).ravel()[upper]
+    shadow_n = rng.standard_normal((n, n)).ravel()[upper]
+    dist, walls = paired_distance(topo, np.take(xy, i, axis=0), np.take(xy, j, axis=0))
+    if topo.layout == INDOOR_GRID:
+        loss = _indoor_pair_loss(params, dist, walls, los_u, shadow_n)
+    else:
+        loss = _outdoor_pair_loss(kind, params, dist, los_u, shadow_n)
+    out = np.zeros(n * n)
+    out[upper] = out[lower] = _gain_from_db(loss)
+    return out.reshape(n, n)
 
 
 def _indoor_pair_loss(
-    topo: NetworkTopology,
     params: ScenarioParams,
     dist_m: np.ndarray,
     walls: np.ndarray,
@@ -230,16 +250,18 @@ def _outdoor_pair_loss(
     los_u: np.ndarray,
     shadow_n: np.ndarray,
 ) -> np.ndarray:
+    """Loss in dB for outdoor links given pre-drawn uniforms and normals.
+
+    UE-UE loss has no LOS state, so its uniforms go unread.
+    """
     r = np.maximum(dist_m / 1000.0, MIN_DIST_KM)
+    if kind == UE_UE:
+        return pathloss_outdoor(UE_UE, r) + params.shadow_ue_ue_db * shadow_n
     los = los_u < los_probability_outdoor(r)
     pl = pathloss_outdoor(kind, r, los)
     if kind == BS_BS:
-        sigma = np.full(pl.shape, params.shadow_bs_bs_db)
-    elif kind == UE_UE:
-        sigma = np.full(pl.shape, params.shadow_ue_ue_db)
-    else:
-        sigma = np.where(los, params.shadow_los_db, params.shadow_nlos_db)
-    return pl + sigma * shadow_n
+        return pl + params.shadow_bs_bs_db * shadow_n
+    return pl + np.where(los, params.shadow_los_db, params.shadow_nlos_db) * shadow_n
 
 
 def build_gains(
@@ -248,39 +270,28 @@ def build_gains(
     """Draw shadowing and LOS states and assemble the full gain table.
 
     Draw order is fixed (BS-UE, BS-BS, UE-UE; uniforms before normals in
-    each block) so a seeded generator reproduces the same channel.
+    each block) so a seeded generator reproduces the same channel. The
+    BS-BS and UE-UE blocks draw full (n, n) matrices but read only their
+    upper triangles: each unordered pair's loss is evaluated once and
+    written to both triangles. Outdoor UE-UE uniforms are drawn only to
+    keep the stream; that loss has no LOS state.
     """
     bs = topo.bs_positions()
     ue = topo.ue_positions()
     B, N = len(bs), len(ue)
     d_bu, w_bu = pairwise_distance(topo, bs, ue)
-    d_bb, w_bb = pairwise_distance(topo, bs, bs)
-    d_uu, w_uu = pairwise_distance(topo, ue, ue)
-
     los_bu = rng.random((B, N))
     sh_bu = rng.standard_normal((B, N))
-    los_bb = _symmetric_uniform(rng, B)
-    sh_bb = _symmetric_normal(rng, B)
-    los_uu = _symmetric_uniform(rng, N)
-    sh_uu = _symmetric_normal(rng, N)
-
     if topo.layout == INDOOR_GRID:
-        loss_bu = _indoor_pair_loss(topo, params, d_bu, w_bu, los_bu, sh_bu)
-        loss_bb = _indoor_pair_loss(topo, params, d_bb, w_bb, los_bb, sh_bb)
-        loss_uu = _indoor_pair_loss(topo, params, d_uu, w_uu, los_uu, sh_uu)
+        loss_bu = _indoor_pair_loss(params, d_bu, w_bu, los_bu, sh_bu)
     else:
         loss_bu = _outdoor_pair_loss(BS_UE, params, d_bu, los_bu, sh_bu)
-        loss_bb = _outdoor_pair_loss(BS_BS, params, d_bb, los_bb, sh_bb)
-        loss_uu = _outdoor_pair_loss(UE_UE, params, d_uu, los_uu, sh_uu)
 
-    g_dl = _gain_from_db(loss_bu)
-    g_bs = _gain_from_db(loss_bb)
-    g_ue = _gain_from_db(loss_uu)
-    np.fill_diagonal(g_bs, 0.0)
-    np.fill_diagonal(g_ue, 0.0)
+    g_bs = _reciprocal_gains(topo, params, BS_BS, bs, rng)
+    g_ue = _reciprocal_gains(topo, params, UE_UE, ue, rng)
 
     return GainTable(
-        g_dl=g_dl,
+        g_dl=_gain_from_db(loss_bu),
         g_bs=g_bs,
         g_ue=g_ue,
         dist_bs_ue_m=d_bu,

@@ -126,42 +126,63 @@ _HEX_NORMALS = np.stack(
 )
 
 
-def _in_hexagon(p: np.ndarray, apothem: float) -> bool:
-    return float(np.max(_HEX_NORMALS @ p)) <= apothem
+def _in_hexagon(p: np.ndarray, apothem: float):
+    """Whether each point (last axis x, y) lies inside the hexagon."""
+    return np.max(p @ _HEX_NORMALS.T, axis=-1) <= apothem
+
+
+# BS candidates drawn per generator call; the stream is rewound to the
+# last candidate used, so the batch size never shows in the draws
+_BS_BATCH = 32
 
 
 def build_outdoor(cfg: OutdoorConfig, rng: np.random.Generator) -> NetworkTopology:
-    """Uniform BS drop in a hexagon with a minimum pairwise spacing."""
+    """Uniform BS drop in a hexagon with a minimum pairwise spacing.
+
+    Each BS takes the first candidate, in draw order, that lies in the
+    hexagon and keeps the spacing to the BSs placed before it; a BS gets
+    at most max_tries candidates. Candidates come from the generator in
+    batches, but positions and generator state are those of one draw
+    per candidate.
+    """
     if cfg.n_cells < 1:
         raise ConfigError(f"n_cells must be >= 1, got {cfg.n_cells}")
     if cfg.ues_per_cell < 1:
         raise ConfigError(f"ues_per_cell must be >= 1, got {cfg.ues_per_cell}")
     if cfg.hex_apothem_m <= 0 or cfg.cell_radius_m <= 0:
         raise ConfigError("hex_apothem_m and cell_radius_m must be positive")
+    if cfg.max_tries < 1:
+        raise ConfigError(f"max_tries must be >= 1, got {cfg.max_tries}")
     circumradius = cfg.hex_apothem_m * 2.0 / math.sqrt(3.0)
     high = np.array([circumradius, cfg.hex_apothem_m])
-    bs_list = []
-    for _ in range(cfg.n_cells):
-        for attempt in range(cfg.max_tries):
-            p = rng.uniform(-high, high)
-            if not _in_hexagon(p, cfg.hex_apothem_m):
-                continue
-            if all(
-                np.hypot(*(p - q)) >= cfg.min_bs_spacing_m for q in bs_list
-            ):
-                bs_list.append(p)
+    bs = np.empty((cfg.n_cells, 2))
+    batch = np.empty((0, 2))
+    used = 0  # candidates of the current batch taken so far
+    for b in range(cfg.n_cells):
+        for _ in range(cfg.max_tries):
+            if used == len(batch):
+                state = rng.bit_generator.state
+                batch = rng.uniform(-high, high, size=(_BS_BATCH, 2))
+                inside = _in_hexagon(batch, cfg.hex_apothem_m)
+                used = 0
+            p, ok = batch[used], inside[used]
+            used += 1
+            if ok and (np.hypot(*(p - bs[:b]).T) >= cfg.min_bs_spacing_m).all():
+                bs[b] = p
                 break
         else:
-            raise PlacementError(
-                f"could not place BS {len(bs_list)} after {cfg.max_tries} tries"
-            )
+            raise PlacementError(f"could not place BS {b} after {cfg.max_tries} tries")
+    # leave the stream where one draw per candidate would have left it:
+    # each coordinate takes one double
+    rng.bit_generator.state = state
+    rng.random(2 * used)
     # uniform in the disc around each BS: per cell, its radius draws and
     # then its angle draws, the stream order of one draw per cell each
     u = rng.random((cfg.n_cells, 2, cfg.ues_per_cell))
     radius = cfg.cell_radius_m * np.sqrt(u[:, 0])
     theta = u[:, 1] * 2.0 * np.pi
-    ues = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=-1)
-    cells = [Cell(cid, bs, bs + ues[cid]) for cid, bs in enumerate(bs_list)]
+    ues = bs[:, None, :] + np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=-1)
+    cells = [Cell(cid, bs[cid], ues[cid]) for cid in range(cfg.n_cells)]
     return NetworkTopology(
         layout=OUTDOOR_HEX,
         cells=cells,
@@ -184,32 +205,36 @@ def _wall_count(start: np.ndarray, stop: np.ndarray, side: float) -> np.ndarray:
     return np.abs(np.floor(stop / side) - np.floor(start / side))
 
 
-def pairwise_distance(topo: NetworkTopology, a_xy: np.ndarray, b_xy: np.ndarray):
-    """Distance matrix in meters between two position sets, plus wall counts.
-
-    Indoor layouts measure the shortest of the nine wrap-around images and
-    count the room boundaries that the winning straight segment crosses.
-    Returns (dist, walls), both shaped (len(a), len(b)).
-    """
-    a = np.atleast_2d(np.asarray(a_xy, dtype=float))
-    b = np.atleast_2d(np.asarray(b_xy, dtype=float))
-    # the two coordinate planes, (len(a), len(b)) each
-    dx = b[None, :, 0] - a[:, None, 0]
-    dy = b[None, :, 1] - a[:, None, 1]
+def _distance(topo: NetworkTopology, ax, ay, bx, by):
+    # element-wise over the broadcast coordinates of a and b
+    dx, dy = bx - ax, by - ay
     if not topo.wrap:
         return np.sqrt(dx * dx + dy * dy), np.zeros(dx.shape, dtype=int)
     dx, dy = _wrap_axis(dx, topo.period_m), _wrap_axis(dy, topo.period_m)
-    ax, ay = a[:, None, 0], a[:, None, 1]
     side = topo.room_side_m
     walls = _wall_count(ax, ax + dx, side) + _wall_count(ay, ay + dy, side)
     return np.sqrt(dx * dx + dy * dy), walls.astype(int)
 
 
-def distance(a, b, topo: NetworkTopology):
-    """Propagation distance in meters and the wall-crossing count.
+def pairwise_distance(topo: NetworkTopology, a_xy: np.ndarray, b_xy: np.ndarray):
+    """Distance matrix in meters between two position sets, plus wall counts.
 
-    Outdoor layouts always report 0 walls.
+    Indoor layouts measure the shortest of the nine wrap-around images and
+    count the room boundaries that the winning straight segment crosses;
+    outdoor layouts report 0 walls. Returns (dist, walls), both shaped
+    (len(a), len(b)).
     """
-    d, w = pairwise_distance(topo, np.asarray(a, float)[None, :], np.asarray(b, float)[None, :])
-    return float(d[0, 0]), int(w[0, 0])
+    a = np.atleast_2d(np.asarray(a_xy, dtype=float))
+    b = np.atleast_2d(np.asarray(b_xy, dtype=float))
+    return _distance(topo, a[:, None, 0], a[:, None, 1], b[None, :, 0], b[None, :, 1])
 
+
+def paired_distance(topo: NetworkTopology, a_xy: np.ndarray, b_xy: np.ndarray):
+    """Distance and wall count from each row of a_xy to the same row of b_xy.
+
+    The same arithmetic as pairwise_distance, on (P, 2) position arrays
+    instead of every combination; returns (dist, walls) shaped (P,).
+    """
+    a = np.asarray(a_xy, dtype=float)
+    b = np.asarray(b_xy, dtype=float)
+    return _distance(topo, a[:, 0], a[:, 1], b[:, 0], b[:, 1])

@@ -41,6 +41,16 @@ def test_minimize_box_returns_iteration_count():
     assert type(out[2]) is int and out[2] >= 1
 
 
+def counting(calls, name, fn):
+    """fn, adding one to calls[name] per call."""
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
 # per variant: the selector run_drop calls, and whether the allocator runs
 SLOT_LOOP_CALLS = {
     "RR_FD": ("round_robin_select", False),
@@ -60,15 +70,23 @@ def test_slot_loop_calls_each_layer_once_per_slot(variant, monkeypatch):
         names.append("allocate_with_fallback")
     calls = dict.fromkeys(names, 0)
 
-    def spy(name, fn):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return counted
-
     for name in names:
-        monkeypatch.setattr(sim, name, spy(name, getattr(sim, name)))
+        monkeypatch.setattr(sim, name, counting(calls, name, getattr(sim, name)))
     cfg = sim.RunConfig(variant=variant, cancellation_db=85.0, slots=5, drops=1, ues_per_cell=2)
     sim.run_drop(cfg, 0)
     assert calls == dict.fromkeys(names, cfg.slots)
+
+
+@pytest.mark.parametrize("scenario", ["Indoor", "Outdoor"])
+def test_run_drop_builds_network_once_per_drop(scenario, monkeypatch):
+    # the tracer's network.build_ms times the topology and gain builders
+    # through sim's namespace: inlining or renaming either reads as zero
+    names = ["build_indoor" if scenario == "Indoor" else "build_outdoor", "build_gains"]
+    calls = dict.fromkeys(names, 0)
+
+    for name in names:
+        monkeypatch.setattr(sim, name, counting(calls, name, getattr(sim, name)))
+    cfg = sim.RunConfig(scenario=scenario, variant="RR_FD", slots=2, drops=2, ues_per_cell=2)
+    for drop in range(cfg.drops):
+        sim.run_drop(cfg, drop)
+    assert calls == dict.fromkeys(names, cfg.drops)

@@ -6,6 +6,7 @@ import pytest
 from fdcell.channel import (
     BS_BS,
     BS_UE,
+    MIN_DIST_KM,
     UE_UE,
     GainTable,
     ScenarioParams,
@@ -148,11 +149,84 @@ def test_gain_table_symmetry_and_determinism():
     g2 = build_gains(topo, indoor_params(), np.random.default_rng(9))
     assert np.array_equal(g1.g_dl, g2.g_dl)
     assert np.array_equal(g1.g_ue, g2.g_ue)
-    assert np.allclose(g1.g_bs, g1.g_bs.T)
-    assert np.allclose(g1.g_ue, g1.g_ue.T)
+    # reciprocal by construction: each pair is evaluated once and mirrored
+    assert np.array_equal(g1.g_bs, g1.g_bs.T)
+    assert np.array_equal(g1.g_ue, g1.g_ue.T)
     assert np.all(np.diag(g1.g_bs) == 0.0)
     assert np.all(np.diag(g1.g_ue) == 0.0)
     assert np.all(g1.g_dl > 0.0)
+
+
+def reference_gains(topo, params, rng):
+    """The full-matrix gain table: every block evaluated on both triangles
+    of mirrored (n, n) draws. build_gains must reproduce it bit for bit."""
+    from fdcell.topology import pairwise_distance
+
+    def symmetric(draw):
+        upper = np.triu(draw, k=1)
+        return upper + upper.T
+
+    def loss(kind, dist, walls, los_u, shadow_n):
+        r = np.maximum(dist / 1000.0, MIN_DIST_KM)
+        if topo.layout == INDOOR_GRID:
+            same_room = walls == 0
+            los = los_u < los_probability_indoor(r)
+            intra = pathloss_indoor_intra(r, los)
+            inter = pathloss_indoor_inter(r) + params.wall_loss_db * walls
+            sigma = np.where(
+                same_room,
+                np.where(los, params.shadow_los_db, params.shadow_nlos_db),
+                params.shadow_nlos_db,
+            )
+            return np.where(same_room, intra, inter) + sigma * shadow_n
+        los = los_u < los_probability_outdoor(r)
+        pl = pathloss_outdoor(kind, r, los)
+        if kind == BS_BS:
+            sigma = np.full(pl.shape, params.shadow_bs_bs_db)
+        elif kind == UE_UE:
+            sigma = np.full(pl.shape, params.shadow_ue_ue_db)
+        else:
+            sigma = np.where(los, params.shadow_los_db, params.shadow_nlos_db)
+        return pl + sigma * shadow_n
+
+    bs, ue = topo.bs_positions(), topo.ue_positions()
+    B, N = len(bs), len(ue)
+    d_bu, w_bu = pairwise_distance(topo, bs, ue)
+    d_bb, w_bb = pairwise_distance(topo, bs, bs)
+    d_uu, w_uu = pairwise_distance(topo, ue, ue)
+    los_bu, sh_bu = rng.random((B, N)), rng.standard_normal((B, N))
+    los_bb, sh_bb = symmetric(rng.random((B, B))), symmetric(rng.standard_normal((B, B)))
+    los_uu, sh_uu = symmetric(rng.random((N, N))), symmetric(rng.standard_normal((N, N)))
+    g_dl = 10.0 ** (-loss(BS_UE, d_bu, w_bu, los_bu, sh_bu) / 10.0)
+    g_bs = 10.0 ** (-loss(BS_BS, d_bb, w_bb, los_bb, sh_bb) / 10.0)
+    g_ue = 10.0 ** (-loss(UE_UE, d_uu, w_uu, los_uu, sh_uu) / 10.0)
+    np.fill_diagonal(g_bs, 0.0)
+    np.fill_diagonal(g_ue, 0.0)
+    return g_dl, g_bs, g_ue, d_bu
+
+
+@pytest.mark.parametrize("scenario", ["Indoor", "Outdoor"])
+@pytest.mark.parametrize("ues_per_cell", [1, 2, None])
+def test_build_gains_matches_full_matrix_reference(scenario, ues_per_cell):
+    from fdcell import sim
+    from fdcell.topology import IndoorConfig, OutdoorConfig, build_indoor, build_outdoor
+
+    if scenario == "Indoor":
+        tcfg, build, par = IndoorConfig(), build_indoor, indoor_params()
+    else:
+        tcfg, build, par = OutdoorConfig(), build_outdoor, outdoor_params()
+    if ues_per_cell is not None:
+        tcfg = replace(tcfg, ues_per_cell=ues_per_cell)
+    for seed in range(10):
+        for drop in range(5):
+            topo_rng, chan_rng, _ = sim.drop_rngs(seed, drop)
+            _, chan_ref, _ = sim.drop_rngs(seed, drop)
+            topo = build(tcfg, topo_rng)
+            g = build_gains(topo, par, chan_rng)
+            ref = reference_gains(topo, par, chan_ref)
+            for got, want in zip((g.g_dl, g.g_bs, g.g_ue, g.dist_bs_ue_m), ref, strict=True):
+                assert np.array_equal(got, want)
+            assert chan_rng.bit_generator.state == chan_ref.bit_generator.state
 
 
 def test_cancellation_encoding():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from fdcell.topology import (
     OutdoorConfig,
     build_indoor,
     build_outdoor,
-    distance,
     pairwise_distance,
 )
 
@@ -27,8 +28,14 @@ def test_indoor_grid_shape(indoor):
     assert np.allclose(bs, expected)
 
 
+def one_pair(topo, a, b):
+    """Distance and wall count of a single pair through pairwise_distance."""
+    d, w = pairwise_distance(topo, np.asarray(a, float)[None, :], np.asarray(b, float)[None, :])
+    return float(d[0, 0]), int(w[0, 0])
+
+
 def test_distance_self_is_zero(indoor):
-    d, w = distance((12.0, 34.0), (12.0, 34.0), indoor)
+    d, w = one_pair(indoor, (12.0, 34.0), (12.0, 34.0))
     assert d == 0.0
     assert w == 0
 
@@ -36,25 +43,25 @@ def test_distance_self_is_zero(indoor):
 def test_wrapped_shorter_than_direct(indoor):
     a, b = np.array([1.0, 25.0]), np.array([149.0, 25.0])
     direct = float(np.linalg.norm(a - b))
-    d, _ = distance(a, b, indoor)
+    d, _ = one_pair(indoor, a, b)
     assert d < direct
 
 
 def test_torus_distance_oracle(indoor):
     # (1,25) to (149,25) on the 150 m torus: 2 m through the wrap,
     # crossing exactly the one wall at x=0.
-    d, w = distance((1.0, 25.0), (149.0, 25.0), indoor)
+    d, w = one_pair(indoor, (1.0, 25.0), (149.0, 25.0))
     assert d == pytest.approx(2.0, abs=1e-12)
     assert w == 1
 
 
 def test_wall_count_between_adjacent_rooms(indoor):
-    d, w = distance((25.0, 25.0), (75.0, 25.0), indoor)
+    d, w = one_pair(indoor, (25.0, 25.0), (75.0, 25.0))
     assert d == pytest.approx(50.0)
     assert w == 1
     # two rooms over: the wrapped image at x=-25 is closer (50 m vs 100 m)
     # and that segment crosses a single wall at x=0
-    d, w = distance((25.0, 25.0), (125.0, 25.0), indoor)
+    d, w = one_pair(indoor, (25.0, 25.0), (125.0, 25.0))
     assert d == pytest.approx(50.0)
     assert w == 1
 
@@ -164,13 +171,14 @@ def test_pairwise_distance_matches_norm_reference(indoor):
 
 def reference_outdoor(cfg, rng):
     """BS and UE positions drawn one scalar per coordinate and one draw
-    per cell: the stream order build_outdoor's vector draws keep."""
+    per cell: the stream order build_outdoor's vector draws keep. Also
+    returns the candidates each BS took, its last one placing it."""
     from fdcell.topology import _in_hexagon
 
     circumradius = cfg.hex_apothem_m * 2.0 / np.sqrt(3.0)
-    bs_list = []
+    bs_list, attempts = [], []
     for _ in range(cfg.n_cells):
-        for _ in range(cfg.max_tries):
+        for attempt in range(1, cfg.max_tries + 1):
             p = np.array(
                 [
                     rng.uniform(-circumradius, circumradius),
@@ -181,22 +189,63 @@ def reference_outdoor(cfg, rng):
                 continue
             if all(np.hypot(*(p - q)) >= cfg.min_bs_spacing_m for q in bs_list):
                 bs_list.append(p)
+                attempts.append(attempt)
                 break
+        else:
+            raise PlacementError(f"could not place BS {len(bs_list)}")
     ues = []
     for bs in bs_list:
         radius = cfg.cell_radius_m * np.sqrt(rng.random(cfg.ues_per_cell))
         theta = rng.random(cfg.ues_per_cell) * 2.0 * np.pi
         ues.append(bs + np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1))
-    return np.array(bs_list), ues
+    return np.array(bs_list), ues, attempts
 
 
-@pytest.mark.parametrize("cfg", [OutdoorConfig(), OutdoorConfig(n_cells=3, ues_per_cell=2)])
+def assert_matches_reference(cfg, seed):
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    topo = build_outdoor(cfg, rng)
+    bs, ues, attempts = reference_outdoor(cfg, rng_ref)
+    assert np.array_equal(topo.bs_positions(), bs)
+    for cell, ref in zip(topo.cells, ues, strict=True):
+        assert np.array_equal(cell.ue_xy, ref)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    return attempts
+
+
+# the last case is crowded: single BSs take more than one batch of
+# candidates
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        OutdoorConfig(),
+        OutdoorConfig(n_cells=3, ues_per_cell=2),
+        OutdoorConfig(n_cells=30, hex_apothem_m=150.0),
+    ],
+)
 def test_outdoor_draws_match_scalar_reference(cfg):
-    for seed in range(30):
-        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        topo = build_outdoor(cfg, rng)
-        bs, ues = reference_outdoor(cfg, rng_ref)
-        assert np.array_equal(topo.bs_positions(), bs)
-        for cell, ref in zip(topo.cells, ues, strict=True):
-            assert np.array_equal(cell.ue_xy, ref)
-        assert rng.bit_generator.state == rng_ref.bit_generator.state
+    from fdcell.topology import _BS_BATCH
+
+    most = max(max(assert_matches_reference(cfg, seed)) for seed in range(30))
+    if cfg.n_cells == 30:
+        assert most > _BS_BATCH
+
+
+def test_outdoor_max_tries_counts_candidates_per_bs():
+    # a BS that lands on exactly its max_tries-th candidate is placed; one
+    # candidate fewer fails, in build_outdoor as in the scalar reference
+    crowded = OutdoorConfig(n_cells=30, hex_apothem_m=150.0)
+    _, _, attempts = reference_outdoor(crowded, np.random.default_rng(4))
+    need = max(attempts)
+    assert need > 1
+    assert_matches_reference(replace(crowded, max_tries=need), 4)
+    short = replace(crowded, max_tries=need - 1)
+    with pytest.raises(PlacementError):
+        reference_outdoor(short, np.random.default_rng(4))
+    with pytest.raises(PlacementError):
+        build_outdoor(short, np.random.default_rng(4))
+
+
+@pytest.mark.parametrize("max_tries", [0, -1])
+def test_outdoor_max_tries_below_one_rejected(max_tries):
+    with pytest.raises(ConfigError):
+        build_outdoor(OutdoorConfig(max_tries=max_tries), np.random.default_rng(0))
