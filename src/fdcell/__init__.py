@@ -8,6 +8,6 @@ schedulers, and the measurement pipeline live in the submodules.
 
 __version__ = "0.1.0"
 
-from .errors import ConfigError, PlacementError, SolverError
+from .errors import ConfigError, PlacementError
 
-__all__ = ["ConfigError", "PlacementError", "SolverError", "__version__"]
+__all__ = ["ConfigError", "PlacementError", "__version__"]

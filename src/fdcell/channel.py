@@ -125,14 +125,16 @@ def outdoor_params() -> ScenarioParams:
 
 @dataclass
 class GainTable:
-    """Linear channel gains plus the radio constants the scheduler needs."""
+    """Linear channel gains plus the radio constants the scheduler needs.
+
+    UEs are numbered cell-major with U = N / B in every cell: cell b
+    serves UEs b * U to (b + 1) * U - 1.
+    """
 
     g_dl: np.ndarray          # (B, N) BS <-> UE, reciprocal
     g_bs: np.ndarray          # (B, B) BS <-> BS, diagonal zero
     g_ue: np.ndarray          # (N, N) UE <-> UE, diagonal zero
     dist_bs_ue_m: np.ndarray  # (B, N)
-    ue_cell: np.ndarray       # (N,) owning cell per UE
-    cell_ue_ids: list         # per-cell arrays of UE indices
     noise_bs_w: float
     noise_ue_w: float
     p_bs_w: float
@@ -164,11 +166,14 @@ class GainTable:
         return out
 
     @cached_property
-    def ue_id_matrix(self) -> np.ndarray:
-        """(B, U) UE ids, row b being cell_ue_ids[b]; needs U UEs in every cell."""
-        if len({len(ids) for ids in self.cell_ue_ids}) != 1:
-            raise ValueError("cells hold different numbers of UEs; no (B, U) UE-id matrix")
-        return np.stack(self.cell_ue_ids)
+    def cell_ue_ids(self) -> np.ndarray:
+        """(B, U) UE ids; row b holds cell b's UEs."""
+        return np.arange(self.n_ues).reshape(self.n_cells, -1)
+
+    @cached_property
+    def ue_cell(self) -> np.ndarray:
+        """(N,) owning cell per UE."""
+        return np.repeat(np.arange(self.n_cells), self.cell_ue_ids.shape[1])
 
     @cached_property
     def rx_noise(self) -> np.ndarray:
@@ -276,8 +281,8 @@ def build_gains(
     written to both triangles. Outdoor UE-UE uniforms are drawn only to
     keep the stream; that loss has no LOS state.
     """
-    bs = topo.bs_positions()
-    ue = topo.ue_positions()
+    bs = topo.bs_xy
+    ue = topo.ue_xy.reshape(-1, 2)
     B, N = len(bs), len(ue)
     d_bu, w_bu = pairwise_distance(topo, bs, ue)
     los_bu = rng.random((B, N))
@@ -295,8 +300,6 @@ def build_gains(
         g_bs=g_bs,
         g_ue=g_ue,
         dist_bs_ue_m=d_bu,
-        ue_cell=topo.ue_cell_index(),
-        cell_ue_ids=topo.cell_ue_ids(),
         noise_bs_w=noise_power_w(params.bandwidth_hz, params.bs_noise_figure_db),
         noise_ue_w=noise_power_w(params.bandwidth_hz, params.ue_noise_figure_db),
         p_bs_w=dbm_to_w(params.bs_power_dbm),

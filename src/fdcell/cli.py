@@ -5,8 +5,8 @@ converted to its type here, and RunConfig.validated() alone decides
 whether it is in range (only --jobs, which is not a RunConfig field, is
 checked here). Every config-file error names its file and line.
 
-Exit codes: 0 success; 1 runtime failure (placement, solver, I/O during
-a run); 2 missing config file; 3 config schema violation (unknown key,
+Exit codes: 0 success; 1 runtime failure (placement, I/O during a
+run); 2 missing config file; 3 config schema violation (unknown key,
 unparsable value, bad flag combination); 4 out-of-range config value.
 Codes 2-4 are all configuration failures, kept distinct so scripts can
 tell what to fix.
@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, PlacementError, SolverError
+from .errors import ConfigError, PlacementError
 from .sim import (
     SCENARIOS,
     VARIANTS,
@@ -149,30 +149,25 @@ def parse_config(path: str, spec: ExperimentSpec | None = None) -> ExperimentSpe
     return spec
 
 
+# (scenario, variants) per preset; every preset sweeps DEFAULT_SWEEP
 PRESETS = {
     # indoor throughput-gain grid and its mode-share companion
-    "table2": dict(scenario="Indoor", variants=("HD", "FD"), sweep=DEFAULT_SWEEP),
-    "table4": dict(scenario="Indoor", variants=("HD", "FD"), sweep=DEFAULT_SWEEP),
+    "table2": ("Indoor", ("HD", "FD")),
+    "table4": ("Indoor", ("HD", "FD")),
     # indoor energy-efficiency grid including the mitigation variants
-    "table5": dict(
-        scenario="Indoor",
-        variants=("HD", "FD", "FD_FDUE", "FD_EnergyAware"),
-        sweep=DEFAULT_SWEEP,
-    ),
+    "table5": ("Indoor", ("HD", "FD", "FD_FDUE", "FD_EnergyAware")),
     # outdoor throughput and energy grids
-    "table7": dict(scenario="Outdoor", variants=("HD", "FD"), sweep=DEFAULT_SWEEP),
-    "table9": dict(scenario="Outdoor", variants=("HD", "FD"), sweep=DEFAULT_SWEEP),
+    "table7": ("Outdoor", ("HD", "FD")),
+    "table9": ("Outdoor", ("HD", "FD")),
 }
 
 
 def apply_preset(spec: ExperimentSpec, name: str) -> ExperimentSpec:
     if name not in PRESETS:
         raise SchemaError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    p = PRESETS[name]
-    spec.base = replace(spec.base, scenario=p["scenario"])
-    spec.variants = p["variants"]
-    spec.sweep_cancellation = p["sweep"]
-    spec.base = replace(spec.base, cancellation_db=p["sweep"][0])
+    scenario, spec.variants = PRESETS[name]
+    spec.sweep_cancellation = DEFAULT_SWEEP
+    spec.base = replace(spec.base, scenario=scenario, cancellation_db=DEFAULT_SWEEP[0])
     return spec
 
 
@@ -235,7 +230,7 @@ def cmd_sweep(spec: ExperimentSpec, jobs: int = 1) -> int:
     runs = {}      # (variant, canc) -> drop results
     grid = []
     for variant in spec.variants:
-        cancs = [None] if variant in ("HD", "RR_HD") else list(spec.sweep_cancellation)
+        cancs = [None] if BASELINE_OF[variant] is None else list(spec.sweep_cancellation)
         for canc in cancs:
             grid.append((variant, canc))
     # baselines first so gains can be computed in one pass
@@ -355,7 +350,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (PlacementError, SolverError, OSError) as e:
+    except (PlacementError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -7,7 +7,3 @@ class ConfigError(ValueError):
 
 class PlacementError(RuntimeError):
     """Random placement could not satisfy the layout constraints."""
-
-
-class SolverError(RuntimeError):
-    """Numerical solve failed in a way the caller cannot recover from."""

@@ -396,7 +396,7 @@ def round_robin_select(
     partner is a uniform draw over the cell's other UEs; one vector draw
     gives the values and generator state of one rng.choice per cell.
     """
-    ids = g.ue_id_matrix
+    ids = g.cell_ue_ids
     B, U = ids.shape
     cells = np.arange(B)
     cursor = rr.cursor_dl if direction == DL else rr.cursor_ul

@@ -30,15 +30,13 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .channel import GainTable, build_gains, dbm_to_w, indoor_params, outdoor_params
+from .channel import build_gains, indoor_params, outdoor_params
 from .errors import ConfigError
 from .power_alloc import ALLOC_COUNTERS, AllocConfig, allocate_with_fallback
 from .scheduler import (
     DL,
     UL,
-    PFState,
     RoundRobinState,
-    Selection,
     hd_select_ues,
     init_state,
     round_robin_select,

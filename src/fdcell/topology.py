@@ -5,13 +5,14 @@ base station at each room center, and an outdoor drop where pico base
 stations land uniformly inside a hexagonal area. Indoor distances are
 measured on a torus (wrap-around) so that every room sees the same
 interference geometry; the number of walls on the shortest wrapped path
-feeds the penetration loss. All coordinates are meters.
+feeds the penetration loss. All coordinates are meters. Every cell
+holds the same number of UEs, stored cell-major (see NetworkTopology).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,28 +40,23 @@ class OutdoorConfig:
 
 
 @dataclass
-class Cell:
-    cell_id: int
-    bs_xy: np.ndarray   # shape (2,)
-    ue_xy: np.ndarray   # shape (n_ues, 2)
-
-
-@dataclass
 class NetworkTopology:
+    """Node positions of one drop, cell-major: row b of bs_xy and ue_xy is
+    cell b, and UE u of cell b has global id b * U + u."""
+
     layout: str                    # INDOOR_GRID | OUTDOOR_HEX
-    cells: list
+    bs_xy: np.ndarray              # (B, 2)
+    ue_xy: np.ndarray              # (B, U, 2)
     room_side_m: float = 0.0       # indoor only
     rooms_per_side: int = 0        # indoor only
-    hex_apothem_m: float = 0.0     # outdoor only
-    cell_radius_m: float = 0.0     # outdoor only
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return len(self.bs_xy)
 
     @property
     def n_ues(self) -> int:
-        return sum(len(c.ue_xy) for c in self.cells)
+        return self.ue_xy.shape[0] * self.ue_xy.shape[1]
 
     @property
     def wrap(self) -> bool:
@@ -70,26 +66,6 @@ class NetworkTopology:
     def period_m(self) -> float:
         # torus period of the indoor grid
         return self.room_side_m * self.rooms_per_side
-
-    def bs_positions(self) -> np.ndarray:
-        return np.array([c.bs_xy for c in self.cells], dtype=float)
-
-    def ue_positions(self) -> np.ndarray:
-        return np.concatenate([c.ue_xy for c in self.cells], axis=0)
-
-    def ue_cell_index(self) -> np.ndarray:
-        """Owning cell id for each UE in global (cell-major) order."""
-        return np.concatenate(
-            [np.full(len(c.ue_xy), c.cell_id, dtype=int) for c in self.cells]
-        )
-
-    def cell_ue_ids(self) -> list:
-        """Per-cell arrays of global UE indices."""
-        out, start = [], 0
-        for c in self.cells:
-            out.append(np.arange(start, start + len(c.ue_xy)))
-            start += len(c.ue_xy)
-        return out
 
 
 def build_indoor(cfg: IndoorConfig, rng: np.random.Generator) -> NetworkTopology:
@@ -101,17 +77,14 @@ def build_indoor(cfg: IndoorConfig, rng: np.random.Generator) -> NetworkTopology
     if cfg.ues_per_cell < 1:
         raise ConfigError(f"ues_per_cell must be >= 1, got {cfg.ues_per_cell}")
     side = cfg.room_side_m
-    cells = []
-    for row in range(cfg.rooms_per_side):
-        for col in range(cfg.rooms_per_side):
-            cid = row * cfg.rooms_per_side + col
-            origin = np.array([col * side, row * side])
-            bs = origin + side / 2.0
-            ues = origin + rng.random((cfg.ues_per_cell, 2)) * side
-            cells.append(Cell(cid, bs, ues))
+    n_rooms = cfg.rooms_per_side**2
+    # room b sits at row b // rooms_per_side, column b % rooms_per_side
+    row, col = np.divmod(np.arange(n_rooms), cfg.rooms_per_side)
+    origin = np.stack([col, row], axis=-1) * side
     return NetworkTopology(
         layout=INDOOR_GRID,
-        cells=cells,
+        bs_xy=origin + side / 2.0,
+        ue_xy=origin[:, None, :] + rng.random((n_rooms, cfg.ues_per_cell, 2)) * side,
         room_side_m=side,
         rooms_per_side=cfg.rooms_per_side,
     )
@@ -182,13 +155,7 @@ def build_outdoor(cfg: OutdoorConfig, rng: np.random.Generator) -> NetworkTopolo
     radius = cfg.cell_radius_m * np.sqrt(u[:, 0])
     theta = u[:, 1] * 2.0 * np.pi
     ues = bs[:, None, :] + np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=-1)
-    cells = [Cell(cid, bs[cid], ues[cid]) for cid in range(cfg.n_cells)]
-    return NetworkTopology(
-        layout=OUTDOOR_HEX,
-        cells=cells,
-        hex_apothem_m=cfg.hex_apothem_m,
-        cell_radius_m=cfg.cell_radius_m,
-    )
+    return NetworkTopology(layout=OUTDOOR_HEX, bs_xy=bs, ue_xy=ues)
 
 
 def _wrap_axis(delta: np.ndarray, period: float) -> np.ndarray:

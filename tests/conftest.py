@@ -20,7 +20,6 @@ def toy_gains(
     g_dl,
     g_bs=None,
     g_ue=None,
-    ue_cell=None,
     gamma=0.0,
     bandwidth_hz=10e6,
     bs_power_dbm=24.0,
@@ -29,20 +28,17 @@ def toy_gains(
     noise_ue_w=None,
     dist_m=None,
 ):
-    """GainTable with explicit gains; defaults mimic the indoor radio."""
+    """GainTable with explicit gains; defaults mimic the indoor radio.
+
+    UEs are cell-major with N / B per cell, as GainTable numbers them.
+    """
     g_dl = np.atleast_2d(np.asarray(g_dl, dtype=float))
     B, N = g_dl.shape
-    if ue_cell is None:
-        ue_cell = np.repeat(np.arange(B), N // B)
-    ue_cell = np.asarray(ue_cell, dtype=int)
-    cell_ue_ids = [np.where(ue_cell == b)[0] for b in range(B)]
     return GainTable(
         g_dl=g_dl,
         g_bs=np.zeros((B, B)) if g_bs is None else np.asarray(g_bs, dtype=float),
         g_ue=np.zeros((N, N)) if g_ue is None else np.asarray(g_ue, dtype=float),
         dist_bs_ue_m=np.full((B, N), 20.0) if dist_m is None else np.asarray(dist_m, dtype=float),
-        ue_cell=ue_cell,
-        cell_ue_ids=cell_ue_ids,
         noise_bs_w=noise_power_w(bandwidth_hz, 8.0) if noise_bs_w is None else noise_bs_w,
         noise_ue_w=noise_power_w(bandwidth_hz, 9.0) if noise_ue_w is None else noise_ue_w,
         p_bs_w=dbm_to_w(bs_power_dbm),

@@ -1,6 +1,7 @@
 """The benchmark tracer's patch targets exist under their current names,
 return what the tracer reads from them, and are called where it expects."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 import fdcell.sim as sim
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+RUN = TRACER.with_name("run.py")
 
 
 def test_tracer_targets_resolve():
@@ -26,6 +28,25 @@ def test_tracer_targets_resolve():
         if not callable(getattr(importlib.import_module(mod_name), attr, None))
     ]
     assert missing == []
+
+
+def setup_code() -> str:
+    """run.py's SETUP_CODE, read from its source: importing run.py would
+    set the BLAS thread variables and drop FDCELL_SEED for this process."""
+    for node in ast.parse(RUN.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "SETUP_CODE" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{RUN} defines no SETUP_CODE")
+
+
+@pytest.mark.parametrize("scenario", ["Indoor", "Outdoor"])
+def test_setup_probe_code_runs(scenario):
+    # setup_s times this code in a fresh interpreter; a rename of what it
+    # imports would otherwise only show up as a failing benchmark run
+    code = setup_code().format(kind=scenario.lower(), Kind=scenario, seed=1)
+    exec(compile(code, str(RUN), "exec"), {})
 
 
 def test_minimize_box_returns_iteration_count():

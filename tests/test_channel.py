@@ -21,7 +21,7 @@ from fdcell.channel import (
     pathloss_indoor_intra,
     pathloss_outdoor,
 )
-from fdcell.topology import Cell, INDOOR_GRID, NetworkTopology
+from fdcell.topology import INDOOR_GRID, NetworkTopology
 
 from dataclasses import replace
 
@@ -121,10 +121,10 @@ def test_scenario_params():
 
 
 def _one_link_topology(ue_xy):
-    bs = np.array([25.0, 25.0])
     return NetworkTopology(
         layout=INDOOR_GRID,
-        cells=[Cell(0, bs, np.array([ue_xy], dtype=float))],
+        bs_xy=np.array([[25.0, 25.0]]),
+        ue_xy=np.array([[ue_xy]], dtype=float),
         room_side_m=50.0,
         rooms_per_side=1,
     )
@@ -189,7 +189,7 @@ def reference_gains(topo, params, rng):
             sigma = np.where(los, params.shadow_los_db, params.shadow_nlos_db)
         return pl + sigma * shadow_n
 
-    bs, ue = topo.bs_positions(), topo.ue_positions()
+    bs, ue = topo.bs_xy, topo.ue_xy.reshape(-1, 2)
     B, N = len(bs), len(ue)
     d_bu, w_bu = pairwise_distance(topo, bs, ue)
     d_bb, w_bb = pairwise_distance(topo, bs, bs)
@@ -270,14 +270,33 @@ def test_tx_rx_table_layout_and_cancellation_copy():
 
 
 def test_ue_id_matrix_rows_are_cells():
-    from conftest import indoor_network, outdoor_network
+    from conftest import indoor_network, outdoor_network, toy_gains
 
-    for _, g in (indoor_network(ues_per_cell=3), outdoor_network()):
-        ids = g.ue_id_matrix
-        assert ids.shape == (g.n_cells, len(g.cell_ue_ids[0])) and g.ue_id_matrix is ids
+    networks = (
+        indoor_network(ues_per_cell=3),
+        indoor_network(ues_per_cell=1, rooms_per_side=1),
+        outdoor_network(),
+    )
+    for topo, g in networks:
+        # reference: UEs numbered cell by cell in the topology's row order
+        sizes = [len(ues) for ues in topo.ue_xy]
+        start = np.cumsum([0, *sizes])
+        ref_ids = [np.arange(start[b], start[b + 1]) for b in range(topo.n_cells)]
+        ref_cell = np.concatenate([np.full(n, b, dtype=int) for b, n in enumerate(sizes)])
+        ids = g.cell_ue_ids
+        assert ids.shape == (g.n_cells, sizes[0]) and g.cell_ue_ids is ids
         for b, row in enumerate(ids):
-            np.testing.assert_array_equal(row, g.cell_ue_ids[b])
+            np.testing.assert_array_equal(row, ref_ids[b])
+        assert g.ue_cell.dtype == ref_cell.dtype
+        np.testing.assert_array_equal(g.ue_cell, ref_cell)
         assert np.all(g.ue_cell[ids] == np.arange(g.n_cells)[:, None])
+        # UE id b * U + u sits at ue_xy[b, u]
+        np.testing.assert_array_equal(topo.ue_xy.reshape(-1, 2)[ids], topo.ue_xy)
+    # N not a multiple of B: no cell layout, and both views say so
+    g = toy_gains(np.full((2, 3), 1e-9))
+    for name in ("cell_ue_ids", "ue_cell"):
+        with pytest.raises(ValueError):
+            getattr(g, name)
 
 
 def test_wall_loss_applied():
@@ -287,7 +306,8 @@ def test_wall_loss_applied():
                   shadow_bs_bs_db=0.0, shadow_ue_ue_db=0.0)
     topo_wall = NetworkTopology(
         layout=INDOOR_GRID,
-        cells=[Cell(0, np.array([40.0, 25.0]), np.array([[60.0, 25.0]]))],
+        bs_xy=np.array([[40.0, 25.0]]),
+        ue_xy=np.array([[[60.0, 25.0]]]),
         room_side_m=50.0,
         rooms_per_side=3,
     )

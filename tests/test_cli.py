@@ -13,6 +13,7 @@ from fdcell.cli import (
     EXIT_RUNTIME,
     EXIT_SCHEMA,
     FIELD_KEYS,
+    PRESETS,
     ExperimentSpec,
     RangeError,
     SchemaError,
@@ -380,6 +381,25 @@ def test_run_preset_sets_first_cancellation():
     )
     assert spec.base.cancellation_db == 95.0
     assert spec.sweep_cancellation == (95.0,)
+
+
+# every preset: (scenario, variants); each sweeps the default grid from 75 dB
+PRESET_GRIDS = {
+    "table2": ("Indoor", ("HD", "FD")),
+    "table4": ("Indoor", ("HD", "FD")),
+    "table5": ("Indoor", ("HD", "FD", "FD_FDUE", "FD_EnergyAware")),
+    "table7": ("Outdoor", ("HD", "FD")),
+    "table9": ("Outdoor", ("HD", "FD")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_GRIDS))
+def test_preset_sets_scenario_variants_and_sweep(name):
+    spec = apply_preset(ExperimentSpec(base=RunConfig()), name)
+    assert (spec.base.scenario, spec.variants) == PRESET_GRIDS[name]
+    assert spec.sweep_cancellation == (75.0, 85.0, 95.0, 105.0, None)
+    assert spec.base.cancellation_db == 75.0
+    assert sorted(PRESETS) == sorted(PRESET_GRIDS)
 
 
 def test_presets():

@@ -261,7 +261,7 @@ TWO_CELL_CASES = {
 
 def two_cell_problem(case):
     a, b, c, d = TWO_CELL_CASES[case]
-    g = toy_gains([[a, d], [b, c]], ue_cell=[0, 1])
+    g = toy_gains([[a, d], [b, c]])
     dec = make_decision(g, dl=[0, 1])
     st = state_with([1e7, 1e7])
     prob = build_power_problem(st, Selection(dec), g, AllocConfig())
@@ -317,7 +317,7 @@ def test_trajectory_monotone_on_random_instances():
 
 def test_allocate_happy_path_equals_sp_output():
     # weak direct gains keep every link below the SE cap
-    g = toy_gains([[1e-11, 1e-13], [1e-13, 1e-11]], ue_cell=[0, 1])
+    g = toy_gains([[1e-11, 1e-13], [1e-13, 1e-11]])
     dec = make_decision(g, dl=[0, 1])
     st = state_with([1e7, 1e7])
     sel = Selection(dec)
@@ -336,8 +336,7 @@ def test_allocate_happy_path_equals_sp_output():
 def test_allocate_keeps_the_point_of_an_sp_stopped_at_its_round_limit(monkeypatch):
     # weak direct gains keep every link below the SE cap, so nothing is
     # certified and the SP runs, stopping before its first round
-    g = toy_gains([[1e-11, 1e-13, 1e-13], [1e-13, 1e-11, 1e-13], [1e-13, 1e-13, 1e-11]],
-                  ue_cell=[0, 1, 2])
+    g = toy_gains([[1e-11, 1e-13, 1e-13], [1e-13, 1e-11, 1e-13], [1e-13, 1e-13, 1e-11]])
     dec = make_decision(g, dl=[0, 1, None], ul=[None, None, 2])
     st = state_with([1e7, 1e7, 1e7])
     sel = Selection(dec)
@@ -355,8 +354,7 @@ def test_allocate_keeps_the_point_of_an_sp_stopped_at_its_round_limit(monkeypatc
 
 
 def test_floor_prune_spares_pinned_links():
-    g = toy_gains([[1e-8, 1e-13, 1e-13], [1e-13, 1e-8, 1e-13], [1e-13, 1e-13, 1e-8]],
-                  ue_cell=[0, 1, 2])
+    g = toy_gains([[1e-8, 1e-13, 1e-13], [1e-13, 1e-8, 1e-13], [1e-13, 1e-13, 1e-8]])
     dec = make_decision(g, dl=[0, 1, 2])
     prob = build_power_problem(state_with([1e7] * 3), Selection(dec), g, AllocConfig())
     floor = prob.p_floor
@@ -385,7 +383,7 @@ def trim_counter(monkeypatch):
 def test_allocate_trims_once_per_cap_round_without_pruned_links(monkeypatch):
     # link 0 starts far above the cap, link 1 stays below it at full
     # power, so full power is not certified; neither ends at the floor
-    g = toy_gains([[1e-8, 2e-13], [2e-13, 1e-11]], ue_cell=[0, 1])
+    g = toy_gains([[1e-8, 2e-13], [2e-13, 1e-11]])
     sel = Selection(make_decision(g, dl=[0, 1]))
     calls = trim_counter(monkeypatch)
     out, diag = allocate_with_fallback(state_with([1e7, 1e7]), sel, g)
@@ -403,7 +401,7 @@ def test_allocate_retrims_kept_links_after_floor_prune(monkeypatch):
     # the energy penalty parks the near link (8 m) at the floor and keeps
     # the far one (1 km) at full power, above the cap
     dist = np.array([[8.0, 1000.0], [8.0, 1000.0]])
-    g = toy_gains([[1e-8, 2e-11], [2e-11, 1e-8]], ue_cell=[0, 1], dist_m=dist)
+    g = toy_gains([[1e-8, 2e-11], [2e-11, 1e-8]], dist_m=dist)
     sel = Selection(make_decision(g, dl=[0, 1]))
     calls = trim_counter(monkeypatch)
     out, diag = allocate_with_fallback(
@@ -433,7 +431,7 @@ def test_trim_to_se_cap_exact_and_idempotent():
 
 
 def test_trim_to_se_cap_coupled_links_settle_below_cap():
-    g = toy_gains([[1e-8, 3e-11], [3e-11, 1e-8]], ue_cell=[0, 1])
+    g = toy_gains([[1e-8, 3e-11], [3e-11, 1e-8]])
     dec = make_decision(g, dl=[0, 1])
     trimmed = trim_decision(dec, g)
     sinr_d, _ = slot_sinrs(trimmed, g)
@@ -444,7 +442,7 @@ def test_trim_to_se_cap_coupled_links_settle_below_cap():
 def test_trim_to_se_cap_two_cell_fixed_point():
     # symmetric coupling: the exact capped power is cap * N / (g - cap * x)
     direct, cross = 1e-8, 1.5e-10
-    g = toy_gains([[direct, cross], [cross, direct]], ue_cell=[0, 1])
+    g = toy_gains([[direct, cross], [cross, direct]])
     dec = make_decision(g, dl=[0, 1])
     trimmed = trim_decision(dec, g)
     sinr_d, _ = slot_sinrs(trimmed, g)
@@ -475,7 +473,7 @@ def coupled_cap_instance(rng):
     g_ue = (m + m.T) / 2.0
     np.fill_diagonal(g_ue, 0.0)
     gamma = 10 ** rng.uniform(-10.5, -8.5)
-    g = toy_gains(g_dl, g_bs=g_bs, g_ue=g_ue, ue_cell=ue_cell, gamma=gamma)
+    g = toy_gains(g_dl, g_bs=g_bs, g_ue=g_ue, gamma=gamma)
     dl = [2 * b if rng.random() < 0.7 else None for b in range(B)]
     ul = [2 * b + 1 if rng.random() < 0.7 else None for b in range(B)]
     dl[0] = ul[0] = 0
@@ -512,7 +510,7 @@ def test_trim_to_se_cap_property_random_instances():
 
 
 def test_realized_objective_matches_true_below_cap(rng):
-    g = toy_gains([[3e-11, 5e-13], [7e-13, 4e-11]], ue_cell=[0, 1], gamma=1e-9)
+    g = toy_gains([[3e-11, 5e-13], [7e-13, 4e-11]], gamma=1e-9)
     dec = make_decision(g, dl=[0, None], ul=[None, 1])
     st = state_with([8e6, 1.2e7])
     sel = Selection(dec)
@@ -544,7 +542,7 @@ def test_allocate_respects_cap_and_never_beats_baseline():
 def certified_instance(near_gain=1e-8):
     """Two strong, weakly coupled downlinks: full power trimmed to the SE
     cap leaves both at the cap. (state, selection, gains)"""
-    g = toy_gains([[near_gain, 1e-13], [1e-13, 1e-8]], ue_cell=[0, 1])
+    g = toy_gains([[near_gain, 1e-13], [1e-13, 1e-8]])
     return state_with([1e7, 1e7]), Selection(make_decision(g, dl=[0, 1])), g
 
 
@@ -601,7 +599,7 @@ def test_certificate_not_taken_with_energy_penalty_or_link_below_cap(monkeypatch
     assert diag["certified"] == 0 and len(calls) >= 1
     # link 1 stays below the cap at full power
     calls.clear()
-    g = toy_gains([[1e-8, 1e-13], [1e-13, 1e-11]], ue_cell=[0, 1])
+    g = toy_gains([[1e-8, 1e-13], [1e-13, 1e-11]])
     _, diag = allocate_with_fallback(st, Selection(make_decision(g, dl=[0, 1])), g)
     assert diag["certified"] == 0 and len(calls) >= 1
 
@@ -636,7 +634,7 @@ def test_certificate_bounds_the_capped_solve():
 def test_fallback_keeps_links_at_cap_below_the_floor(monkeypatch):
     # UE 0 sits next to its BS, so the trim parks its link at the cap
     # below the power floor; link 1 stays below the cap at full power
-    g = toy_gains([[1e-4, 1e-13], [1e-13, 1e-11]], ue_cell=[0, 1])
+    g = toy_gains([[1e-4, 1e-13], [1e-13, 1e-11]])
     st, sel = state_with([1e7, 1e7]), Selection(make_decision(g, dl=[0, 1]))
     prob = build_power_problem(st, sel, g, AllocConfig())
     base = trim_to_se_cap(prob.gain, prob.noise, prob.p_max)
@@ -664,8 +662,7 @@ def test_fallback_keeps_links_at_cap_below_the_floor(monkeypatch):
 def partly_capped_instance():
     """Links 0 and 2 end at the SE cap after the trim, link 1 stays below
     it at full power. (state, selection, gains)"""
-    g = toy_gains([[1e-8, 1e-13, 1e-13], [1e-13, 1e-11, 1e-13], [1e-13, 1e-13, 1e-8]],
-                  ue_cell=[0, 1, 2])
+    g = toy_gains([[1e-8, 1e-13, 1e-13], [1e-13, 1e-11, 1e-13], [1e-13, 1e-13, 1e-8]])
     return state_with([1e7] * 3), Selection(make_decision(g, dl=[0, 1, 2])), g
 
 
@@ -696,7 +693,7 @@ def test_sp_with_energy_penalty_starts_every_link_at_full_power(monkeypatch):
 
 
 def test_energy_kappa_zero_is_plain_problem():
-    g = toy_gains([[1e-8, 2e-11], [2e-11, 1e-8]], ue_cell=[0, 1])
+    g = toy_gains([[1e-8, 2e-11], [2e-11, 1e-8]])
     dec = make_decision(g, dl=[0, 1])
     st = state_with([1e7, 1e7])
     sel = Selection(dec)

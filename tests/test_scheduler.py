@@ -71,7 +71,7 @@ def test_chi_oracle():
 
 
 def test_get_utility_empty_network_is_pure_gain():
-    g = toy_gains(np.full((2, 4), 1e-9), ue_cell=[0, 0, 1, 1])
+    g = toy_gains(np.full((2, 4), 1e-9))
     st = fresh_state(4)
     Q = np.full(2, NONE)
     R = np.full(2, NONE)
@@ -112,7 +112,7 @@ def test_get_utility_counts_full_loss_of_silenced_neighbor():
     g_dl = np.array([[1e-8, 1e-8, 1e-12, 1e-12], [1e-12, 1e-12, 1e-8, 1e-8]])
     g_ue = np.zeros((4, 4))
     g_ue[1, 2] = g_ue[2, 1] = 1e-5   # candidate UE 1 blasts UE 2
-    g = toy_gains(g_dl, g_ue=g_ue, ue_cell=[0, 0, 1, 1])
+    g = toy_gains(g_dl, g_ue=g_ue)
     st = fresh_state(4)
     P = (g.p_bs_w, g.p_ue_w)
     Q = np.full(2, NONE)
@@ -129,7 +129,7 @@ def test_get_utility_counts_full_loss_of_silenced_neighbor():
 
 
 def test_get_utility_rejects_bad_candidates():
-    g = toy_gains(np.full((2, 4), 1e-9), ue_cell=[0, 0, 1, 1])
+    g = toy_gains(np.full((2, 4), 1e-9))
     st = fresh_state(4)
     P = (g.p_bs_w, g.p_ue_w)
     Q = np.full(2, NONE)
@@ -352,7 +352,7 @@ def test_greedy_is_not_exhaustive_under_coupling():
 def test_tie_prefers_downlink():
     # symmetric radio: both directions have identical marginal utility
     g = toy_gains([[1e-8]], gamma=0.0, noise_bs_w=1e-13, noise_ue_w=1e-13,
-                  bs_power_dbm=23.0, ue_power_dbm=23.0, ue_cell=[0])
+                  bs_power_dbm=23.0, ue_power_dbm=23.0)
     st = fresh_state(1)
     sel = select_ues(st, g, (g.p_bs_w, g.p_ue_w), np.random.default_rng(0))
     assert sel.decision.dl_ue[0] == 0
@@ -477,11 +477,3 @@ def test_round_robin_matches_per_cell_choice_reference(network):
                 assert np.array_equal(rr.cursor_dl, rr_ref.cursor_dl)
                 assert np.array_equal(rr.cursor_ul, rr_ref.cursor_ul)
                 assert rng.bit_generator.state == rng_ref.bit_generator.state
-
-
-def test_round_robin_rejects_ragged_cells():
-    # unequal cells have no (B, U) UE-id matrix; fail loudly, never misindex
-    g = toy_gains(np.full((2, 3), 1e-9), ue_cell=[0, 0, 1])
-    rr = RoundRobinState.fresh(g.n_cells)
-    with pytest.raises(ValueError, match="different numbers of UEs"):
-        round_robin_select(rr, "FD", DL, g, (g.p_bs_w, g.p_ue_w), np.random.default_rng(0))

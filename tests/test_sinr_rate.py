@@ -24,7 +24,7 @@ def test_single_cell_snr_oracle():
 
 def test_symmetric_cells_equal_sinr():
     gd = np.array([[1e-8, 1e-11], [1e-11, 1e-8]])
-    g = toy_gains(gd, ue_cell=[0, 1])
+    g = toy_gains(gd)
     dec = make_decision(g, dl=[0, 1])
     s, _ = slot_sinrs(dec, g)
     assert s[0] == pytest.approx(s[1], rel=1e-12)
@@ -32,7 +32,7 @@ def test_symmetric_cells_equal_sinr():
 
 def test_interference_lowers_sinr():
     gd = np.array([[1e-8, 1e-11], [1e-11, 1e-8]])
-    g = toy_gains(gd, ue_cell=[0, 1])
+    g = toy_gains(gd)
     alone = slot_sinrs(make_decision(g, dl=[0, None]), g)[0][0]
     both = slot_sinrs(make_decision(g, dl=[0, 1]), g)[0][0]
     assert both < alone
@@ -119,7 +119,7 @@ def test_validate_rejects_bad_decisions():
     rejects(make_decision(g, ul=[1], p_ul=-1e-3), g, "uplink power out of bounds")
     rejects(make_decision(g, ul=[1], p_ul=g.p_ue_w * 2.0), g, "uplink power out of bounds")
 
-    g2 = toy_gains(np.full((2, 4), 1e-9), ue_cell=[0, 0, 1, 1])
+    g2 = toy_gains(np.full((2, 4), 1e-9))
     rejects(make_decision(g2, dl=[2, None]), g2, "downlink UE served by a foreign cell")
     rejects(make_decision(g2, ul=[None, 1]), g2, "uplink UE served by a foreign cell")
     # a decision that breaks several invariants names the first in check order
@@ -156,7 +156,7 @@ def test_slot_rates_equal_per_direction_rate_from_sinr():
 
 
 def test_rates_zero_on_idle_cells():
-    g = toy_gains(np.full((2, 4), 1e-9), ue_cell=[0, 0, 1, 1])
+    g = toy_gains(np.full((2, 4), 1e-9))
     dec = make_decision(g, dl=[0, None], ul=[None, 3])
     rd, ru = slot_rates(dec, g)
     assert rd[1] == 0.0 and ru[0] == 0.0

@@ -23,7 +23,8 @@ def test_indoor_grid_shape(indoor):
     assert indoor.n_ues == 72
     assert indoor.period_m == 150.0
     # BS at each room center
-    bs = indoor.bs_positions()
+    assert indoor.bs_xy.shape == (9, 2) and indoor.ue_xy.shape == (9, 8, 2)
+    bs = indoor.bs_xy
     expected = [(25.0 + 50.0 * c, 25.0 + 50.0 * r) for r in range(3) for c in range(3)]
     assert np.allclose(bs, expected)
 
@@ -68,9 +69,9 @@ def test_wall_count_between_adjacent_rooms(indoor):
 
 def test_ue_containment_one_per_cell():
     topo = build_indoor(IndoorConfig(ues_per_cell=1), np.random.default_rng(7))
-    for c in topo.cells:
-        row, col = divmod(c.cell_id, 3)
-        x, y = c.ue_xy[0]
+    for b, ues in enumerate(topo.ue_xy):
+        row, col = divmod(b, 3)
+        x, y = ues[0]
         assert col * 50.0 <= x < (col + 1) * 50.0
         assert row * 50.0 <= y < (row + 1) * 50.0
 
@@ -78,8 +79,35 @@ def test_ue_containment_one_per_cell():
 def test_indoor_determinism():
     t1 = build_indoor(IndoorConfig(), np.random.default_rng(42))
     t2 = build_indoor(IndoorConfig(), np.random.default_rng(42))
-    assert np.array_equal(t1.ue_positions(), t2.ue_positions())
-    assert np.array_equal(t1.bs_positions(), t2.bs_positions())
+    assert np.array_equal(t1.ue_xy, t2.ue_xy)
+    assert np.array_equal(t1.bs_xy, t2.bs_xy)
+
+
+def reference_indoor(cfg, rng):
+    """BS and UE positions built room by room, one UE draw per room in
+    row-major room order: the stream order build_indoor's single draw
+    keeps."""
+    side = cfg.room_side_m
+    bs, ues = [], []
+    for row in range(cfg.rooms_per_side):
+        for col in range(cfg.rooms_per_side):
+            origin = np.array([col * side, row * side])
+            bs.append(origin + side / 2.0)
+            ues.append(origin + rng.random((cfg.ues_per_cell, 2)) * side)
+    return np.array(bs, dtype=float), np.array(ues)
+
+
+@pytest.mark.parametrize("rooms_per_side", [1, 2, 3])
+@pytest.mark.parametrize("ues_per_cell", [1, 2, 8])
+def test_indoor_draws_match_per_room_reference(rooms_per_side, ues_per_cell):
+    cfg = IndoorConfig(rooms_per_side=rooms_per_side, ues_per_cell=ues_per_cell)
+    for seed in range(20):
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        topo = build_indoor(cfg, rng)
+        bs, ues = reference_indoor(cfg, rng_ref)
+        assert np.array_equal(topo.bs_xy, bs)
+        assert np.array_equal(topo.ue_xy, ues)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_indoor_config_rejected():
@@ -98,7 +126,7 @@ def test_outdoor_single_cell():
 def test_outdoor_spacing_and_containment():
     cfg = OutdoorConfig()
     topo = build_outdoor(cfg, np.random.default_rng(3))
-    bs = topo.bs_positions()
+    bs = topo.bs_xy
     assert topo.n_cells == 12
     d = np.linalg.norm(bs[:, None, :] - bs[None, :, :], axis=-1)
     np.fill_diagonal(d, np.inf)
@@ -107,13 +135,12 @@ def test_outdoor_spacing_and_containment():
     from fdcell.topology import _HEX_NORMALS
 
     assert np.all(bs @ _HEX_NORMALS.T <= cfg.hex_apothem_m + 1e-9)
-    for c in topo.cells:
-        assert np.all(np.linalg.norm(c.ue_xy - c.bs_xy, axis=1) <= cfg.cell_radius_m + 1e-9)
+    assert np.all(np.linalg.norm(topo.ue_xy - bs[:, None, :], axis=-1) <= cfg.cell_radius_m + 1e-9)
 
 
 def test_outdoor_no_wrap():
     topo = build_outdoor(OutdoorConfig(), np.random.default_rng(3))
-    dist, walls = pairwise_distance(topo, topo.bs_positions(), topo.ue_positions())
+    dist, walls = pairwise_distance(topo, topo.bs_xy, topo.ue_xy.reshape(-1, 2))
     assert not topo.wrap
     assert np.all(walls == 0)
 
@@ -127,7 +154,7 @@ def test_outdoor_impossible_placement_raises():
 def test_outdoor_determinism():
     t1 = build_outdoor(OutdoorConfig(), np.random.default_rng(11))
     t2 = build_outdoor(OutdoorConfig(), np.random.default_rng(11))
-    assert np.array_equal(t1.ue_positions(), t2.ue_positions())
+    assert np.array_equal(t1.ue_xy, t2.ue_xy)
 
 
 
@@ -153,12 +180,13 @@ def test_pairwise_distance_matches_norm_reference(indoor):
     # points exactly half a period apart tie between the direct and the
     # wrapped path on one or both axes
     ties = np.array([[0.0, 0.0], [75.0, 0.0], [0.0, 75.0], [75.0, 75.0], [149.0, 74.0]])
+    indoor_ue, outdoor_ue = indoor.ue_xy.reshape(-1, 2), outdoor.ue_xy.reshape(-1, 2)
     cases = [
-        (indoor, indoor.bs_positions(), indoor.ue_positions()),
-        (indoor, indoor.ue_positions(), indoor.ue_positions()),
+        (indoor, indoor.bs_xy, indoor_ue),
+        (indoor, indoor_ue, indoor_ue),
         (indoor, ties, ties),
-        (outdoor, outdoor.bs_positions(), outdoor.ue_positions()),
-        (outdoor, outdoor.ue_positions(), outdoor.ue_positions()),
+        (outdoor, outdoor.bs_xy, outdoor_ue),
+        (outdoor, outdoor_ue, outdoor_ue),
     ]
     for topo, a, b in cases:
         dist, walls = pairwise_distance(topo, a, b)
@@ -205,9 +233,8 @@ def assert_matches_reference(cfg, seed):
     rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     topo = build_outdoor(cfg, rng)
     bs, ues, attempts = reference_outdoor(cfg, rng_ref)
-    assert np.array_equal(topo.bs_positions(), bs)
-    for cell, ref in zip(topo.cells, ues, strict=True):
-        assert np.array_equal(cell.ue_xy, ref)
+    assert np.array_equal(topo.bs_xy, bs)
+    assert np.array_equal(topo.ue_xy, np.array(ues))
     assert rng.bit_generator.state == rng_ref.bit_generator.state
     return attempts
 
