@@ -371,41 +371,31 @@ def hd_select_ues(st: PFState, g: GainTable, P_init, direction: str, rng: np.ran
     return state.selection()
 
 
-@dataclass
-class RoundRobinState:
-    cursor_dl: np.ndarray     # (B,) next position in each cell's UE list
-    cursor_ul: np.ndarray
-
-    @classmethod
-    def fresh(cls, n_cells: int) -> "RoundRobinState":
-        return cls(np.zeros(n_cells, dtype=int), np.zeros(n_cells, dtype=int))
-
-
 def round_robin_select(
-    rr: RoundRobinState,
+    turn: int,
     mode: str,
     direction: str,
     g: GainTable,
     P_init,
     rng: np.random.Generator,
 ) -> SlotDecision:
-    """Cursor-based selection; mode FD adds a random opposite partner.
+    """Round robin: each cell serves its UE at position turn % U.
 
-    The cursor pick matches what the HD round robin would schedule in
-    the same slot, so FD/HD round-robin runs stay UE-aligned. The
-    partner is a uniform draw over the cell's other UEs; one vector draw
-    gives the values and generator state of one rng.choice per cell.
+    turn is the number of earlier slots in this direction; every cell
+    takes its turns in step, so no per-cell cursor is kept. Mode FD adds
+    a random opposite partner. The turn pick matches what the HD round
+    robin would schedule in the same slot, so FD/HD round-robin runs
+    stay UE-aligned. The partner is a uniform draw over the cell's other
+    UEs; one vector draw gives the values and generator state of one
+    rng.choice per cell.
     """
     ids = g.cell_ue_ids
     B, U = ids.shape
-    cells = np.arange(B)
-    cursor = rr.cursor_dl if direction == DL else rr.cursor_ul
-    pos = cursor % U
-    cursor += 1
-    pick = ids[cells, pos]
+    pos = turn % U
+    pick = ids[:, pos]
     partner = np.full(B, NONE, dtype=int)
     if mode == "FD" and U > 1:
         k = rng.integers(0, np.full(B, U - 1))
-        partner = ids[cells, k + (k >= pos)]
+        partner = ids[np.arange(B), k + (k >= pos)]
     R, Q = (pick, partner) if direction == DL else (partner, pick)
     return _base_decision(Q, R, P_init, False)

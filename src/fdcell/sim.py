@@ -18,6 +18,12 @@ Variants:
                   residual self-interference factor as a BS)
   FD_EnergyAware  hybrid with a distance-weighted log-power penalty in
                   the power objective
+
+The slot loop keeps only what it cannot derive: delivered bits, the
+energy ledgers, the allocator counters and each slot's UE ids and
+powers. Cell modes follow from the UE ids (DropResult.trace_mode), and
+round robin needs only the slot's turn, t // 2, because directions
+alternate network-wide.
 """
 
 from __future__ import annotations
@@ -36,14 +42,13 @@ from .power_alloc import ALLOC_COUNTERS, AllocConfig, allocate_with_fallback
 from .scheduler import (
     DL,
     UL,
-    RoundRobinState,
     hd_select_ues,
     init_state,
     round_robin_select,
     select_ues,
     update_state,
 )
-from .sinr_rate import SlotDecision, slot_rates, validate
+from .sinr_rate import slot_rates, validate
 from .topology import IndoorConfig, OutdoorConfig, build_indoor, build_outdoor
 
 SLOT_DURATION_S = 1e-3    # only ratios (gains, bits/joule) depend on it
@@ -107,29 +112,37 @@ class RunConfig:
 
 @dataclass
 class DropResult:
-    """Per-drop accumulators plus the full decision trace."""
+    """Per-drop accumulators plus the full decision trace.
+
+    Every slot lasts SLOT_DURATION_S. Cell modes are not stored: the
+    trace_mode property derives them from the two UE traces.
+    """
 
     n_cells: int
     n_ues: int
     slots: int
-    slot_s: float
     bits_dl: np.ndarray        # (N,) delivered bits per UE
     bits_ul: np.ndarray
     energy_dl_j: float         # transmit energy, accumulated slot by slot
     energy_ul_j: float
-    mode_counts: np.ndarray    # (4,) cells per mode summed over slots
-    trace_mode: np.ndarray     # (S, B) int8 mode codes
     trace_dl_ue: np.ndarray    # (S, B) UE id or -1
     trace_ul_ue: np.ndarray
     trace_p_dl: np.ndarray     # (S, B) watts
     trace_p_ul: np.ndarray
     diagnostics: dict = field(default_factory=dict)
 
+    @property
+    def trace_mode(self) -> np.ndarray:
+        """(S, B) int8 mode code of every cell-slot."""
+        # MODE_FD == MODE_HD_DL + MODE_HD_UL, MODE_IDLE == 0
+        mode = (self.trace_dl_ue >= 0) * MODE_HD_DL + (self.trace_ul_ue >= 0) * MODE_HD_UL
+        return mode.astype(np.int8)
+
     def mean_rate_dl(self) -> np.ndarray:
-        return self.bits_dl / (self.slots * self.slot_s)
+        return self.bits_dl / (self.slots * SLOT_DURATION_S)
 
     def mean_rate_ul(self) -> np.ndarray:
-        return self.bits_ul / (self.slots * self.slot_s)
+        return self.bits_ul / (self.slots * SLOT_DURATION_S)
 
     def energy_from_trace(self):
         """Second energy ledger, recomputed from the decision trace.
@@ -140,16 +153,17 @@ class DropResult:
         e_dl = 0.0
         e_ul = 0.0
         for s in range(self.slots):
-            e_dl += float(self.trace_p_dl[s].sum()) * self.slot_s
-            e_ul += float(self.trace_p_ul[s].sum()) * self.slot_s
+            e_dl += float(self.trace_p_dl[s].sum()) * SLOT_DURATION_S
+            e_ul += float(self.trace_p_ul[s].sum()) * SLOT_DURATION_S
         return e_dl, e_ul
 
     def mode_fractions(self):
         """(frac_fd, frac_hd, frac_idle) over all cell-slots."""
+        counts = np.bincount(self.trace_mode.ravel(), minlength=4)
         total = self.slots * self.n_cells
-        fd = self.mode_counts[MODE_FD] / total
-        hd = (self.mode_counts[MODE_HD_DL] + self.mode_counts[MODE_HD_UL]) / total
-        idle = self.mode_counts[MODE_IDLE] / total
+        fd = counts[MODE_FD] / total
+        hd = (counts[MODE_HD_DL] + counts[MODE_HD_UL]) / total
+        idle = counts[MODE_IDLE] / total
         return float(fd), float(hd), float(idle)
 
 
@@ -176,12 +190,6 @@ def _build_network(cfg: RunConfig, topo_rng, chan_rng):
     return topo, g
 
 
-def _classify(dec: SlotDecision) -> np.ndarray:
-    # MODE_FD == MODE_HD_DL + MODE_HD_UL, MODE_IDLE == 0
-    mode = (dec.dl_ue >= 0) * MODE_HD_DL + (dec.ul_ue >= 0) * MODE_HD_UL
-    return mode.astype(np.int8)
-
-
 def drop_rngs(seed: int, drop_index: int):
     """Paired per-drop streams: topology, shadowing, scheduler.
 
@@ -202,7 +210,6 @@ def run_drop(cfg: RunConfig, drop_index: int) -> DropResult:
     dt = SLOT_DURATION_S
 
     st = init_state(N, cfg.bandwidth_hz, beta=cfg.beta)
-    rr = RoundRobinState.fresh(B)
     alloc_cfg = AllocConfig(
         energy_kappa=cfg.energy_kappa if cfg.variant == "FD_EnergyAware" else 0.0
     )
@@ -212,8 +219,6 @@ def run_drop(cfg: RunConfig, drop_index: int) -> DropResult:
     bits_ul = np.zeros(N)
     energy_dl = 0.0
     energy_ul = 0.0
-    mode_counts = np.zeros(4, dtype=np.int64)
-    trace_mode = np.zeros((cfg.slots, B), dtype=np.int8)
     trace_dl_ue = np.full((cfg.slots, B), -1, dtype=np.int32)
     trace_ul_ue = np.full((cfg.slots, B), -1, dtype=np.int32)
     trace_p_dl = np.zeros((cfg.slots, B))
@@ -231,7 +236,8 @@ def run_drop(cfg: RunConfig, drop_index: int) -> DropResult:
             dec, diag = allocate_with_fallback(st, sel, g, alloc_cfg)
         else:
             rr_mode = "HD" if cfg.variant == "RR_HD" else "FD"
-            dec = round_robin_select(rr, rr_mode, direction, g, P, sched_rng)
+            # directions alternate, so t // 2 earlier slots ran in this one
+            dec = round_robin_select(t // 2, rr_mode, direction, g, P, sched_rng)
         validate(dec, g)
 
         rate_dl, rate_ul = slot_rates(dec, g)
@@ -243,9 +249,6 @@ def run_drop(cfg: RunConfig, drop_index: int) -> DropResult:
         energy_dl += float(dec.p_dl.sum()) * dt
         energy_ul += float(dec.p_ul.sum()) * dt
 
-        mode = _classify(dec)
-        mode_counts += np.bincount(mode, minlength=4)
-        trace_mode[t] = mode
         trace_dl_ue[t] = dec.dl_ue
         trace_ul_ue[t] = dec.ul_ue
         trace_p_dl[t] = dec.p_dl
@@ -262,13 +265,10 @@ def run_drop(cfg: RunConfig, drop_index: int) -> DropResult:
         n_cells=B,
         n_ues=N,
         slots=cfg.slots,
-        slot_s=dt,
         bits_dl=bits_dl,
         bits_ul=bits_ul,
         energy_dl_j=energy_dl,
         energy_ul_j=energy_ul,
-        mode_counts=mode_counts,
-        trace_mode=trace_mode,
         trace_dl_ue=trace_dl_ue,
         trace_ul_ue=trace_ul_ue,
         trace_p_dl=trace_p_dl,
@@ -296,7 +296,6 @@ class DirectionMetrics:
     edge5_bps: float
     ee_bits_per_joule: float
     gain_pct: float | None = None
-    gain_median_pct: float | None = None
 
 
 @dataclass
@@ -325,8 +324,7 @@ def aggregate(cfg: RunConfig, results: list, baseline: list | None = None) -> Me
     """Reduce drop results to the reported metrics.
 
     Gains compare pooled per-UE mean throughputs against the baseline
-    runs (ratio of means, plus ratio of medians for robustness). The
-    drops' allocator counters are summed.
+    runs (ratio of means). The drops' allocator counters are summed.
     """
     dl, ul = _pool_rates(results)
     e_dl = sum(r.energy_dl_j for r in results)
@@ -337,18 +335,14 @@ def aggregate(cfg: RunConfig, results: list, baseline: list | None = None) -> Me
     counters = {k: sum(int(r.diagnostics[k]) for r in results) for k in results[0].diagnostics}
 
     def direction(rates, bits, energy, base_rates):
-        gain = gain_med = None
+        gain = None
         if base_rates is not None and base_rates.mean() > 0:
             gain = (rates.mean() / base_rates.mean() - 1.0) * 100.0
-            med = np.median(base_rates)
-            if med > 0:
-                gain_med = (np.median(rates) / med - 1.0) * 100.0
         return DirectionMetrics(
             mean_tput_bps=float(rates.mean()),
             edge5_bps=float(np.percentile(rates, 5.0)),
             ee_bits_per_joule=bits / energy if energy > 0 else float("inf"),
             gain_pct=gain,
-            gain_median_pct=gain_med,
         )
 
     base_dl = base_ul = None
@@ -444,12 +438,13 @@ def dump_trace(result: DropResult, path: str) -> None:
     def dbm(w):
         return -np.inf if w <= 0 else 10.0 * np.log10(w * 1e3)
 
+    mode = result.trace_mode
     with open(path, "w") as f:
         f.write("slot,cell,mode,dl_ue,ul_ue,p_dl_dbm,p_ul_dbm\n")
         for s in range(result.slots):
             for b in range(result.n_cells):
                 f.write(
-                    f"{s},{b},{MODE_NAMES[int(result.trace_mode[s, b])]},"
+                    f"{s},{b},{MODE_NAMES[int(mode[s, b])]},"
                     f"{int(result.trace_dl_ue[s, b])},{int(result.trace_ul_ue[s, b])},"
                     f"{dbm(result.trace_p_dl[s, b]):.3f},{dbm(result.trace_p_ul[s, b]):.3f}\n"
                 )

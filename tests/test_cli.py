@@ -97,6 +97,8 @@ def test_parse_config_errors_carry_line_numbers(tmp_path):
         ("wibble = 3", EXIT_SCHEMA),
         ("slots = x", EXIT_SCHEMA),
         ("variants = HD, XXX", EXIT_SCHEMA),
+        ("variants =", EXIT_SCHEMA),
+        ("cancellation =", EXIT_SCHEMA),
         ("slots = 0", EXIT_RANGE),
         ("bs_power_dbm = -5", EXIT_RANGE),
         ("beta = 1.5", EXIT_RANGE),
@@ -369,8 +371,12 @@ def test_compare_names_its_baseline_file(tmp_path, capsys):
     assert lines[1] == "FD: DL gain +100.0%  UL gain +25.0%"
 
 
-def test_compare_missing_dir_exits_2(tmp_path):
+def test_compare_missing_dir_exits_2(tmp_path, capsys):
     assert main(["compare", str(tmp_path / "no"), str(tmp_path / "pe")]) == EXIT_MISSING_FILE
+    # a run directory without per-UE rate files is missing them too
+    (tmp_path / "metrics.csv").write_text("scenario\n")
+    assert main(["compare", str(tmp_path), str(tmp_path)]) == EXIT_MISSING_FILE
+    assert "no cdf_*.csv files" in capsys.readouterr().err
 
 
 def test_run_preset_sets_first_cancellation():

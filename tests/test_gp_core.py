@@ -8,6 +8,7 @@ from fdcell.gp_core import (
     Posynomial,
     STATUS_CONVERGED,
     STATUS_INFEASIBLE,
+    STATUS_MAX_ITER,
     WeightedLogObjective,
     _BarrierObjective,
     _SmoothedMax,
@@ -35,6 +36,18 @@ def test_evaluate_oracles():
     assert evaluate(Monomial(1.0, {0: 0.5, 1: 0.5}), [4.0, 9.0]) == pytest.approx(6.0, rel=1e-12)
     with pytest.raises(ValueError):
         evaluate(Monomial(1.0, {0: 1.0}), [-1.0])
+
+
+def test_malformed_terms_rejected():
+    for coeff in (0.0, -1.0):
+        with pytest.raises(ValueError, match="coefficient must be positive"):
+            Monomial(coeff, {0: 1.0})
+    with pytest.raises(ValueError, match="at least one term"):
+        Posynomial([])
+    p = Posynomial([Monomial(1.0, {0: 1.0}), Monomial(1.0, {1: 1.0})])
+    for x0 in ([1.0, 0.0], [-1.0, 1.0]):
+        with pytest.raises(ValueError, match="must be positive"):
+            condense(p, x0)
 
 
 def test_condense_hand_example():
@@ -125,6 +138,19 @@ def test_minimize_box_quadratic_like():
     assert abs(grad[0]) < 1e-6    # interior optimum: the whole gradient vanishes
 
 
+def test_minimize_box_reports_exhausted_budget():
+    # the same problem, stopped after one Newton step short of the optimum
+    obj = WeightedLogObjective(np.array([[[1.0], [-1.0]]]), np.zeros((1, 2)), np.ones(1))
+    y0, lo, hi = np.array([1.5]), np.array([-3.0]), np.array([3.0])
+    y, status, iters = minimize_box(obj, y0, lo, hi, max_iter=1)
+    assert (status, iters) == (STATUS_MAX_ITER, 1)
+    assert y[0] != y0[0] and abs(y[0]) > 1e-6
+    # without the limit the same start goes on to the optimum
+    y_full, status_full, iters_full = minimize_box(obj, y0, lo, hi)
+    assert status_full == STATUS_CONVERGED and iters_full > 1
+    assert abs(y[0]) > abs(y_full[0])
+
+
 class SpyObjective:
     """Records every point an objective is evaluated at and every Hessian formed."""
 
@@ -182,6 +208,12 @@ def test_minimize_box_at_the_box_edges():
     y, status, iters = minimize_box(fgh, np.array([1.0, -1.0]), lo, hi)
     assert y.tolist() == [1.0, 1.0737289375564991]
     assert (status, iters) == (STATUS_CONVERGED, 7)
+
+
+def test_solve_gp_rejects_inverted_bounds():
+    obj = Posynomial([Monomial(1.0, {0: 1.0}), Monomial(1.0, {0: -1.0})])
+    with pytest.raises(ValueError, match="0 < lo <= hi"):
+        solve_gp(GPProblem(obj, var_bounds={0: (2.0, 1.0)}))
 
 
 def test_solve_unconstrained_amgm():

@@ -244,6 +244,33 @@ def test_single_link_solves_to_full_power():
     assert info["outer_iterations"] >= 1
 
 
+def test_sp_stops_at_an_inner_round_out_of_iterations(monkeypatch):
+    # a round whose Newton solve runs out of iterations ends the loop:
+    # its point is returned with its status, and the cap is not reached
+    rng = np.random.default_rng(7)
+    st, sel, g = random_power_instance(rng)
+    prob = build_power_problem(st, sel, g, AllocConfig())
+    _, status, info = solve_power_sp(prob, prob.p_max.copy())
+    assert status == STATUS_CONVERGED and info["outer_iterations"] >= 3
+
+    rounds = []
+    real = pa.minimize_box
+
+    def stalled_in_round_2(fgh, y0, lo, hi):
+        y, inner_status, iters = real(fgh, y0, lo, hi)
+        rounds.append((y, iters))
+        return y, STATUS_MAX_ITER if len(rounds) == 2 else inner_status, iters
+
+    monkeypatch.setattr(pa, "minimize_box", stalled_in_round_2)
+    p, status, info = solve_power_sp(prob, prob.p_max.copy())
+    assert status == STATUS_MAX_ITER
+    assert len(rounds) == info["outer_iterations"] == 2
+    assert info["outer_capped"] == 0
+    assert info["inner_iterations"] == sum(iters for _, iters in rounds)
+    assert len(info["steps"]) == 2 and len(info["trajectory"]) == 3
+    np.testing.assert_array_equal(p, np.exp(rounds[1][0]))
+
+
 def grid_utility(a, b, c, d, w, p1, p2):
     """Closed-form weighted utility of the 2-cell downlink instance."""
     s1 = a * p1 / (b * p2 + N_UE)

@@ -15,7 +15,6 @@ from fdcell.scheduler import (
     DL,
     UL,
     PFState,
-    RoundRobinState,
     _SlotState,
     chi,
     get_utility,
@@ -391,12 +390,11 @@ def test_selection_never_reuses_a_ue():
 
 def test_round_robin_cycles_each_ue_once():
     _, g = indoor_network(seed=4, ues_per_cell=8)
-    rr = RoundRobinState.fresh(g.n_cells)
     P = (g.p_bs_w, g.p_ue_w)
     rng = np.random.default_rng(0)
     seen = []
-    for _ in range(8):
-        dec = round_robin_select(rr, "HD", DL, g, P, rng)
+    for turn in range(8):
+        dec = round_robin_select(turn, "HD", DL, g, P, rng)
         assert np.all(dec.ul_ue == NONE)
         seen.append(dec.dl_ue.copy())
     seen = np.stack(seen)
@@ -406,18 +404,16 @@ def test_round_robin_cycles_each_ue_once():
 
 def test_round_robin_fd_partner_distinct():
     _, g = indoor_network(seed=4, ues_per_cell=8)
-    rr = RoundRobinState.fresh(g.n_cells)
-    rr_hd = RoundRobinState.fresh(g.n_cells)
     P = (g.p_bs_w, g.p_ue_w)
     rng = np.random.default_rng(0)
     rng_hd = np.random.default_rng(0)
     for t in range(16):
         direction = DL if t % 2 == 0 else UL
-        fd = round_robin_select(rr, "FD", direction, g, P, rng)
-        hd = round_robin_select(rr_hd, "HD", direction, g, P, rng_hd)
+        fd = round_robin_select(t // 2, "FD", direction, g, P, rng)
+        hd = round_robin_select(t // 2, "HD", direction, g, P, rng_hd)
         assert np.all(fd.dl_ue >= 0) and np.all(fd.ul_ue >= 0)
         assert np.all(fd.dl_ue != fd.ul_ue)
-        # cursor side matches what the HD round robin scheduled
+        # turn side matches what the HD round robin scheduled
         if direction == DL:
             assert np.array_equal(fd.dl_ue, hd.dl_ue)
         else:
@@ -426,21 +422,24 @@ def test_round_robin_fd_partner_distinct():
 
 def test_round_robin_single_ue_degenerates_to_hd():
     _, g = indoor_network(seed=4, ues_per_cell=1)
-    rr = RoundRobinState.fresh(g.n_cells)
-    dec = round_robin_select(rr, "FD", DL, g, (g.p_bs_w, g.p_ue_w), np.random.default_rng(0))
+    dec = round_robin_select(0, "FD", DL, g, (g.p_bs_w, g.p_ue_w), np.random.default_rng(0))
     assert np.all(dec.dl_ue >= 0)
     assert np.all(dec.ul_ue == NONE)
 
 
-def reference_round_robin(rr, mode, direction, g, rng):
-    """Per-cell loop with one rng.choice per partner: the specification
-    round_robin_select reproduces with array operations."""
+def reference_round_robin(cursors, mode, direction, g, rng):
+    """Per-cell loop with per-direction, per-cell cursors advanced on every
+    call and one rng.choice per partner: the specification that
+    round_robin_select reproduces from the turn index alone.
+
+    cursors maps DL and UL to (B,) int arrays, updated in place.
+    """
     B = g.n_cells
     R = np.full(B, NONE, dtype=int)
     Q = np.full(B, NONE, dtype=int)
+    cursor = cursors[direction]
     for c in range(B):
         ids = g.cell_ue_ids[c]
-        cursor = rr.cursor_dl if direction == DL else rr.cursor_ul
         pick = int(ids[cursor[c] % len(ids)])
         cursor[c] += 1
         partner = NONE
@@ -467,13 +466,13 @@ def test_round_robin_matches_per_cell_choice_reference(network):
     P = (g.p_bs_w, g.p_ue_w)
     for seed in range(20):
         for mode in ("FD", "HD"):
-            rr, rr_ref = RoundRobinState.fresh(g.n_cells), RoundRobinState.fresh(g.n_cells)
+            cursors = {d: np.zeros(g.n_cells, dtype=int) for d in (DL, UL)}
             rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
             for t in range(16):
                 direction = DL if t % 2 == 0 else UL
-                dec = round_robin_select(rr, mode, direction, g, P, rng)
-                R, Q = reference_round_robin(rr_ref, mode, direction, g, rng_ref)
+                dec = round_robin_select(t // 2, mode, direction, g, P, rng)
+                R, Q = reference_round_robin(cursors, mode, direction, g, rng_ref)
                 assert np.array_equal(dec.dl_ue, R) and np.array_equal(dec.ul_ue, Q)
-                assert np.array_equal(rr.cursor_dl, rr_ref.cursor_dl)
-                assert np.array_equal(rr.cursor_ul, rr_ref.cursor_ul)
+                # the turn is each cursor's count of earlier calls in its direction
+                assert np.all(cursors[direction] == t // 2 + 1)
                 assert rng.bit_generator.state == rng_ref.bit_generator.state

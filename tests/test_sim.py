@@ -23,7 +23,6 @@ from fdcell.sim import (
     Metrics,
     RunConfig,
     _build_network,
-    _classify,
     aggregate,
     config_dict,
     drop_rngs,
@@ -243,24 +242,26 @@ def test_fd_doubles_clean_single_cell():
 
 
 def synthetic_result(bits_dl, bits_ul, energy_dl, energy_ul, mode_counts, slots=10, B=2):
+    """A drop whose UE traces hold mode_counts[code] cell-slots of each mode."""
     n = len(bits_dl)
     shape = (slots, B)
-    return DropResult(
+    assert sum(mode_counts) == slots * B
+    code = np.repeat(np.arange(4), mode_counts).reshape(shape)
+    res = DropResult(
         n_cells=B,
         n_ues=n,
         slots=slots,
-        slot_s=1e-3,
         bits_dl=np.asarray(bits_dl, dtype=float),
         bits_ul=np.asarray(bits_ul, dtype=float),
         energy_dl_j=energy_dl,
         energy_ul_j=energy_ul,
-        mode_counts=np.asarray(mode_counts, dtype=np.int64),
-        trace_mode=np.zeros(shape, dtype=np.int8),
-        trace_dl_ue=np.full(shape, -1, dtype=np.int32),
-        trace_ul_ue=np.full(shape, -1, dtype=np.int32),
+        trace_dl_ue=np.where(code & MODE_HD_DL, 0, -1).astype(np.int32),
+        trace_ul_ue=np.where(code & MODE_HD_UL, 0, -1).astype(np.int32),
         trace_p_dl=np.zeros(shape),
         trace_p_ul=np.zeros(shape),
     )
+    np.testing.assert_array_equal(np.bincount(res.trace_mode.ravel(), minlength=4), mode_counts)
+    return res
 
 
 def test_aggregate_matches_hand_computation():
@@ -312,10 +313,11 @@ def test_energy_double_entry_exact(small_fd_drop):
 
 def test_mode_accounting(small_fd_cfg, small_fd_drop):
     res = small_fd_drop
-    assert res.mode_counts.sum() == res.slots * res.n_cells
+    counts = np.bincount(res.trace_mode.ravel(), minlength=4)
+    assert counts.size == 4 and counts.sum() == res.slots * res.n_cells
     fd, hd, idle = res.mode_fractions()
     assert fd + hd + idle == pytest.approx(1.0, abs=1e-12)
-    # trace and counters agree
+    # the fractions count the trace's mode codes
     for code, want in ((MODE_FD, fd), (MODE_IDLE, idle)):
         assert (res.trace_mode == code).mean() == pytest.approx(want, abs=1e-12)
     # FD mode means both directions assigned in that cell-slot
@@ -325,12 +327,25 @@ def test_mode_accounting(small_fd_cfg, small_fd_drop):
     assert np.all(res.trace_dl_ue[res.trace_mode == MODE_HD_UL] == -1)
 
 
-def test_classify_codes_every_link_combination():
+def test_trace_mode_codes_every_link_combination():
     g = toy_gains(np.full((4, 8), 1e-9))
     dec = make_decision(g, dl=[None, 2, None, 6], ul=[None, None, 5, 7])
-    mode = _classify(dec)
+    res = DropResult(
+        n_cells=4,
+        n_ues=8,
+        slots=1,
+        bits_dl=np.zeros(8),
+        bits_ul=np.zeros(8),
+        energy_dl_j=0.0,
+        energy_ul_j=0.0,
+        trace_dl_ue=dec.dl_ue[None].astype(np.int32),
+        trace_ul_ue=dec.ul_ue[None].astype(np.int32),
+        trace_p_dl=dec.p_dl[None],
+        trace_p_ul=dec.p_ul[None],
+    )
+    mode = res.trace_mode
     assert mode.dtype == np.int8
-    np.testing.assert_array_equal(mode, [MODE_IDLE, MODE_HD_DL, MODE_HD_UL, MODE_FD])
+    np.testing.assert_array_equal(mode, [[MODE_IDLE, MODE_HD_DL, MODE_HD_UL, MODE_FD]])
 
 
 def test_fdue_drop_bits_equal_per_slot_rate_sums():

@@ -115,6 +115,8 @@ def test_indoor_config_rejected():
         build_indoor(IndoorConfig(room_side_m=0.0), np.random.default_rng(0))
     with pytest.raises(ConfigError):
         build_indoor(IndoorConfig(ues_per_cell=0), np.random.default_rng(0))
+    with pytest.raises(ConfigError):
+        build_indoor(IndoorConfig(rooms_per_side=0), np.random.default_rng(0))
 
 
 def test_outdoor_single_cell():
@@ -270,6 +272,15 @@ def test_outdoor_max_tries_counts_candidates_per_bs():
         reference_outdoor(short, np.random.default_rng(4))
     with pytest.raises(PlacementError):
         build_outdoor(short, np.random.default_rng(4))
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("n_cells", 0), ("ues_per_cell", 0), ("hex_apothem_m", 0.0), ("cell_radius_m", -1.0)],
+)
+def test_outdoor_config_rejected(field, value):
+    with pytest.raises(ConfigError, match=field):
+        build_outdoor(OutdoorConfig(**{field: value}), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("max_tries", [0, -1])
