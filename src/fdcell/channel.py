@@ -155,9 +155,15 @@ class GainTable:
         """(B+N) x (N+B) gain from every transmitter to every receiver.
 
         Transmitters are the B BSs, then the N UEs; receivers the N UEs,
-        then the B BSs. A node that both transmits and receives hears
-        its own residual gamma: the BS diagonal, and the UE diagonal,
-        which only a UE on both directions (fd_ue) reads.
+        then the B BSs. Every active transmitter is charged at every
+        active receiver: a downlink UE hears the other downlink BSs and
+        every uplink UE; an uplink receiver (the BS) hears the other
+        downlink BSs and the other cells' uplink UEs. A node that both
+        transmits and receives hears its own residual self-interference,
+        gamma times its own transmit power: the BS diagonal, and the UE
+        diagonal, which only a UE scheduled in both directions (fd_ue)
+        reads, in place of the (zero) UE-to-UE self gain. This table is
+        the only place where gamma enters a SINR.
         """
         B, N = self.n_cells, self.n_ues
         out = np.block([[self.g_dl, self.g_bs], [self.g_ue, self.g_dl.T]])

@@ -10,11 +10,11 @@ with a projected Newton. Re-condensing at each new iterate yields a
 monotone successive approximation that stops once the power vector
 moves less than epsilon.
 
-Everything works on the links x links gain matrix of the active links,
-one gather from the gain table's transmitter x receiver matrix: entry
-(l, k) is the gain from link k's transmitter to link l's receiver, the
-diagonal is each link's own signal, so every SINR is one matrix-vector
-product. A link's numerator is its noise plus its off-diagonal row
+Everything works on the links x links gain matrix of the active links
+and their SINR, both taken from sinr_rate (link_gains, link_sinr), the
+path that also charges the slot's rates: entry (l, k) is the gain from
+link k's transmitter to link l's receiver, the diagonal is each link's
+own signal. A link's numerator is its noise plus its off-diagonal row
 times the powers, its denominator adds the own signal; the condensed
 objective's value, gradient and Hessian are a few matrix products over
 that matrix.
@@ -59,7 +59,7 @@ from .gp_core import (
     minimize_box,
 )
 from .scheduler import PFState, Selection
-from .sinr_rate import MAX_SE, NONE, SlotDecision
+from .sinr_rate import MAX_SE, NONE, link_gains, link_sinr
 # unused here, but the benchmark tracer patches these names in this module
 from .sinr_rate import slot_rates, slot_sinrs  # noqa: F401
 
@@ -130,36 +130,14 @@ class PowerProblem:
         return float(self.w @ np.log(num / den) + self.lin @ np.log(p))
 
 
-def _link_gains(dec: SlotDecision, g: GainTable):
-    """Active links of a decision and their gains: (cells_dl, cells_ul, gain, noise).
-
-    Links are the downlinks by cell, then the uplinks by cell;
-    gain[l, k] is the gain from link k's transmitter to link l's
-    receiver, the diagonal each link's own signal, noise[l] the noise at
-    l's receiver.
-    """
-    cells_dl = np.where(dec.dl_ue >= 0)[0]
-    cells_ul = np.where(dec.ul_ue >= 0)[0]
-    tx = np.concatenate([cells_dl, g.n_cells + dec.ul_ue[cells_ul]])
-    rx = np.concatenate([dec.dl_ue[cells_dl], g.n_ues + cells_ul])
-    # gathered through the transpose so the matrix comes out C-ordered
-    return cells_dl, cells_ul, g.tx_rx.T[np.ix_(rx, tx)], g.rx_noise[rx]
-
-
 def _interference(gain: np.ndarray) -> np.ndarray:
     """The gain matrix without its diagonal (the own signals)."""
     return gain - np.diag(np.diagonal(gain))
 
 
-def _link_sinr(gain: np.ndarray, noise: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """SINR of every link at powers p over a links x links gain matrix."""
-    sig = np.diagonal(gain) * p
-    return sig / (noise + gain @ p - sig)
-
-
 def _at_cap(gain: np.ndarray, noise: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Links at (or, by rounding, just under) the SE cap at powers p."""
-    return _link_sinr(gain, noise, p) >= SE_CAP_SINR * (1 - 1e-9)
+    return link_sinr(gain, noise, p) >= SE_CAP_SINR * (1 - 1e-9)
 
 
 def build_power_problem(
@@ -172,7 +150,7 @@ def build_power_problem(
     if cfg.energy_kappa < 0:
         raise ConfigError(f"energy_kappa must be non-negative, got {cfg.energy_kappa}")
     dec = selection.decision
-    cells_dl, cells_ul, gain, noise = _link_gains(dec, g)
+    cells_dl, cells_ul, gain, noise = link_gains(dec, g)
     n = len(noise)
     if n == 0:
         return None
@@ -355,7 +333,7 @@ def trim_to_se_cap(gain: np.ndarray, noise: np.ndarray, p: np.ndarray) -> np.nda
     """Lower the powers of links above the spectral-efficiency cap to the cap.
 
     gain, noise and p are the links x links gain matrix, the receiver
-    noise and the link powers, in the order of _link_gains; returns the
+    noise and the link powers, in the order of link_gains; returns the
     new powers. The links above the cap (set S) take the powers at which
     each one sits exactly at the cap, given the others' powers: the
     fixed point of Yates' standard interference function, found by
@@ -373,7 +351,7 @@ def trim_to_se_cap(gain: np.ndarray, noise: np.ndarray, p: np.ndarray) -> np.nda
     sig = np.diagonal(gain)
     over = np.zeros(len(p), dtype=bool)
     while True:
-        newly = ~over & (_link_sinr(gain, noise, p) > SE_CAP_SINR * (1 + 1e-12))
+        newly = ~over & (link_sinr(gain, noise, p) > SE_CAP_SINR * (1 + 1e-12))
         if not newly.any():
             return p
         over |= newly
@@ -392,7 +370,7 @@ def realized_objective(prob: PowerProblem, p: np.ndarray) -> float:
     this is the quantity the cap conditioning actually improves, so
     safeguard comparisons happen on it.
     """
-    sinr = _link_sinr(prob.gain, prob.noise, p)
+    sinr = link_sinr(prob.gain, prob.noise, p)
     on = p > 0
     cap = np.log1p(np.minimum(sinr[on], SE_CAP_SINR))
     val = -float(prob.w[on] @ cap)

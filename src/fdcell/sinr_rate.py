@@ -1,13 +1,13 @@
 """Per-link SINR and rate evaluation for one slot decision.
 
 A slot decision holds, per cell, the chosen downlink UE, uplink UE (or
-NONE) and the transmit powers. The evaluator charges every active
-transmitter against every active receiver: downlink receivers hear all
-other downlink cells plus every uplink UE; an uplink receiver (the BS)
-hears residual self-interference gamma times its own downlink power,
-other downlink BSs, and other cells' uplink UEs. With the FD-UE option
-a UE may be scheduled in both directions at once, and gamma applies at
-its own receiver in place of the (zero) UE-to-UE self gain.
+NONE) and the transmit powers. Its active links are the downlinks by
+cell, then the uplinks by cell, and every link is read from the gain
+table's one transmitter x receiver matrix (GainTable.tx_rx, which also
+holds the residual self-interference): one gather gives the links x
+links gain matrix, whose diagonal is each link's own signal, so every
+SINR is one matrix-vector product. The power allocator works on the
+same gather, so the quantity it optimizes is the rate that is charged.
 """
 
 from __future__ import annotations
@@ -69,43 +69,51 @@ def validate(dec: SlotDecision, g: GainTable) -> None:
         raise AssertionError(next(msg for bad, msg in checks if bad.any()))
 
 
-def slot_link_terms(dec: SlotDecision, g: GainTable):
-    """Signal and denominator power per link: (sig_d, den_d, sig_u, den_u).
+def link_gains(dec: SlotDecision, g: GainTable):
+    """Active links of a decision and their gains: (cells_dl, cells_ul, gain, noise).
 
-    Signals are zero on inactive links; denominators always include the
-    receiver noise so they stay positive.
+    Links are the downlinks by cell, then the uplinks by cell;
+    gain[l, k] is the gain from link k's transmitter to link l's
+    receiver, the diagonal each link's own signal, noise[l] the noise at
+    l's receiver.
+    """
+    cells_dl = np.where(dec.dl_ue >= 0)[0]
+    cells_ul = np.where(dec.ul_ue >= 0)[0]
+    tx = np.concatenate([cells_dl, g.n_cells + dec.ul_ue[cells_ul]])
+    rx = np.concatenate([dec.dl_ue[cells_dl], g.n_ues + cells_ul])
+    # gathered through the transpose so the matrix comes out C-ordered
+    return cells_dl, cells_ul, g.tx_rx.T[np.ix_(rx, tx)], g.rx_noise[rx]
+
+
+def link_sinr(gain: np.ndarray, noise: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """SINR of every link at powers p over a links x links gain matrix."""
+    sig = np.diagonal(gain) * p
+    return sig / (noise + gain @ p - sig)
+
+
+def slot_link_terms(dec: SlotDecision, g: GainTable):
+    """Signal and denominator power per cell: (sig_d, den_d, sig_u, den_u).
+
+    An inactive link has signal 0 and its receiver's noise as its
+    denominator (the UE noise downlink, the BS noise uplink), so every
+    denominator is positive.
     """
     B = g.n_cells
-    idx = np.arange(B)
-    dl_on = dec.dl_ue >= 0
-    ul_on = dec.ul_ue >= 0
-    pd = np.where(dl_on, dec.p_dl, 0.0)
-    pu = np.where(ul_on, dec.p_ul, 0.0)
-    r = np.where(dl_on, dec.dl_ue, 0)
-    u = np.where(ul_on, dec.ul_ue, 0)
-
-    # downlink: receiver is UE r[b]
-    sig_d = pd * g.g_dl[idx, r]
-    bs_to_r = g.g_dl[:, r]                       # [i, b] = BS i -> UE r[b]
-    ue_to_r = g.g_ue[u][:, r]                    # [i, b] = UE u[i] -> UE r[b]
-    den_d = g.noise_ue_w + pd @ bs_to_r - sig_d + pu @ ue_to_r
-    if dec.fd_ue:
-        same = dl_on & ul_on & (dec.dl_ue == dec.ul_ue)
-        den_d = den_d + np.where(same, pu * g.gamma, 0.0)
-
-    # uplink: receiver is BS b
-    sig_u = pu * g.g_dl[idx, u]
-    ue_to_b = g.g_dl[:, u]                       # [b, i] = BS b <- UE u[i]
-    den_u = g.noise_bs_w + pd * g.gamma + pd @ g.g_bs + ue_to_b @ pu - sig_u
-    return sig_d, den_d, sig_u, den_u
+    cells_dl, cells_ul, gain, noise = link_gains(dec, g)
+    p = np.concatenate([dec.p_dl[cells_dl], dec.p_ul[cells_ul]])
+    links = np.concatenate([cells_dl, B + cells_ul])
+    sig = np.zeros(2 * B)
+    den = np.repeat([g.noise_ue_w, g.noise_bs_w], B)
+    own = np.diagonal(gain) * p
+    sig[links] = own
+    den[links] = noise + gain @ p - own
+    return sig[:B], den[:B], sig[B:], den[B:]
 
 
 def slot_sinrs(dec: SlotDecision, g: GainTable):
     """Vector of downlink and uplink SINRs, zero on inactive links."""
     sig_d, den_d, sig_u, den_u = slot_link_terms(dec, g)
-    sinr_d = np.where(dec.dl_ue >= 0, sig_d / den_d, 0.0)
-    sinr_u = np.where(dec.ul_ue >= 0, sig_u / den_u, 0.0)
-    return sinr_d, sinr_u
+    return sig_d / den_d, sig_u / den_u
 
 
 def rate_from_sinr(sinr, bandwidth_hz: float):

@@ -1,8 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fdcell.channel
 from fdcell.channel import (
     BS_BS,
     BS_UE,
@@ -267,6 +270,21 @@ def test_tx_rx_table_layout_and_cancellation_copy():
     np.testing.assert_array_equal(g2.tx_rx[:B, :N], g.g_dl)
     # the original keeps its gamma
     assert np.all(np.diagonal(g.tx_rx[:B, N:]) == g.gamma)
+
+
+def test_only_channel_reads_self_interference_inputs():
+    # gamma and the BS-BS / UE-UE blocks reach a SINR only through
+    # GainTable.tx_rx; another module reading them would hold a second
+    # copy of the self-interference rule
+    modules = [p for p in Path(fdcell.channel.__file__).parent.glob("*.py") if p.name != "channel.py"]
+    assert {"sinr_rate.py", "power_alloc.py", "scheduler.py"} <= {p.name for p in modules}
+    readers = sorted(
+        (path.name, node.lineno, node.attr)
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in {"gamma", "g_bs", "g_ue"}
+    )
+    assert readers == []
 
 
 def test_ue_id_matrix_rows_are_cells():

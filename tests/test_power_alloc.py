@@ -24,7 +24,8 @@ from fdcell.power_alloc import (
     trim_to_se_cap,
 )
 from fdcell.scheduler import PFState, Selection
-from fdcell.sinr_rate import NONE, slot_sinrs
+from fdcell.sinr_rate import NONE, link_gains, link_sinr, slot_sinrs
+from reference import reference_slot_sinrs
 
 W_C = 10e6
 N_UE = noise_power_w(W_C, 9.0)
@@ -44,8 +45,8 @@ def active_powers(prob, dec):
 
 
 def trim_decision(dec, g):
-    """trim_to_se_cap on a decision's links, gathered with _link_gains."""
-    cells_dl, cells_ul, gain, noise = pa._link_gains(dec, g)
+    """trim_to_se_cap on a decision's links, gathered with link_gains."""
+    cells_dl, cells_ul, gain, noise = link_gains(dec, g)
     p = np.concatenate([dec.p_dl[cells_dl], dec.p_ul[cells_ul]])
     p = trim_to_se_cap(gain, noise, p)
     out = dec.copy()
@@ -149,12 +150,13 @@ def test_objective_matches_sinr_module(rng):
         dec = dec0.copy()
         dec.p_dl[prob.cells_dl] = p[: len(prob.cells_dl)]
         dec.p_ul[prob.cells_ul] = p[len(prob.cells_dl):]
-        sinr_d, sinr_u = slot_sinrs(dec, g)
+        # the block formulas, not the gather the problem is built from
+        sinr_d, sinr_u = reference_slot_sinrs(dec, g)
         sinr = np.concatenate([sinr_d[prob.cells_dl], sinr_u[prob.cells_ul]])
         expected = -float(prob.w @ np.log1p(sinr))
         assert prob.true_objective(p) == pytest.approx(expected, rel=1e-10)
         # the link-space SINR behind it
-        np.testing.assert_allclose(pa._link_sinr(prob.gain, prob.noise, p), sinr, rtol=1e-12)
+        np.testing.assert_allclose(link_sinr(prob.gain, prob.noise, p), sinr, rtol=1e-12)
         # posynomial-ratio view agrees with the gathered arrays
         obj = build_sp_objective(prob)
         assert obj.value(p) == pytest.approx(math.exp(expected), rel=1e-9)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import indoor_network, make_decision, toy_gains
+from conftest import indoor_network, make_decision, outdoor_network, toy_gains
 from fdcell.channel import dbm_to_w
 from fdcell.sinr_rate import (
     MAX_SE,
@@ -13,6 +13,7 @@ from fdcell.sinr_rate import (
     slot_sinrs,
     validate,
 )
+from reference import reference_slot_sinrs
 
 
 def test_single_cell_snr_oracle():
@@ -92,6 +93,14 @@ def test_zero_power_assigned_link():
     assert ru[0] == 0.0
     # an unassigned link reads zero SINR
     assert slot_sinrs(make_decision(g), g)[1][0] == 0.0
+    # an inactive link has no signal and only its receiver's noise, also
+    # at a BS that transmits and so hears its own residual
+    sig_d, den_d, sig_u, _ = slot_link_terms(dec, g)
+    assert sig_u[0] == 0.0
+    assert sig_d[0] == 0.0 and den_d[0] == g.noise_ue_w
+    g_si = toy_gains([[1e-8, 1e-8]], gamma=10.0**-9.5)
+    _, _, sig_u, den_u = slot_link_terms(make_decision(g_si, dl=[0]), g_si)
+    assert sig_u[0] == 0.0 and den_u[0] == g_si.noise_bs_w
 
 
 def test_validate_rejects_bad_decisions():
@@ -161,3 +170,36 @@ def test_rates_zero_on_idle_cells():
     rd, ru = slot_rates(dec, g)
     assert rd[1] == 0.0 and ru[0] == 0.0
     assert rd[0] > 0.0 and ru[1] > 0.0
+
+
+@pytest.mark.parametrize("network", [indoor_network, outdoor_network])
+@pytest.mark.parametrize("cancellation_db", [75.0, None])
+@pytest.mark.parametrize("fd_ue", [False, True])
+def test_slot_sinrs_match_block_reference(network, cancellation_db, fd_ue):
+    # the tx_rx gather against the per-block formulas, on random partial
+    # decisions with random powers, some of them zero; the two sum the
+    # same gains in a different order
+    _, g = network(seed=3, cancellation_db=cancellation_db)
+    rng = np.random.default_rng(11)
+    shared = 0
+    for _ in range(100):
+        dl, ul = [], []
+        for ids in g.cell_ue_ids:
+            d, u = rng.choice(np.append(ids, [NONE, NONE]), size=2)
+            if u == d and not fd_ue:
+                u = NONE
+            shared += d == u != NONE
+            dl.append(d)
+            ul.append(u)
+        dec = make_decision(g, dl=dl, ul=ul, fd_ue=fd_ue)
+        dec.p_dl *= rng.random(g.n_cells) * (rng.random(g.n_cells) > 0.2)
+        dec.p_ul *= rng.random(g.n_cells) * (rng.random(g.n_cells) > 0.2)
+        validate(dec, g)
+        sinr_d, sinr_u = slot_sinrs(dec, g)
+        want_d, want_u = reference_slot_sinrs(dec, g)
+        np.testing.assert_allclose(sinr_d, want_d, rtol=1e-8, atol=0.0)
+        np.testing.assert_allclose(sinr_u, want_u, rtol=1e-8, atol=0.0)
+        # inactive and zero-power links read SINR 0
+        assert not sinr_d[(dec.dl_ue < 0) | (dec.p_dl == 0)].any()
+        assert not sinr_u[(dec.ul_ue < 0) | (dec.p_ul == 0)].any()
+    assert (shared > 0) == fd_ue
