@@ -17,7 +17,9 @@ link k's transmitter to link l's receiver, the diagonal is each link's
 own signal. A link's numerator is its noise plus its off-diagonal row
 times the powers, its denominator adds the own signal; the condensed
 objective's value, gradient and Hessian are a few matrix products over
-that matrix.
+that matrix. No posynomial is built at run time; the posynomial-ratio
+form lives in tests/reference.py, where it checks the condensed
+objective against gp_core.condense.
 
 The allocator wraps the loop with the scheduler-facing policy: keep
 every selected link, take the SP's point even when a round stops at an
@@ -51,13 +53,7 @@ import numpy as np
 
 from .channel import GainTable
 from .errors import ConfigError
-from .gp_core import (
-    STATUS_CONVERGED,
-    STATUS_MAX_ITER,
-    Monomial,
-    Posynomial,
-    minimize_box,
-)
+from .gp_core import STATUS_CONVERGED, STATUS_MAX_ITER, minimize_box
 from .scheduler import PFState, Selection
 from .sinr_rate import MAX_SE, NONE, link_gains, link_sinr
 # unused here, but the benchmark tracer patches these names in this module
@@ -121,18 +117,13 @@ class PowerProblem:
     @cached_property
     def interference(self) -> np.ndarray:
         """The gain matrix without its diagonal (the own signals)."""
-        return _interference(self.gain)
+        return self.gain - np.diag(np.diagonal(self.gain))
 
     def true_objective(self, p: np.ndarray) -> float:
         """Weighted log objective at powers p (lower is better)."""
         num = self.noise + self.interference @ p
         den = num + np.diagonal(self.gain) * p
         return float(self.w @ np.log(num / den) + self.lin @ np.log(p))
-
-
-def _interference(gain: np.ndarray) -> np.ndarray:
-    """The gain matrix without its diagonal (the own signals)."""
-    return gain - np.diag(np.diagonal(gain))
 
 
 def _at_cap(gain: np.ndarray, noise: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -186,38 +177,6 @@ def build_power_problem(
         p_max=p_max,
         epsilon=float(1e-3 * np.sqrt(2.0 * g.n_cells) * float(p_max.max())),
     )
-
-
-def _linear_posynomial(noise: float, gains: np.ndarray) -> Posynomial:
-    """noise + sum_k gains[k] * p_k over the links with a nonzero gain."""
-    terms = [Monomial(float(noise))]
-    terms += [Monomial(float(gains[k]), {int(k): 1.0}) for k in np.flatnonzero(gains)]
-    return Posynomial(terms)
-
-
-@dataclass
-class SPObjective:
-    """Contract view of the objective: prod_l (num_l/den_l)^(w_l) * prod p^lin."""
-
-    num: list
-    den: list
-    w: np.ndarray
-    lin: np.ndarray
-    w_scale: float
-
-    def value(self, p) -> float:
-        p = np.asarray(p, dtype=float)
-        out = float(self.lin @ np.log(p))
-        for n_, d_, w_ in zip(self.num, self.den, self.w):
-            out += w_ * (np.log(n_.value(p)) - np.log(d_.value(p)))
-        return float(np.exp(out))
-
-
-def build_sp_objective(prob: PowerProblem) -> SPObjective:
-    """Posynomial-ratio form of the slot objective (for checks and dumps)."""
-    num = [_linear_posynomial(*nr) for nr in zip(prob.noise, prob.interference)]
-    den = [_linear_posynomial(*nr) for nr in zip(prob.noise, prob.gain)]
-    return SPObjective(num, den, prob.w.copy(), prob.lin.copy(), prob.w_scale)
 
 
 class _LinkSurrogate:

@@ -22,11 +22,8 @@ candidate adds its transmitter's gain row to the receiver vector (a
 rank-1 update) and keeps the scan's link terms, so no slot-wide SINR
 evaluation runs during a selection.
 
-get_utility is the reference evaluator for one candidate: it evaluates
-the whole slot anew on every call. The scans are numerically
-equivalent to it (modulo summation order), which
-test_scan_matches_get_utility in tests/test_scheduler.py checks on
-multi-cell networks.
+The tests check every scan against the whole-slot utility with and
+without the candidate (utility_change in tests/conftest.py).
 """
 
 from __future__ import annotations
@@ -36,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import GainTable
-from .sinr_rate import MIN_SE, NONE, SlotDecision, rate_from_sinr, slot_rates
-# unused here, but the benchmark tracer patches this name in this module
-from .sinr_rate import slot_link_terms  # noqa: F401
+from .sinr_rate import MIN_SE, NONE, SlotDecision, rate_from_sinr
+# unused here, but the benchmark tracer patches these names in this module
+from .sinr_rate import slot_link_terms, slot_rates  # noqa: F401
 
 DL = "DL"
 UL = "UL"
@@ -93,63 +90,6 @@ def _base_decision(Q, R, powers, fd_ue: bool) -> SlotDecision:
         p_ul=np.where(Q >= 0, p_ul_w, 0.0),
         fd_ue=fd_ue,
     )
-
-
-def _assigned_chi(dec: SlotDecision, g: GainTable, st: PFState):
-    """Rates and chi of every currently assigned link (zeros elsewhere)."""
-    rate_dl, rate_ul = slot_rates(dec, g)
-    c_dl = np.zeros(g.n_cells)
-    c_ul = np.zeros(g.n_cells)
-    on = dec.dl_ue >= 0
-    c_dl[on] = chi(st.avg_dl[dec.dl_ue[on]], rate_dl[on], st.beta)
-    on = dec.ul_ue >= 0
-    c_ul[on] = chi(st.avg_ul[dec.ul_ue[on]], rate_ul[on], st.beta)
-    return rate_dl, rate_ul, c_dl, c_ul
-
-
-def get_utility(c, d, u, Q, R, g: GainTable, powers, st: PFState, fd_ue=False):
-    """Net utility change of adding one candidate link to a partial slot.
-
-    Exactly one of d (downlink UE) / u (uplink UE) must be a valid UE id;
-    Q and R are the uplink/downlink partial assignment vectors. Returns
-    the candidate's own marginal utility minus the utility everyone
-    already scheduled loses to the candidate's interference.
-    """
-    d = NONE if d is None else d
-    u = NONE if u is None else u
-    if (d >= 0) == (u >= 0):
-        raise ValueError("exactly one of d, u must be a candidate UE")
-    base = _base_decision(Q, R, powers, fd_ue)
-    cand = d if d >= 0 else u
-    if g.ue_cell[cand] != c:
-        raise ValueError(f"candidate UE {cand} does not belong to cell {c}")
-    if (d >= 0 and R[c] >= 0) or (u >= 0 and Q[c] >= 0):
-        raise ValueError("candidate direction already assigned in this cell")
-    assigned = np.concatenate([np.asarray(R)[np.asarray(R) >= 0], np.asarray(Q)[np.asarray(Q) >= 0]])
-    if cand in assigned:
-        if not (fd_ue and ((d >= 0 and Q[c] == cand) or (u >= 0 and R[c] == cand))):
-            raise ValueError(f"UE {cand} is already scheduled this slot")
-
-    _, _, c_dl0, c_ul0 = _assigned_chi(base, g, st)
-
-    trial = base
-    p_dl_w, p_ul_w = powers
-    if d >= 0:
-        trial.dl_ue[c] = d
-        trial.p_dl[c] = p_dl_w
-    else:
-        trial.ul_ue[c] = u
-        trial.p_ul[c] = p_ul_w
-    rate_dl, rate_ul, c_dl1, c_ul1 = _assigned_chi(trial, g, st)
-
-    if d >= 0:
-        gain = float(chi(st.avg_dl[d], rate_dl[c], st.beta))
-        c_dl1[c] = c_dl0[c]      # candidate's own link is not a loss term
-    else:
-        gain = float(chi(st.avg_ul[u], rate_ul[c], st.beta))
-        c_ul1[c] = c_ul0[c]
-    loss = float(np.sum(np.abs(c_dl0 - c_dl1)) + np.sum(np.abs(c_ul0 - c_ul1)))
-    return gain - loss
 
 
 @dataclass

@@ -195,7 +195,10 @@ def drop_rngs(seed: int, drop_index: int):
 
     The spawn key depends only on (seed, drop), never on the variant, so
     every variant sees the same network realization for the same drop.
+    A seed of None would draw from OS entropy, so it is rejected here.
     """
+    if seed is None:
+        raise ConfigError("seed must be set before a run, got None")
     ss = np.random.SeedSequence(seed, spawn_key=(drop_index,))
     return [np.random.default_rng(s) for s in ss.spawn(3)]
 

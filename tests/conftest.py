@@ -11,7 +11,7 @@ from fdcell.channel import (
     noise_power_w,
     outdoor_params,
 )
-from fdcell.scheduler import chi
+from fdcell.scheduler import DL, chi
 from fdcell.sinr_rate import NONE, SlotDecision, slot_rates
 from fdcell.topology import IndoorConfig, OutdoorConfig, build_indoor, build_outdoor
 
@@ -85,6 +85,20 @@ def total_slot_utility(dec, g, st):
     on = dec.ul_ue >= 0
     u += float(np.sum(chi(st.avg_ul[dec.ul_ue[on]], rate_ul[on], st.beta)))
     return u
+
+
+def utility_change(g, st, dl, ul, c, direction, k, fd_ue=False):
+    """Total slot utility with UE k added on cell c's `direction` link,
+    minus the total without it: the net utility change the greedy scans
+    score. dl and ul hold each cell's UE id (NONE or None when idle),
+    and every link transmits at full power.
+    """
+    dl = [NONE if x is None else int(x) for x in dl]
+    ul = [NONE if x is None else int(x) for x in ul]
+    before = make_decision(g, dl=dl, ul=ul, fd_ue=fd_ue)
+    (dl if direction == DL else ul)[c] = k
+    after = make_decision(g, dl=dl, ul=ul, fd_ue=fd_ue)
+    return total_slot_utility(after, g, st) - total_slot_utility(before, g, st)
 
 
 def random_power_instance(rng, n_cells=None):

@@ -1,12 +1,18 @@
-"""Block-formula SINR evaluation, kept as an independent oracle.
+"""Independent oracles for the SINR and the power objective.
 
-The simulator reads every link from GainTable.tx_rx. This reference
+The simulator reads every link from GainTable.tx_rx. The SINR reference
 writes each interference term out from the BS-UE, BS-BS and UE-UE
 blocks and gamma instead, so a slip in the table or in its gather does
 not also move the expected values.
+
+The power allocator works on a power problem's gain matrix directly.
+The objective reference spells the same objective out as one
+posynomial ratio per link, the form gp_core.condense takes.
 """
 
 import numpy as np
+
+from fdcell.gp_core import Monomial, Posynomial
 
 
 def reference_slot_link_terms(dec, g):
@@ -47,3 +53,32 @@ def reference_slot_sinrs(dec, g):
     sinr_d = np.where(dec.dl_ue >= 0, sig_d / den_d, 0.0)
     sinr_u = np.where(dec.ul_ue >= 0, sig_u / den_u, 0.0)
     return sinr_d, sinr_u
+
+
+def _linear_posynomial(noise, gains):
+    """noise + sum_k gains[k] * p_k over the links with a nonzero gain."""
+    terms = [Monomial(float(noise))]
+    terms += [Monomial(float(gains[k]), {int(k): 1.0}) for k in np.flatnonzero(gains)]
+    return Posynomial(terms)
+
+
+def sp_posynomials(prob):
+    """Each link's (num, den) posynomials in the link powers.
+
+    num_l is link l's noise plus the interference at its receiver (row l
+    of the gain matrix without the own signal); den_l adds the own
+    signal. The objective is prod_l (num_l / den_l)^(w_l) * prod p^lin.
+    """
+    off = np.where(np.eye(len(prob.noise), dtype=bool), 0.0, prob.gain)
+    num = [_linear_posynomial(*nr) for nr in zip(prob.noise, off)]
+    den = [_linear_posynomial(*nr) for nr in zip(prob.noise, prob.gain)]
+    return num, den
+
+
+def sp_objective_value(prob, p):
+    """The product objective at link powers p, from the posynomials."""
+    p = np.asarray(p, dtype=float)
+    out = float(prob.lin @ np.log(p))
+    for num, den, w in zip(*sp_posynomials(prob), prob.w):
+        out += w * (np.log(num.value(p)) - np.log(den.value(p)))
+    return float(np.exp(out))

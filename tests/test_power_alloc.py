@@ -17,7 +17,6 @@ from fdcell.power_alloc import (
     AllocConfig,
     allocate_with_fallback,
     build_power_problem,
-    build_sp_objective,
     pf_weights,
     realized_objective,
     solve_power_sp,
@@ -25,7 +24,7 @@ from fdcell.power_alloc import (
 )
 from fdcell.scheduler import PFState, Selection
 from fdcell.sinr_rate import NONE, link_gains, link_sinr, slot_sinrs
-from reference import reference_slot_sinrs
+from reference import reference_slot_sinrs, sp_objective_value, sp_posynomials
 
 W_C = 10e6
 N_UE = noise_power_w(W_C, 9.0)
@@ -86,10 +85,10 @@ def test_problem_structure_single_link():
     np.testing.assert_array_equal(prob.noise, [N_UE])
     # numerator: noise only; denominator: noise + own signal (power 0
     # with exponent 1)
-    np.testing.assert_array_equal(pa._interference(prob.gain), [[0.0]])
-    obj = build_sp_objective(prob)
-    assert [(t.coeff, t.exponents) for t in obj.num[0].terms] == [(N_UE, {})]
-    assert [(t.coeff, t.exponents) for t in obj.den[0].terms] == [(N_UE, {}), (1e-8, {0: 1.0})]
+    np.testing.assert_array_equal(prob.interference, [[0.0]])
+    num, den = sp_posynomials(prob)
+    assert [(t.coeff, t.exponents) for t in num[0].terms] == [(N_UE, {})]
+    assert [(t.coeff, t.exponents) for t in den[0].terms] == [(N_UE, {}), (1e-8, {0: 1.0})]
     assert prob.p_max.tolist() == [P_BS]
     assert prob.p_floor[0] == pytest.approx(POWER_FLOOR_RATIO * P_BS, rel=1e-12)
     # SP termination scales with the largest power and the network size
@@ -121,10 +120,10 @@ def test_problem_fd_pair_interference_terms():
     np.testing.assert_array_equal(np.diagonal(prob.gain), [1e-8, 8e-9])
     # uplink row (index 1): residual self-interference p_dl * gamma;
     # downlink row: partner uplink UE couples with the UE-UE gain
-    np.testing.assert_array_equal(pa._interference(prob.gain), [[0.0, 5e-12], [gamma, 0.0]])
-    obj = build_sp_objective(prob)
-    assert [(t.coeff, t.exponents) for t in obj.num[1].terms] == [(N_BS, {}), (gamma, {0: 1.0})]
-    assert [(t.coeff, t.exponents) for t in obj.den[1].terms] == [
+    np.testing.assert_array_equal(prob.interference, [[0.0, 5e-12], [gamma, 0.0]])
+    num, den = sp_posynomials(prob)
+    assert [(t.coeff, t.exponents) for t in num[1].terms] == [(N_BS, {}), (gamma, {0: 1.0})]
+    assert [(t.coeff, t.exponents) for t in den[1].terms] == [
         (N_BS, {}), (gamma, {0: 1.0}), (8e-9, {1: 1.0})
     ]
 
@@ -132,7 +131,7 @@ def test_problem_fd_pair_interference_terms():
     dec_same = make_decision(g, dl=[0], ul=[0], fd_ue=True)
     prob_same = build_power_problem(st, Selection(dec_same), g, AllocConfig())
     assert prob_same.gain[0, 1] == gamma
-    assert pa._interference(prob_same.gain)[0, 1] == gamma
+    assert prob_same.interference[0, 1] == gamma
 
 
 def test_objective_matches_sinr_module(rng):
@@ -158,8 +157,7 @@ def test_objective_matches_sinr_module(rng):
         # the link-space SINR behind it
         np.testing.assert_allclose(link_sinr(prob.gain, prob.noise, p), sinr, rtol=1e-12)
         # posynomial-ratio view agrees with the gathered arrays
-        obj = build_sp_objective(prob)
-        assert obj.value(p) == pytest.approx(math.exp(expected), rel=1e-9)
+        assert sp_objective_value(prob, p) == pytest.approx(math.exp(expected), rel=1e-9)
 
 
 def test_reduce_problem_keeps_pinned_interference():
@@ -210,12 +208,12 @@ def test_link_surrogate_matches_condensed_posynomials():
         assert F(y0)[0] == 0.0
         # reference: the posynomial form with every denominator condensed
         # at p0 by gp_core.condense, measured from its value at p0
-        obj = build_sp_objective(prob)
-        mono = [condense(d, p0) for d in obj.den]
+        nums, dens = sp_posynomials(prob)
+        mono = [condense(d, p0) for d in dens]
 
         def reference(p):
             out = float(prob.lin @ np.log(p))
-            for num, m, w in zip(obj.num, mono, prob.w):
+            for num, m, w in zip(nums, mono, prob.w):
                 out += w * (math.log(num.value(p)) - math.log(m.value(p)))
             return out
 
@@ -807,9 +805,8 @@ def test_energy_penalty_threshold_and_monotone_power():
 
 def test_energy_aware_objective_value_and_validation(rng):
     prob = energy_single_link(0.04)
-    obj = build_sp_objective(prob)
     p = np.array([0.01])
-    assert obj.value(p) == pytest.approx(math.exp(prob.true_objective(p)), rel=1e-9)
+    assert sp_objective_value(prob, p) == pytest.approx(math.exp(prob.true_objective(p)), rel=1e-9)
 
     with pytest.raises(ConfigError):
         build_power_problem(

@@ -10,6 +10,7 @@ from conftest import (
     outdoor_network,
     total_slot_utility,
     toy_gains,
+    utility_change,
 )
 from fdcell.scheduler import (
     DL,
@@ -17,7 +18,6 @@ from fdcell.scheduler import (
     PFState,
     _SlotState,
     chi,
-    get_utility,
     hd_select_ues,
     init_state,
     round_robin_select,
@@ -69,43 +69,45 @@ def test_chi_oracle():
     assert np.all(np.diff(chi(10e6, rates, 0.99)) > 0)
 
 
-def test_get_utility_empty_network_is_pure_gain():
+def slot_state(g, st, links=(), fd_ue=False):
+    """_SlotState at full power with (cell, direction, UE) links accepted in order."""
+    state = _SlotState(g, (g.p_bs_w, g.p_ue_w), st, fd_ue)
+    for c, direction, k in links:
+        scan = state.scan(c, direction)
+        state.accept(scan, int(np.flatnonzero(scan.ks == k)[0]))
+    return state
+
+
+def scan_du(state, c, direction, k):
+    """The scan's net utility change for candidate UE k."""
+    scan = state.scan(c, direction)
+    return float(scan.du[np.flatnonzero(scan.ks == k)[0]])
+
+
+def test_scan_empty_network_is_pure_gain():
     g = toy_gains(np.full((2, 4), 1e-9))
     st = fresh_state(4)
-    Q = np.full(2, NONE)
-    R = np.full(2, NONE)
-    du = get_utility(0, 1, None, Q, R, g, (g.p_bs_w, g.p_ue_w), st)
+    du = scan_du(slot_state(g, st), 0, DL, 1)
     dec = make_decision(g, dl=[1, None])
     rd, _ = slot_rates(dec, g)
     assert du == pytest.approx(float(chi(st.avg_dl[1], rd[0], st.beta)), rel=1e-12)
 
 
-def test_get_utility_matches_total_utility_difference():
+def test_scan_matches_total_utility_difference():
     rng = np.random.default_rng(3)
     _, g = indoor_network(seed=5, ues_per_cell=2, cancellation_db=95.0)
     st = fresh_state(g.n_ues)
     st.avg_dl[:] = 2.6e6 * rng.uniform(0.5, 4.0, g.n_ues)
     st.avg_ul[:] = 2.6e6 * rng.uniform(0.5, 4.0, g.n_ues)
-    P = (g.p_bs_w, g.p_ue_w)
     # partial slot: cell 0 has a downlink, cell 1 an uplink
-    Q = np.full(9, NONE)
-    R = np.full(9, NONE)
-    R[0] = g.cell_ue_ids[0][0]
-    Q[1] = g.cell_ue_ids[1][1]
-    before = make_decision(g, dl=[R[c] if R[c] >= 0 else None for c in range(9)],
-                           ul=[Q[c] if Q[c] >= 0 else None for c in range(9)])
-    u_before = total_slot_utility(before, g, st)
+    state = slot_state(g, st, [(0, DL, g.cell_ue_ids[0][0]), (1, UL, g.cell_ue_ids[1][1])])
     cand = g.cell_ue_ids[2][0]
-    du = get_utility(2, cand, None, Q, R, g, P, st)
-    R2 = R.copy()
-    R2[2] = cand
-    after = make_decision(g, dl=[R2[c] if R2[c] >= 0 else None for c in range(9)],
-                          ul=[Q[c] if Q[c] >= 0 else None for c in range(9)])
-    u_after = total_slot_utility(after, g, st)
-    assert du == pytest.approx(u_after - u_before, rel=1e-9, abs=1e-12)
+    du = scan_du(state, 2, DL, cand)
+    ref = utility_change(g, st, state.R, state.Q, 2, DL, cand)
+    assert du == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
-def test_get_utility_counts_full_loss_of_silenced_neighbor():
+def test_scan_counts_full_loss_of_silenced_neighbor():
     # candidate uplink UE sits on top of the neighbor's downlink UE and
     # silences it: the loss term must include that UE's whole utility
     g_dl = np.array([[1e-8, 1e-8, 1e-12, 1e-12], [1e-12, 1e-12, 1e-8, 1e-8]])
@@ -113,13 +115,10 @@ def test_get_utility_counts_full_loss_of_silenced_neighbor():
     g_ue[1, 2] = g_ue[2, 1] = 1e-5   # candidate UE 1 blasts UE 2
     g = toy_gains(g_dl, g_ue=g_ue)
     st = fresh_state(4)
-    P = (g.p_bs_w, g.p_ue_w)
-    Q = np.full(2, NONE)
-    R = np.array([NONE, 2])
     dec_before = make_decision(g, dl=[None, 2])
     rd, _ = slot_rates(dec_before, g)
     neighbor_chi = float(chi(st.avg_dl[2], rd[1], st.beta))
-    du = get_utility(0, None, 1, Q, R, g, P, st)
+    du = scan_du(slot_state(g, st, [(1, DL, 2)]), 0, UL, 1)
     dec_after = make_decision(g, dl=[None, 2], ul=[1, None])
     rd2, ru2 = slot_rates(dec_after, g)
     assert rd2[1] == 0.0   # silenced outright
@@ -127,30 +126,11 @@ def test_get_utility_counts_full_loss_of_silenced_neighbor():
     assert du == pytest.approx(own - neighbor_chi, rel=1e-9)
 
 
-def test_get_utility_rejects_bad_candidates():
-    g = toy_gains(np.full((2, 4), 1e-9))
-    st = fresh_state(4)
-    P = (g.p_bs_w, g.p_ue_w)
-    Q = np.full(2, NONE)
-    R = np.full(2, NONE)
-    with pytest.raises(ValueError):
-        get_utility(0, 0, 1, Q, R, g, P, st)          # both directions
-    with pytest.raises(ValueError):
-        get_utility(0, None, None, Q, R, g, P, st)    # neither
-    with pytest.raises(ValueError):
-        get_utility(0, 2, None, Q, R, g, P, st)       # foreign UE
-    R[0] = 0
-    with pytest.raises(ValueError):
-        get_utility(0, 1, None, Q, R, g, P, st)       # direction taken
-    with pytest.raises(ValueError):
-        get_utility(1, None, 0, Q, R, g, P, st)       # UE already scheduled
-
-
 @pytest.mark.parametrize("fd_ue", [False, True])
 @pytest.mark.parametrize("network", [indoor_network, outdoor_network])
-def test_scan_matches_get_utility(network, fd_ue):
+def test_scan_matches_utility_change(network, fd_ue):
     # the selector's carried slot state scores every eligible candidate
-    # as the whole-slot reference evaluator does, on random partial
+    # as the whole-slot utility difference does, on random partial
     # slots (FD cells included) built through the state's own updates
     rng = np.random.default_rng(17)
     checked = fd_cells = 0
@@ -174,8 +154,7 @@ def test_scan_matches_get_utility(network, fd_ue):
                     continue
                 scan = state.scan(c, direction)
                 for k, du in zip(scan.ks, scan.du):
-                    d, u = (k, None) if direction == DL else (None, k)
-                    ref = get_utility(c, d, u, state.Q, state.R, g, P, st, fd_ue=fd_ue)
+                    ref = utility_change(g, st, state.R, state.Q, c, direction, k, fd_ue=fd_ue)
                     assert du == pytest.approx(ref, rel=1e-12), (trial, c, direction, k)
                     checked += 1
     assert fd_cells > 0 and checked > 100
@@ -370,7 +349,7 @@ def test_hd_select_direction_and_argmax():
     # single cell: the pick is the best marginal utility over its UEs
     best = max(
         range(4),
-        key=lambda k: get_utility(0, k, None, np.full(1, NONE), np.full(1, NONE), g, P, st),
+        key=lambda k: utility_change(g, st, [NONE], [NONE], 0, DL, k),
     )
     assert dec.dl_ue[0] == best
     sel_ul = hd_select_ues(st, g, P, UL, np.random.default_rng(0))

@@ -113,6 +113,11 @@ def test_config_validation_accepts_numpy_counts():
 def test_config_validation_accepts_unset_and_numpy_seeds():
     # None is a CLI spec whose seed is filled in after the config file
     assert RunConfig(seed=None).validated().seed is None
+    # ... but a run never starts without one
+    unset = RunConfig(seed=None, slots=1, drops=1, ues_per_cell=2)
+    for run in (lambda: run_drop(unset, 0), lambda: run_variant(unset)):
+        with pytest.raises(ConfigError, match="seed must be set"):
+            run()
     assert RunConfig(seed=np.int64(4)).validated().seed == 4
     assert RunConfig(seed=0).validated().seed == 0
 

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import reference
 from conftest import indoor_network, make_decision, outdoor_network, toy_gains
 from fdcell.channel import dbm_to_w
 from fdcell.sinr_rate import (
@@ -203,3 +207,17 @@ def test_slot_sinrs_match_block_reference(network, cancellation_db, fd_ue):
         assert not sinr_d[(dec.dl_ue < 0) | (dec.p_dl == 0)].any()
         assert not sinr_u[(dec.ul_ue < 0) | (dec.p_ul == 0)].any()
     assert (shared > 0) == fd_ue
+
+
+def test_reference_imports_only_posynomial_types():
+    # the oracles rebuild what they check from the inputs; an import of
+    # the simulator's own evaluation path would make them agree with it
+    # by construction
+    imported = set()
+    for node in ast.walk(ast.parse(Path(reference.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {(node.module or "", alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {(alias.name, None) for alias in node.names}
+    from_fdcell = {(m, name) for m, name in imported if m.split(".")[0] == "fdcell"}
+    assert from_fdcell <= {("fdcell.gp_core", "Monomial"), ("fdcell.gp_core", "Posynomial")}
