@@ -172,6 +172,11 @@ class GainTable:
         return out
 
     @cached_property
+    def cell_ids(self) -> np.ndarray:
+        """(B,) cell indices 0..B-1."""
+        return np.arange(self.n_cells)
+
+    @cached_property
     def cell_ue_ids(self) -> np.ndarray:
         """(B, U) UE ids; row b holds cell b's UEs."""
         return np.arange(self.n_ues).reshape(self.n_cells, -1)
@@ -185,6 +190,15 @@ class GainTable:
     def rx_noise(self) -> np.ndarray:
         """Noise at every receiver, in tx_rx's column order."""
         return np.repeat([self.noise_ue_w, self.noise_bs_w], [self.n_ues, self.n_cells])
+
+    @cached_property
+    def idle_den(self) -> np.ndarray:
+        """(2B,) SINR denominator of an inactive link: the UE noise for each
+        cell's downlink, then the BS noise for each uplink. Read-only;
+        slot_link_terms copies it and overwrites the active links."""
+        out = np.repeat([self.noise_ue_w, self.noise_bs_w], self.n_cells)
+        out.flags.writeable = False
+        return out
 
     def with_cancellation(self, cancellation_db) -> "GainTable":
         """Copy sharing the gain arrays, with gamma = 10^(-C/10).
@@ -217,11 +231,17 @@ def _reciprocal_gains(topo, params, kind, xy, rng) -> np.ndarray:
 
     Draws an (n, n) uniform matrix and then an (n, n) normal matrix and
     reads their i < j entries, so the stream is that of a full-matrix draw.
-    Each pair's gain goes to both triangles; the diagonal is 0.
+    A block without LOS state (outdoor UE-UE) reads no uniforms: it
+    advances the generator past them instead of drawing them. Each pair's
+    gain goes to both triangles; the diagonal is 0.
     """
     n = len(xy)
     i, j, upper, lower = _pair_index(n)
-    los_u = rng.random((n, n)).ravel()[upper]
+    if topo.layout != INDOOR_GRID and kind == UE_UE:
+        rng.bit_generator.advance(n * n)
+        los_u = None
+    else:
+        los_u = rng.random((n, n)).ravel()[upper]
     shadow_n = rng.standard_normal((n, n)).ravel()[upper]
     dist, walls = paired_distance(topo, np.take(xy, i, axis=0), np.take(xy, j, axis=0))
     if topo.layout == INDOOR_GRID:
@@ -263,7 +283,7 @@ def _outdoor_pair_loss(
 ) -> np.ndarray:
     """Loss in dB for outdoor links given pre-drawn uniforms and normals.
 
-    UE-UE loss has no LOS state, so its uniforms go unread.
+    UE-UE loss has no LOS state and reads no uniforms (los_u may be None).
     """
     r = np.maximum(dist_m / 1000.0, MIN_DIST_KM)
     if kind == UE_UE:
@@ -284,8 +304,11 @@ def build_gains(
     each block) so a seeded generator reproduces the same channel. The
     BS-BS and UE-UE blocks draw full (n, n) matrices but read only their
     upper triangles: each unordered pair's loss is evaluated once and
-    written to both triangles. Outdoor UE-UE uniforms are drawn only to
-    keep the stream; that loss has no LOS state.
+    written to both triangles. Outdoor UE-UE loss has no LOS state, so
+    its (N, N) uniforms are skipped with bit_generator.advance, which
+    leaves the stream where drawing them would: rng's bit generator must
+    support advance with one step per double, as PCG64 (the generator of
+    default_rng and sim.drop_rngs) does.
     """
     bs = topo.bs_xy
     ue = topo.ue_xy.reshape(-1, 2)

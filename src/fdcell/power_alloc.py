@@ -36,17 +36,17 @@ cap, with the links that point leaves at the cap pinned: their capped
 rate is the most the rate model pays, so only the links below the cap
 are optimized. When no link is left free, the starting point attains
 the bound -sum w log(1+cap) that no power vector beats; it is returned
-as is and no SP runs (the slot is "certified"). With an energy
-penalty a capped link may still trade rate for power, so the SP starts
-at full power with nothing pinned. Whenever trimmed full power is
-returned (certified, or picked by the safeguard), its links at the cap
-count as pinned, so the floor pruning spares a near link that the trim
-legitimately parks below the floor.
+as is, without entering the solve, the safeguard or the floor pruning
+(the slot is "certified"). With an energy penalty a capped link may
+still trade rate for power, so the SP starts at full power with nothing
+pinned. When the safeguard picks trimmed full power, its links at the
+cap count as pinned, so the floor pruning spares a near link that the
+trim legitimately parks below the floor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -54,7 +54,7 @@ import numpy as np
 from .channel import GainTable
 from .errors import ConfigError
 from .gp_core import STATUS_CONVERGED, STATUS_MAX_ITER, minimize_box
-from .scheduler import PFState, Selection
+from .scheduler import LN10, PFState, Selection
 from .sinr_rate import MAX_SE, NONE, link_gains, link_sinr
 # unused here, but the benchmark tracer patches these names in this module
 from .sinr_rate import slot_rates, slot_sinrs  # noqa: F401
@@ -79,9 +79,9 @@ def pf_weights(st: PFState, selection: Selection):
     w_dl = np.zeros(len(dec.dl_ue))
     w_ul = np.zeros(len(dec.ul_ue))
     on = dec.dl_ue >= 0
-    w_dl[on] = (1.0 - b) / (b * st.avg_dl[dec.dl_ue[on]] * np.log(10.0))
+    w_dl[on] = (1.0 - b) / (b * st.avg_dl[dec.dl_ue[on]] * LN10)
     on = dec.ul_ue >= 0
-    w_ul[on] = (1.0 - b) / (b * st.avg_ul[dec.ul_ue[on]] * np.log(10.0))
+    w_ul[on] = (1.0 - b) / (b * st.avg_ul[dec.ul_ue[on]] * LN10)
     return w_dl, w_ul
 
 
@@ -117,12 +117,12 @@ class PowerProblem:
     @cached_property
     def interference(self) -> np.ndarray:
         """The gain matrix without its diagonal (the own signals)."""
-        return self.gain - np.diag(np.diagonal(self.gain))
+        return self.gain - np.diag(self.gain.diagonal())
 
     def true_objective(self, p: np.ndarray) -> float:
         """Weighted log objective at powers p (lower is better)."""
         num = self.noise + self.interference @ p
-        den = num + np.diagonal(self.gain) * p
+        den = num + self.gain.diagonal() * p
         return float(self.w @ np.log(num / den) + self.lin @ np.log(p))
 
 
@@ -199,7 +199,7 @@ class _LinkSurrogate:
         self.y0 = y0
         p0 = np.exp(y0)
         self.num0 = self.noise + self.G @ p0
-        den0 = self.num0 + np.diagonal(prob.gain) * p0
+        den0 = self.num0 + prob.gain.diagonal() * p0
         self.slope = prob.lin - p0 * ((self.w / den0) @ prob.gain)
 
     def __call__(self, y: np.ndarray):
@@ -230,17 +230,19 @@ def solve_power_sp(prob: PowerProblem, P0: np.ndarray):
     lo = np.log(prob.p_floor)
     hi = np.log(prob.p_max)
     y = np.clip(np.log(np.asarray(P0, dtype=float)), lo, hi)
-    trajectory = [prob.true_objective(np.exp(y))]
+    p = np.exp(y)
+    trajectory = [prob.true_objective(p)]
     steps = []
     status = STATUS_CONVERGED
     outer = inner = capped = 0
     for outer in range(1, MAX_OUTER + 1):
         y_new, inner_status, iters = minimize_box(_LinkSurrogate(prob, y), y, lo, hi)
         inner += iters
-        step = float(np.linalg.norm(np.exp(y_new) - np.exp(y)))
+        p_new = np.exp(y_new)
+        step = float(np.linalg.norm(p_new - p))
         steps.append(step)
-        y = y_new
-        trajectory.append(prob.true_objective(np.exp(y)))
+        y, p = y_new, p_new
+        trajectory.append(prob.true_objective(p))
         if inner_status != STATUS_CONVERGED:
             status = inner_status
             break
@@ -251,7 +253,7 @@ def solve_power_sp(prob: PowerProblem, P0: np.ndarray):
         capped = 1
     info = {"outer_iterations": outer, "inner_iterations": inner, "outer_capped": capped,
             "trajectory": trajectory, "steps": steps}
-    return np.exp(y), status, info
+    return p, status, info
 
 
 def _floor_prune(prob: PowerProblem, p: np.ndarray, pinned: np.ndarray) -> np.ndarray:
@@ -275,15 +277,16 @@ def _reduce_problem(prob: PowerProblem, fixed_p: np.ndarray, fixed: np.ndarray):
         return prob, free
     nd = len(prob.cells_dl)
     rows = prob.gain[free]
-    sub = replace(
-        prob,
+    sub = PowerProblem(
         cells_dl=prob.cells_dl[free[:nd]],
         cells_ul=prob.cells_ul[free[nd:]],
         w=prob.w[free],
+        w_scale=prob.w_scale,
         gain=rows[:, free],
         noise=prob.noise[free] + rows[:, fixed] @ fixed_p[fixed],
         lin=prob.lin[free],
         p_max=prob.p_max[free],
+        epsilon=prob.epsilon,
     )
     return sub, free
 
@@ -304,16 +307,22 @@ def trim_to_se_cap(gain: np.ndarray, noise: np.ndarray, p: np.ndarray) -> np.nda
     thus keeps exactly its capped rate, and everyone else only sees less
     interference. Links that the lower powers lift above the cap join S
     and the system is solved again, at most once per link. Links at or
-    below the cap keep their powers.
+    below the cap keep their powers. Once S holds every link, G_SF is
+    empty and the system is solved on the whole matrix, for the last
+    time: no link is left to join S.
     """
     p = p.copy()
-    sig = np.diagonal(gain)
+    sig = gain.diagonal()
     over = np.zeros(len(p), dtype=bool)
     while True:
         newly = ~over & (link_sinr(gain, noise, p) > SE_CAP_SINR * (1 + 1e-12))
         if not newly.any():
             return p
         over |= newly
+        if over.all():
+            M = -SE_CAP_SINR * gain
+            M.flat[:: len(M) + 1] = sig
+            return np.minimum(np.linalg.solve(M, SE_CAP_SINR * noise), p)
         rest = ~over
         M = -SE_CAP_SINR * gain[over][:, over]
         M.flat[:: len(M) + 1] = sig[over]
@@ -385,13 +394,14 @@ def allocate_with_fallback(
 
     Returns (final SlotDecision, diagnostics dict). Every selected link
     stays on air unless the chosen powers park it at the numerical
-    floor, where it is zeroed. Without an energy penalty the solve
-    starts at trimmed full power with its capped links pinned, and a
-    start that leaves no link free runs no SP and counts in
-    "certified". An SP that stops at an iteration limit keeps its point
-    and reports that status. The safeguard then compares the result with
-    trimmed full power on the realized objective and keeps the better
-    one ("fallbacks" counts the slots where trimmed full power wins).
+    floor, where it is zeroed. Without an energy penalty, a slot whose
+    trimmed full power leaves every link at the cap is returned at that
+    point with no solve and counts in "certified"; otherwise the solve
+    starts at trimmed full power with its capped links pinned. An SP
+    that stops at an iteration limit keeps its point and reports that
+    status. The safeguard then compares the result with trimmed full
+    power on the realized objective and keeps the better one
+    ("fallbacks" counts the slots where trimmed full power wins).
     """
     diag = {"status": "idle", **dict.fromkeys(ALLOC_COUNTERS, 0)}
     prob = build_power_problem(st, selection, g, cfg)
@@ -402,10 +412,13 @@ def allocate_with_fallback(
     if prob.lin.any():
         # a capped link may still trade rate for energy: pin nothing
         p0, pinned = prob.p_max, np.zeros(prob.n_vars, dtype=bool)
+    elif base_capped.all():
+        # every link attains the capped rate: no power vector does better.
+        # Each link sits at the cap, so none has zero power to prune.
+        diag.update(status=STATUS_CONVERGED, certified=1)
+        return _decision(selection, prob, base), diag
     else:
         p0, pinned = base, base_capped
-    # every link attains the capped rate: no power vector does better
-    diag["certified"] = int(pinned.all())
     p, pinned, diag["status"], info = _capped_solve(prob, p0, pinned)
     diag.update(info)
     if realized_objective(prob, p) > realized_objective(prob, base):
@@ -418,11 +431,15 @@ def allocate_with_fallback(
     on = p > 0
     if not on.all():
         p[on] = trim_to_se_cap(prob.gain[on][:, on], prob.noise[on], p[on])
+    return _decision(selection, prob, p), diag
 
+
+def _decision(selection: Selection, prob: PowerProblem, p: np.ndarray):
+    """The selection's decision with link powers p; zero-power links go idle."""
     out = selection.decision.copy()
     nd = len(prob.cells_dl)
     out.p_dl[prob.cells_dl] = p[:nd]
     out.p_ul[prob.cells_ul] = p[nd:]
     out.dl_ue[prob.cells_dl[p[:nd] == 0]] = NONE
     out.ul_ue[prob.cells_ul[p[nd:] == 0]] = NONE
-    return out, diag
+    return out

@@ -50,7 +50,7 @@ def validate(dec: SlotDecision, g: GainTable) -> None:
     """
     dl_on = dec.dl_ue >= 0
     ul_on = dec.ul_ue >= 0
-    cells = np.arange(g.n_cells)
+    cells = g.cell_ids
     checks = (
         (dl_on & (dec.dl_ue == dec.ul_ue) & (not dec.fd_ue),
          "half-duplex UE scheduled in both directions"),
@@ -77,17 +77,17 @@ def link_gains(dec: SlotDecision, g: GainTable):
     receiver, the diagonal each link's own signal, noise[l] the noise at
     l's receiver.
     """
-    cells_dl = np.where(dec.dl_ue >= 0)[0]
-    cells_ul = np.where(dec.ul_ue >= 0)[0]
+    cells_dl = np.flatnonzero(dec.dl_ue >= 0)
+    cells_ul = np.flatnonzero(dec.ul_ue >= 0)
     tx = np.concatenate([cells_dl, g.n_cells + dec.ul_ue[cells_ul]])
     rx = np.concatenate([dec.dl_ue[cells_dl], g.n_ues + cells_ul])
     # gathered through the transpose so the matrix comes out C-ordered
-    return cells_dl, cells_ul, g.tx_rx.T[np.ix_(rx, tx)], g.rx_noise[rx]
+    return cells_dl, cells_ul, g.tx_rx.T[rx[:, None], tx], g.rx_noise[rx]
 
 
 def link_sinr(gain: np.ndarray, noise: np.ndarray, p: np.ndarray) -> np.ndarray:
     """SINR of every link at powers p over a links x links gain matrix."""
-    sig = np.diagonal(gain) * p
+    sig = gain.diagonal() * p
     return sig / (noise + gain @ p - sig)
 
 
@@ -103,8 +103,8 @@ def slot_link_terms(dec: SlotDecision, g: GainTable):
     p = np.concatenate([dec.p_dl[cells_dl], dec.p_ul[cells_ul]])
     links = np.concatenate([cells_dl, B + cells_ul])
     sig = np.zeros(2 * B)
-    den = np.repeat([g.noise_ue_w, g.noise_bs_w], B)
-    own = np.diagonal(gain) * p
+    den = g.idle_den.copy()
+    own = gain.diagonal() * p
     sig[links] = own
     den[links] = noise + gain @ p - own
     return sig[:B], den[:B], sig[B:], den[B:]

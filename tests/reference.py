@@ -7,7 +7,11 @@ not also move the expected values.
 
 The power allocator works on a power problem's gain matrix directly.
 The objective reference spells the same objective out as one
-posynomial ratio per link, the form gp_core.condense takes.
+posynomial ratio per link, the form gp_core.condense takes. The trim
+reference solves every round on the gathered rows and columns of the
+links above the cap, with the others' interference in the right-hand
+side; the allocator's trim solves a round that holds every link on the
+whole matrix instead.
 """
 
 import numpy as np
@@ -53,6 +57,29 @@ def reference_slot_sinrs(dec, g):
     sinr_d = np.where(dec.dl_ue >= 0, sig_d / den_d, 0.0)
     sinr_u = np.where(dec.ul_ue >= 0, sig_u / den_u, 0.0)
     return sinr_d, sinr_u
+
+
+def reference_trim_to_se_cap(gain, noise, p, cap):
+    """Lower the powers of links above the SINR cap to the cap.
+
+    Each round adds the links now above the cap to the set S and solves
+    (diag(g_SS) - cap * G_SS) p_S = cap * (noise_S + G_SF p_F) on the
+    gathered rows and columns; the rounds stop when no link joins S.
+    """
+    p = p.copy()
+    sig = np.diagonal(gain)
+    over = np.zeros(len(p), dtype=bool)
+    while True:
+        own = sig * p
+        newly = ~over & (own / (noise + gain @ p - own) > cap * (1 + 1e-12))
+        if not newly.any():
+            return p
+        over |= newly
+        rest = ~over
+        M = -cap * gain[over][:, over]
+        M.flat[:: len(M) + 1] = sig[over]
+        rhs = cap * (noise[over] + gain[over][:, rest] @ p[rest])
+        p[over] = np.minimum(np.linalg.solve(M, rhs), p[over])
 
 
 def _linear_posynomial(noise, gains):

@@ -24,7 +24,12 @@ from fdcell.power_alloc import (
 )
 from fdcell.scheduler import PFState, Selection
 from fdcell.sinr_rate import NONE, link_gains, link_sinr, slot_sinrs
-from reference import reference_slot_sinrs, sp_objective_value, sp_posynomials
+from reference import (
+    reference_slot_sinrs,
+    reference_trim_to_se_cap,
+    sp_objective_value,
+    sp_posynomials,
+)
 
 W_C = 10e6
 N_UE = noise_power_w(W_C, 9.0)
@@ -536,6 +541,48 @@ def test_trim_to_se_cap_property_random_instances():
     assert n_touched > 0 and n_kept > 0
 
 
+def weakly_coupled_instance(rng):
+    """Serving gains 1e-8..1e-6 against cross gains and gamma of at most
+    1e-12: at full power every active link is above the SE cap.
+
+    Two UEs per cell; each cell turns its downlink (UE 2b) and its
+    uplink (UE 2b + 1) on at random, and cell 0 always has a downlink.
+    """
+    B = int(rng.integers(2, 5))
+    N = 2 * B
+    g_dl = 10 ** rng.uniform(-15.0, -12.0, size=(B, N))
+    g_dl[np.repeat(np.arange(B), 2), np.arange(N)] = 10 ** rng.uniform(-8.0, -6.0, size=N)
+    m = 10 ** rng.uniform(-15.0, -12.0, size=(B, B))
+    g_bs = (m + m.T) / 2.0
+    np.fill_diagonal(g_bs, 0.0)
+    m = 10 ** rng.uniform(-15.0, -12.0, size=(N, N))
+    g_ue = (m + m.T) / 2.0
+    np.fill_diagonal(g_ue, 0.0)
+    g = toy_gains(g_dl, g_bs=g_bs, g_ue=g_ue, gamma=10 ** rng.uniform(-15.0, -12.0))
+    dl = [2 * b if rng.random() < 0.7 else None for b in range(B)]
+    ul = [2 * b + 1 if rng.random() < 0.7 else None for b in range(B)]
+    dl[0] = 0
+    return make_decision(g, dl=dl, ul=ul), g
+
+
+def test_trim_to_se_cap_all_over_matches_masked_solve():
+    # a round that holds every link solves on the whole matrix; the
+    # masked loop solves the same system on gathered rows and columns.
+    # All-over instances take that round first, mixed ones later or never
+    rng = np.random.default_rng(47)
+    n_all = n_mixed = 0
+    for i in range(80):
+        dec, g = weakly_coupled_instance(rng) if i % 2 else coupled_cap_instance(rng)
+        cells_dl, cells_ul, gain, noise = link_gains(dec, g)
+        p = np.concatenate([dec.p_dl[cells_dl], dec.p_ul[cells_ul]])
+        over = link_sinr(gain, noise, p) > SE_CAP_SINR * (1 + 1e-12)
+        n_all += over.all()
+        n_mixed += 0 < over.sum() < len(p)
+        got = trim_to_se_cap(gain, noise, p)
+        assert np.array_equal(got, reference_trim_to_se_cap(gain, noise, p, SE_CAP_SINR))
+    assert n_all >= 30 and n_mixed >= 10
+
+
 def test_realized_objective_matches_true_below_cap(rng):
     g = toy_gains([[3e-11, 5e-13], [7e-13, 4e-11]], gamma=1e-9)
     dec = make_decision(g, dl=[0, None], ul=[None, 1])
@@ -596,6 +643,19 @@ def test_certified_slot_never_runs_sp(monkeypatch):
     assert calls == []
     assert all(diag[k] == 0 for k in pa.SP_COUNTERS)
     assert diag["status"] == STATUS_CONVERGED
+
+
+def test_certified_slot_skips_the_solve_path(monkeypatch):
+    # trimmed full power is returned at once: one trim, of full power,
+    # and no capped solve, safeguard comparison or floor prune
+    st, sel, g = certified_instance()
+    trims = trim_counter(monkeypatch)
+    skipped = []
+    for name in ("_capped_solve", "realized_objective", "_floor_prune"):
+        monkeypatch.setattr(pa, name, lambda *args, name=name: skipped.append(name))
+    _, diag = allocate_with_fallback(st, sel, g)
+    assert diag["certified"] == 1
+    assert trims == [2] and skipped == []
 
 
 def test_certified_slot_returns_trimmed_full_power():

@@ -11,6 +11,7 @@ from fdcell.sinr_rate import (
     MAX_SE,
     MIN_SE,
     NONE,
+    link_gains,
     rate_from_sinr,
     slot_link_terms,
     slot_rates,
@@ -207,6 +208,37 @@ def test_slot_sinrs_match_block_reference(network, cancellation_db, fd_ue):
         assert not sinr_d[(dec.dl_ue < 0) | (dec.p_dl == 0)].any()
         assert not sinr_u[(dec.ul_ue < 0) | (dec.p_ul == 0)].any()
     assert (shared > 0) == fd_ue
+
+
+@pytest.mark.parametrize("network", [indoor_network, outdoor_network])
+def test_link_gains_layout(network):
+    # the gather equals the np.ix_ gather of the transposed table and
+    # comes out C-ordered: an F-ordered matrix changes the last bit of
+    # the matrix products that read it
+    _, g = network(seed=5, cancellation_db=85.0)
+    B, N = g.n_cells, g.n_ues
+    rng = np.random.default_rng(13)
+    decisions = [
+        make_decision(g, dl=g.cell_ue_ids[:, 0]),
+        make_decision(g, ul=g.cell_ue_ids[:, 1]),
+        make_decision(g),
+    ]
+    for _ in range(30):
+        picks = [rng.choice(np.append(ids, NONE), size=2) for ids in g.cell_ue_ids]
+        dl, ul = zip(*picks)
+        decisions.append(make_decision(g, dl=dl, ul=ul, fd_ue=True))
+    shared = 0
+    for dec in decisions:
+        cells_dl, cells_ul, gain, noise = link_gains(dec, g)
+        np.testing.assert_array_equal(cells_dl, np.nonzero(dec.dl_ue >= 0)[0])
+        np.testing.assert_array_equal(cells_ul, np.nonzero(dec.ul_ue >= 0)[0])
+        tx = np.concatenate([cells_dl, B + dec.ul_ue[cells_ul]])
+        rx = np.concatenate([dec.dl_ue[cells_dl], N + cells_ul])
+        assert np.array_equal(gain, g.tx_rx.T[np.ix_(rx, tx)])
+        assert gain.flags.c_contiguous
+        np.testing.assert_array_equal(noise, g.rx_noise[rx])
+        shared += int(((dec.dl_ue == dec.ul_ue) & (dec.dl_ue >= 0)).sum())
+    assert shared > 0
 
 
 def test_reference_imports_only_posynomial_types():
