@@ -211,6 +211,40 @@ class GainTable:
         return replace(self, gamma=float(10.0 ** (-cancellation_db / 10.0)))
 
 
+class GainStack:
+    """The gain tables of D drops that are simulated in lockstep.
+
+    The drops share the network shape and the radio constants, which
+    are read from the first table. tx_rx stacks the drops' tables as
+    (D, B + N, N + B) and rx_noise their noise vectors as (D, N + B).
+    Each table's own tx_rx becomes a view of its layer of the stack, so
+    the stack holds no second copy of the gains; a single table is
+    viewed as a stack of one.
+    """
+
+    def __init__(self, tables):
+        self.tables = tuple(tables)
+        g = self.tables[0]
+        shared = ("n_cells", "n_ues", "bandwidth_hz", "p_bs_w", "p_ue_w")
+        if any(getattr(t, a) != getattr(g, a) for t in self.tables for a in shared):
+            raise ValueError(f"drops in lockstep must share {', '.join(shared)}")
+        self.n_cells, self.n_ues, self.bandwidth_hz, self.p_bs_w, self.p_ue_w = (
+            getattr(g, a) for a in shared
+        )
+        self.cell_ids, self.cell_ue_ids, self.ue_cell = g.cell_ids, g.cell_ue_ids, g.ue_cell
+        self.rx_noise = np.stack([t.rx_noise for t in self.tables])
+        if len(self.tables) == 1:
+            self.tx_rx = g.tx_rx[None]
+        else:
+            self.tx_rx = np.empty((len(self.tables),) + g.tx_rx.shape)
+            for t, layer in zip(self.tables, self.tx_rx):
+                layer[:] = t.tx_rx
+                t.tx_rx = layer
+
+    def __len__(self) -> int:
+        return len(self.tables)
+
+
 def _gain_from_db(loss_db: np.ndarray) -> np.ndarray:
     return 10.0 ** (-loss_db / 10.0)
 

@@ -30,6 +30,7 @@ from .sim import (
     aggregate,
     config_dict,
     dump_trace,
+    gain_pct,
     persist,
     run_variant,
 )
@@ -292,11 +293,15 @@ def cmd_compare(fd_dir: str, hd_dir: str) -> int:
     hd = _read_cdf_rates(hd_dir)
     base_name, base = next(iter(hd.items()))
     print(f"baseline: {os.path.join(hd_dir, f'cdf_{base_name}.csv')}")
-    for name, (dl, ul) in sorted(fd.items()):
-        gain_dl = (dl.mean() / base[0].mean() - 1.0) * 100.0
-        gain_ul = (ul.mean() / base[1].mean() - 1.0) * 100.0
-        print(f"{name}: DL gain {gain_dl:+.1f}%  UL gain {gain_ul:+.1f}%")
+    for name, rates in sorted(fd.items()):
+        # aggregate's rule: no gain against a baseline of zero mean rate
+        dl, ul = (gain_pct(r, b) for r, b in zip(rates, base))
+        print(f"{name}: DL gain {_gain_str(dl)}  UL gain {_gain_str(ul)}")
     return EXIT_OK
+
+
+def _gain_str(gain: float | None) -> str:
+    return "-" if gain is None else f"{gain:+.1f}%"
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,6 +24,13 @@ energy ledgers, the allocator counters and each slot's UE ids and
 powers. Cell modes follow from the UE ids (DropResult.trace_mode), and
 round robin needs only the slot's turn, t // 2, because directions
 alternate network-wide.
+
+run_variant runs its drops in lockstep chunks of at most LOCKSTEP:
+run_drop builds a chunk's networks and advances all its drops one slot
+at a time, so selection, validation, the rates, the bookkeeping and the
+PF update pay numpy's per-call cost once per slot for the chunk. Only
+the power allocator runs drop by drop. Every drop's outputs are those
+it gets alone, bit for bit, whatever the chunk.
 """
 
 from __future__ import annotations
@@ -36,19 +43,20 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .channel import build_gains, indoor_params, outdoor_params
+from .channel import GainStack, build_gains, indoor_params, outdoor_params
 from .errors import ConfigError
 from .power_alloc import ALLOC_COUNTERS, AllocConfig, allocate_with_fallback
 from .scheduler import (
     DL,
     UL,
+    Selection,
     hd_select_ues,
     init_state,
     round_robin_select,
     select_ues,
     update_state,
 )
-from .sinr_rate import slot_rates, validate
+from .sinr_rate import SlotDecision, slot_rates, validate
 from .topology import IndoorConfig, OutdoorConfig, build_indoor, build_outdoor
 
 SLOT_DURATION_S = 1e-3    # only ratios (gains, bits/joule) depend on it
@@ -61,6 +69,9 @@ MODE_NAMES = {MODE_IDLE: "IDLE", MODE_HD_DL: "HD-DL", MODE_HD_UL: "HD-UL", MODE_
 
 # default weight of the log-power penalty (scaled by 1/distance per link)
 ENERGY_KAPPA_DEFAULT = 0.05
+
+# most drops run_variant advances in lockstep: bounds the gain tables held at once
+LOCKSTEP = 8
 
 
 @dataclass
@@ -203,94 +214,133 @@ def drop_rngs(seed: int, drop_index: int):
     return [np.random.default_rng(s) for s in ss.spawn(3)]
 
 
-def run_drop(cfg: RunConfig, drop_index: int) -> DropResult:
-    """Simulate one drop of cfg.slots timeslots; see the module docstring."""
+def run_drop(cfg: RunConfig, drop_index: int | range) -> DropResult | list:
+    """Simulate drop drop_index, or a range of drops in lockstep.
+
+    An int gives its DropResult, a range (at most LOCKSTEP drops, as
+    run_variant cuts them) the list of its drops' results; see the
+    module docstring.
+    """
     cfg = cfg.validated()
-    topo_rng, chan_rng, sched_rng = drop_rngs(cfg.seed, drop_index)
-    topo, g = _build_network(cfg, topo_rng, chan_rng)
-    B, N = topo.n_cells, topo.n_ues
+    single = np.ndim(drop_index) == 0
+    drops = [drop_index] if single else list(drop_index)
+    D, S = len(drops), cfg.slots
+    tables, sched_rngs = [], []
+    for d in drops:
+        topo_rng, chan_rng, sched_rng = drop_rngs(cfg.seed, d)
+        tables.append(_build_network(cfg, topo_rng, chan_rng)[1])
+        sched_rngs.append(sched_rng)
+    g = GainStack(tables)
+    B, N = g.n_cells, g.n_ues
     P = (g.p_bs_w, g.p_ue_w)
     dt = SLOT_DURATION_S
 
-    st = init_state(N, cfg.bandwidth_hz, beta=cfg.beta)
+    st = init_state(N, cfg.bandwidth_hz, beta=cfg.beta, drops=D)
     alloc_cfg = AllocConfig(
         energy_kappa=cfg.energy_kappa if cfg.variant == "FD_EnergyAware" else 0.0
     )
     fd_ue = cfg.variant == "FD_FDUE"
 
-    bits_dl = np.zeros(N)
-    bits_ul = np.zeros(N)
-    energy_dl = 0.0
-    energy_ul = 0.0
-    trace_dl_ue = np.full((cfg.slots, B), -1, dtype=np.int32)
-    trace_ul_ue = np.full((cfg.slots, B), -1, dtype=np.int32)
-    trace_p_dl = np.zeros((cfg.slots, B))
-    trace_p_ul = np.zeros((cfg.slots, B))
-    diag_tot = dict.fromkeys((*ALLOC_COUNTERS, "nonconverged_slots"), 0)
+    bits_dl = np.zeros((D, N))
+    bits_ul = np.zeros((D, N))
+    energy_dl = np.zeros(D)
+    energy_ul = np.zeros(D)
+    trace_dl_ue = np.full((D, S, B), -1, dtype=np.int32)
+    trace_ul_ue = np.full((D, S, B), -1, dtype=np.int32)
+    trace_p_dl = np.zeros((D, S, B))
+    trace_p_ul = np.zeros((D, S, B))
+    diag_tot = [dict.fromkeys((*ALLOC_COUNTERS, "nonconverged_slots"), 0) for _ in drops]
 
-    for t in range(cfg.slots):
+    for t in range(S):
         direction = DL if t % 2 == 0 else UL
-        diag = {}
-        if cfg.variant == "HD":
-            sel = hd_select_ues(st, g, P, direction, sched_rng)
-            dec, diag = allocate_with_fallback(st, sel, g, alloc_cfg)
-        elif cfg.variant in ("FD", "FD_FDUE", "FD_EnergyAware"):
-            sel = select_ues(st, g, P, sched_rng, fd_ue=fd_ue)
-            dec, diag = allocate_with_fallback(st, sel, g, alloc_cfg)
+        diags = ()
+        if cfg.variant in ("HD", "FD", "FD_FDUE", "FD_EnergyAware"):
+            if cfg.variant == "HD":
+                sel = hd_select_ues(st, g, P, direction, sched_rngs)
+            else:
+                sel = select_ues(st, g, P, sched_rngs, fd_ue=fd_ue)
+            outs = [
+                allocate_with_fallback(st[d], Selection(sel.decision[d]), g.tables[d], alloc_cfg)
+                for d in range(D)
+            ]
+            dec = SlotDecision.stack([dec for dec, _ in outs])
+            diags = [diag for _, diag in outs]
         else:
             rr_mode = "HD" if cfg.variant == "RR_HD" else "FD"
             # directions alternate, so t // 2 earlier slots ran in this one
-            dec = round_robin_select(t // 2, rr_mode, direction, g, P, sched_rng)
+            dec = round_robin_select(t // 2, rr_mode, direction, g, P, sched_rngs)
         validate(dec, g)
 
         rate_dl, rate_ul = slot_rates(dec, g)
         # validate served each UE by its own cell: no UE twice per direction
-        on = dec.dl_ue >= 0
-        bits_dl[dec.dl_ue[on]] += rate_dl[on] * dt
-        on = dec.ul_ue >= 0
-        bits_ul[dec.ul_ue[on]] += rate_ul[on] * dt
-        energy_dl += float(dec.p_dl.sum()) * dt
-        energy_ul += float(dec.p_ul.sum()) * dt
+        on = (dec.dl_ue >= 0).nonzero()
+        bits_dl[on[0], dec.dl_ue[on]] += rate_dl[on] * dt
+        on = (dec.ul_ue >= 0).nonzero()
+        bits_ul[on[0], dec.ul_ue[on]] += rate_ul[on] * dt
+        energy_dl += dec.p_dl.sum(axis=1) * dt
+        energy_ul += dec.p_ul.sum(axis=1) * dt
 
-        trace_dl_ue[t] = dec.dl_ue
-        trace_ul_ue[t] = dec.ul_ue
-        trace_p_dl[t] = dec.p_dl
-        trace_p_ul[t] = dec.p_ul
-        if diag:
+        trace_dl_ue[:, t] = dec.dl_ue
+        trace_ul_ue[:, t] = dec.ul_ue
+        trace_p_dl[:, t] = dec.p_dl
+        trace_p_ul[:, t] = dec.p_ul
+        for tot, diag in zip(diag_tot, diags):
             for k in ALLOC_COUNTERS:
-                diag_tot[k] += diag[k]
+                tot[k] += diag[k]
             if diag["status"] not in ("converged", "idle"):
-                diag_tot["nonconverged_slots"] += 1
+                tot["nonconverged_slots"] += 1
 
         st = update_state(st, dec, rate_dl, rate_ul)
 
-    return DropResult(
-        n_cells=B,
-        n_ues=N,
-        slots=cfg.slots,
-        bits_dl=bits_dl,
-        bits_ul=bits_ul,
-        energy_dl_j=energy_dl,
-        energy_ul_j=energy_ul,
-        trace_dl_ue=trace_dl_ue,
-        trace_ul_ue=trace_ul_ue,
-        trace_p_dl=trace_p_dl,
-        trace_p_ul=trace_p_ul,
-        diagnostics=diag_tot,
-    )
+    results = [
+        DropResult(
+            n_cells=B,
+            n_ues=N,
+            slots=S,
+            bits_dl=bits_dl[d],
+            bits_ul=bits_ul[d],
+            energy_dl_j=float(energy_dl[d]),
+            energy_ul_j=float(energy_ul[d]),
+            trace_dl_ue=trace_dl_ue[d],
+            trace_ul_ue=trace_ul_ue[d],
+            trace_p_dl=trace_p_dl[d],
+            trace_p_ul=trace_p_ul[d],
+            diagnostics=diag_tot[d],
+        )
+        for d in range(D)
+    ]
+    return results[0] if single else results
+
+
+def _lockstep_chunks(drops: int, jobs: int = 1) -> list:
+    """Contiguous ranges of drop indices that run_variant runs in lockstep.
+
+    max(jobs, ceil(drops / LOCKSTEP)) ranges, at most one per drop, of
+    sizes that differ by at most one: each pool worker gets a range, and
+    no range holds more than LOCKSTEP drops' gain tables at once.
+    """
+    n = min(drops, max(jobs, -(-drops // LOCKSTEP)))
+    size, extra = divmod(drops, n)
+    bounds = np.cumsum([0] + [size + (i < extra) for i in range(n)])
+    return [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def run_variant(cfg: RunConfig, jobs: int = 1) -> list:
-    """All drops for one config; drops are independent and parallelizable.
+    """All drops for one config, in drop order.
 
-    At most one worker process per drop.
+    Drops are independent: run_variant runs them in lockstep ranges
+    (_lockstep_chunks), one pool worker per range when jobs > 1, and
+    every drop's result is the same whatever the jobs or the range.
     """
     cfg = cfg.validated()
+    chunks = _lockstep_chunks(cfg.drops, jobs)
     if jobs <= 1 or cfg.drops == 1:
-        return [run_drop(cfg, d) for d in range(cfg.drops)]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, cfg.drops)) as pool:
-        futures = [pool.submit(run_drop, cfg, d) for d in range(cfg.drops)]
-        return [f.result() for f in futures]
+        runs = [run_drop(cfg, chunk) for chunk in chunks]
+    else:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
+            futures = [pool.submit(run_drop, cfg, chunk) for chunk in chunks]
+            runs = [f.result() for f in futures]
+    return [r for run in runs for r in run]
 
 
 @dataclass
@@ -323,6 +373,14 @@ def _pool_rates(results):
     return dl, ul
 
 
+def gain_pct(rates: np.ndarray, base_rates: np.ndarray) -> float | None:
+    """Percent gain of the mean rate over the baseline's mean (ratio of
+    means); None, no gain, unless the baseline's mean is positive."""
+    if not base_rates.mean() > 0:
+        return None
+    return (rates.mean() / base_rates.mean() - 1.0) * 100.0
+
+
 def aggregate(cfg: RunConfig, results: list, baseline: list | None = None) -> Metrics:
     """Reduce drop results to the reported metrics.
 
@@ -338,14 +396,11 @@ def aggregate(cfg: RunConfig, results: list, baseline: list | None = None) -> Me
     counters = {k: sum(int(r.diagnostics[k]) for r in results) for k in results[0].diagnostics}
 
     def direction(rates, bits, energy, base_rates):
-        gain = None
-        if base_rates is not None and base_rates.mean() > 0:
-            gain = (rates.mean() / base_rates.mean() - 1.0) * 100.0
         return DirectionMetrics(
             mean_tput_bps=float(rates.mean()),
             edge5_bps=float(np.percentile(rates, 5.0)),
             ee_bits_per_joule=bits / energy if energy > 0 else float("inf"),
-            gain_pct=gain,
+            gain_pct=None if base_rates is None else gain_pct(rates, base_rates),
         )
 
     base_dl = base_ul = None

@@ -8,6 +8,10 @@ holds the residual self-interference): one gather gives the links x
 links gain matrix, whose diagonal is each link's own signal, so every
 SINR is one matrix-vector product. The power allocator works on the
 same gather, so the quantity it optimizes is the rate that is charged.
+
+Drops simulated in lockstep share one SlotDecision whose arrays have a
+leading drop axis; validate and slot_rates take it with the drops'
+GainStack.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import GainTable
+from .channel import GainStack, GainTable
 
 NONE = -1
 
@@ -26,11 +30,23 @@ MAX_SE = 6.0    # bits/s/Hz
 
 @dataclass
 class SlotDecision:
-    dl_ue: np.ndarray          # (B,) global UE index or NONE
+    dl_ue: np.ndarray          # (B,) global UE index or NONE; (D, B) in lockstep
     ul_ue: np.ndarray          # (B,)
     p_dl: np.ndarray           # (B,) watts, 0 where no downlink
     p_ul: np.ndarray           # (B,) watts
     fd_ue: bool = False        # allow dl_ue == ul_ue with gamma at the UE
+
+    def __getitem__(self, d) -> "SlotDecision":
+        """Drop d's decision (views) out of a lockstep decision."""
+        return SlotDecision(self.dl_ue[d], self.ul_ue[d], self.p_dl[d], self.p_ul[d], self.fd_ue)
+
+    @staticmethod
+    def stack(decisions) -> "SlotDecision":
+        """One lockstep decision from the drops' decisions, in drop order."""
+        return SlotDecision(
+            *(np.stack([getattr(d, f) for d in decisions]) for f in ("dl_ue", "ul_ue", "p_dl", "p_ul")),
+            decisions[0].fd_ue,
+        )
 
     def copy(self) -> "SlotDecision":
         return SlotDecision(
@@ -42,11 +58,13 @@ class SlotDecision:
         )
 
 
-def validate(dec: SlotDecision, g: GainTable) -> None:
+def validate(dec: SlotDecision, g: GainTable | GainStack) -> None:
     """Assert the structural invariants of a decision.
 
     Each invariant is one per-cell violation mask, in check order; a
     decision that breaks any raises the message of the first broken one.
+    The masks are element-wise, so a lockstep decision is checked for
+    all its drops at once.
     """
     dl_on = dec.dl_ue >= 0
     ul_on = dec.ul_ue >= 0
@@ -129,10 +147,17 @@ def rate_from_sinr(sinr, bandwidth_hz: float):
     return out if out.ndim else float(out)
 
 
-def slot_rates(dec: SlotDecision, g: GainTable):
+def slot_rates(dec: SlotDecision, g: GainTable | GainStack):
     """Downlink and uplink rate vectors for the decision, bits/second.
 
-    Inactive links have SINR 0 and so rate 0.
+    Inactive links have SINR 0 and so rate 0. A lockstep decision gives
+    (D, B) rates: each drop's SINRs come from its own table's
+    matrix-vector product (one padded product for all drops would sum
+    in another order), and the rates from one element-wise call.
     """
-    rate = rate_from_sinr(np.concatenate(slot_sinrs(dec, g)), g.bandwidth_hz)
-    return rate[: g.n_cells], rate[g.n_cells :]
+    if dec.dl_ue.ndim == 1:
+        sinr = np.concatenate(slot_sinrs(dec, g))
+    else:
+        sinr = np.stack([np.concatenate(slot_sinrs(dec[d], t)) for d, t in enumerate(g.tables)])
+    rate = rate_from_sinr(sinr, g.bandwidth_hz)
+    return rate[..., : g.n_cells], rate[..., g.n_cells :]

@@ -57,9 +57,9 @@ def indoor_network(seed=0, ues_per_cell=8, cancellation_db=None, rooms_per_side=
     return topo, g
 
 
-def outdoor_network(seed=0, cancellation_db=None):
+def outdoor_network(seed=0, cancellation_db=None, ues_per_cell=10):
     rng = np.random.default_rng(seed)
-    topo = build_outdoor(OutdoorConfig(), rng)
+    topo = build_outdoor(OutdoorConfig(ues_per_cell=ues_per_cell), rng)
     g = build_gains(topo, outdoor_params(), rng).with_cancellation(cancellation_db)
     return topo, g
 

@@ -98,6 +98,51 @@ def test_slot_loop_calls_each_layer_once_per_slot(variant, monkeypatch):
     assert calls == dict.fromkeys(names, cfg.slots)
 
 
+@pytest.mark.parametrize("variant", sorted(SLOT_LOOP_CALLS))
+def test_lockstep_loop_calls_each_layer_once_per_lockstep_slot(variant, monkeypatch):
+    # run_variant advances its 3 drops as one lockstep chunk: the layers the
+    # benchmark clocks and traces run once per slot of the chunk, entered
+    # through sim's namespace, and the allocator once per drop and slot
+    selector, allocates = SLOT_LOOP_CALLS[variant]
+    names = ["update_state", selector, "validate", "slot_rates"]
+    if allocates:
+        names.append("allocate_with_fallback")
+    calls = dict.fromkeys(names, 0)
+
+    for name in names:
+        monkeypatch.setattr(sim, name, counting(calls, name, getattr(sim, name)))
+    cfg = sim.RunConfig(variant=variant, cancellation_db=85.0, slots=5, drops=3, ues_per_cell=2)
+    assert cfg.drops <= sim.LOCKSTEP
+    assert len(sim.run_variant(cfg)) == cfg.drops
+    expected = dict.fromkeys(names, cfg.slots)
+    if allocates:
+        expected["allocate_with_fallback"] = cfg.drops * cfg.slots
+    assert calls == expected
+
+
+def test_lockstep_chunk_builds_at_most_lockstep_networks(monkeypatch):
+    # a chunk holds its drops' gain tables through its slots: no more than
+    # LOCKSTEP networks are built before the first PF update, or between
+    # two chunks' slots
+    events = []
+
+    def logged(name, fn):
+        def call(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in ("build_gains", "update_state"):
+        monkeypatch.setattr(sim, name, logged(name, getattr(sim, name)))
+    cfg = sim.RunConfig(variant="RR_FD", slots=2, drops=2 * sim.LOCKSTEP + 1, ues_per_cell=2)
+    sim.run_variant(cfg)
+    assert events.count("build_gains") == cfg.drops
+    assert events.index("update_state") <= sim.LOCKSTEP
+    builds = "".join("b" if e == "build_gains" else "u" for e in events).split("u")
+    assert max(len(run) for run in builds) <= sim.LOCKSTEP
+
+
 @pytest.mark.parametrize("scenario", ["Indoor", "Outdoor"])
 def test_run_drop_builds_network_once_per_drop(scenario, monkeypatch):
     # the tracer's network.build_ms times the topology and gain builders

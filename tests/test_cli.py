@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import pytest
 
@@ -369,6 +370,20 @@ def test_compare_names_its_baseline_file(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"baseline: {hd / 'cdf_HD.csv'}"
     assert lines[1] == "FD: DL gain +100.0%  UL gain +25.0%"
+
+
+def test_compare_against_zero_throughput_baseline_has_no_gain(tmp_path, capsys):
+    # a one-slot HD run delivers no uplink: like sweep and aggregate, compare
+    # reports no gain against a zero mean instead of +inf% and a warning
+    hd, fd = tmp_path / "hd", tmp_path / "fd"
+    hd.mkdir()
+    fd.mkdir()
+    (hd / "cdf_HD.csv").write_text("dl_bps,ul_bps\n2,0\n2,0\n")
+    (fd / "cdf_FD.csv").write_text("dl_bps,ul_bps\n3,5\n5,5\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compare", str(fd), str(hd)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1] == "FD: DL gain +100.0%  UL gain -"
 
 
 def test_compare_missing_dir_exits_2(tmp_path, capsys):

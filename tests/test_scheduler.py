@@ -13,10 +13,14 @@ from conftest import (
     utility_change,
 )
 from fdcell.scheduler import (
+    BOTH,
     DL,
     UL,
     PFState,
+    Selection,
+    _batch_of_one,
     _SlotState,
+    _sum_layout,
     chi,
     hd_select_ues,
     init_state,
@@ -24,6 +28,7 @@ from fdcell.scheduler import (
     select_ues,
     update_state,
 )
+from fdcell.channel import GainStack
 from fdcell.sinr_rate import NONE, slot_rates
 
 
@@ -69,19 +74,36 @@ def test_chi_oracle():
     assert np.all(np.diff(chi(10e6, rates, 0.99)) > 0)
 
 
+def one_drop_state(g, st, fd_ue=False):
+    """_SlotState of one drop at full power."""
+    st1, stack, _ = _batch_of_one(st, g, None)
+    return _SlotState(stack, (g.p_bs_w, g.p_ue_w), st1, fd_ue)
+
+
+def position(scan, c, direction, k):
+    """Index of UE k in direction `direction` among a scan's candidates of cell c."""
+    plan = scan.plan
+    return int(np.flatnonzero((plan.ue[c] == k) & (plan.code == (direction == UL)))[0])
+
+
+def scan_one(state, c, direction):
+    """A one-drop state's scan of cell c in one direction."""
+    return state.scan(np.array([c]), (direction,))
+
+
 def slot_state(g, st, links=(), fd_ue=False):
-    """_SlotState at full power with (cell, direction, UE) links accepted in order."""
-    state = _SlotState(g, (g.p_bs_w, g.p_ue_w), st, fd_ue)
+    """One drop's _SlotState with (cell, direction, UE) links accepted in order."""
+    state = one_drop_state(g, st, fd_ue)
     for c, direction, k in links:
-        scan = state.scan(c, direction)
-        state.accept(scan, int(np.flatnonzero(scan.ks == k)[0]))
+        scan = scan_one(state, c, direction)
+        state.accept(scan, np.array([0]), np.array([position(scan, c, direction, k)]))
     return state
 
 
 def scan_du(state, c, direction, k):
     """The scan's net utility change for candidate UE k."""
-    scan = state.scan(c, direction)
-    return float(scan.du[np.flatnonzero(scan.ks == k)[0]])
+    scan = scan_one(state, c, direction)
+    return float(scan.du[0, position(scan, c, direction, k)])
 
 
 def test_scan_empty_network_is_pure_gain():
@@ -103,7 +125,7 @@ def test_scan_matches_total_utility_difference():
     state = slot_state(g, st, [(0, DL, g.cell_ue_ids[0][0]), (1, UL, g.cell_ue_ids[1][1])])
     cand = g.cell_ue_ids[2][0]
     du = scan_du(state, 2, DL, cand)
-    ref = utility_change(g, st, state.R, state.Q, 2, DL, cand)
+    ref = utility_change(g, st, state.R[0], state.Q[0], 2, DL, cand)
     assert du == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
@@ -126,6 +148,13 @@ def test_scan_counts_full_loss_of_silenced_neighbor():
     assert du == pytest.approx(own - neighbor_chi, rel=1e-9)
 
 
+def add_random_link(state, scan, rng):
+    """Accept a random eligible candidate of a one-drop scan, if it has one."""
+    ok = np.flatnonzero(state.eligible(scan)[0])
+    if len(ok):
+        state.accept(scan, np.array([0]), ok[[rng.integers(len(ok))]])
+
+
 @pytest.mark.parametrize("fd_ue", [False, True])
 @pytest.mark.parametrize("network", [indoor_network, outdoor_network])
 def test_scan_matches_utility_change(network, fd_ue):
@@ -139,36 +168,39 @@ def test_scan_matches_utility_change(network, fd_ue):
         B, N = g.n_cells, g.n_ues
         # spread averages: no two candidates tie
         st = PFState(*(2.6e6 * 10 ** rng.uniform(0.0, 1.5, (2, N))))
-        P = (g.p_bs_w, g.p_ue_w)
-        state = _SlotState(g, P, st, fd_ue)
+        state = one_drop_state(g, st, fd_ue)
         for c in rng.permutation(B):
             for direction in (DL, UL):
                 if rng.random() < 0.55:
-                    scan = state.scan(c, direction)
-                    if len(scan.ks):
-                        state.accept(scan, int(rng.integers(len(scan.ks))))
-        fd_cells += int(np.sum((state.R >= 0) & (state.Q >= 0)))
+                    add_random_link(state, scan_one(state, c, direction), rng)
+        R, Q = state.R[0], state.Q[0]
+        fd_cells += int(np.sum((R >= 0) & (Q >= 0)))
         for c in range(B):
-            for direction, taken in ((DL, state.R), (UL, state.Q)):
+            for direction, taken, other in ((DL, R, Q), (UL, Q, R)):
                 if taken[c] >= 0:
                     continue
-                scan = state.scan(c, direction)
-                for k, du in zip(scan.ks, scan.du):
-                    ref = utility_change(g, st, state.R, state.Q, c, direction, k, fd_ue=fd_ue)
+                scan = scan_one(state, c, direction)
+                for k, du, ok in zip(scan.plan.ue[c], scan.du[0], state.eligible(scan)[0]):
+                    if not ok:
+                        # only the UE of the cell's other direction, and only without fd_ue
+                        assert not fd_ue and k == other[c]
+                        continue
+                    ref = utility_change(g, st, R, Q, c, direction, k, fd_ue=fd_ue)
                     assert du == pytest.approx(ref, rel=1e-12), (trial, c, direction, k)
                     checked += 1
     assert fd_cells > 0 and checked > 100
 
 
-SCAN_FIELDS = ("ks", "du", "num", "den", "gain", "den1", "chi1")
+SCAN_FIELDS = ("du", "num", "den", "gain", "b_avg")
 
 
 @pytest.mark.parametrize("fd_ue", [False, True])
 @pytest.mark.parametrize("network", [indoor_network, outdoor_network])
 def test_joint_scan_equals_single_scans(network, fd_ue):
-    # pass 1's joint scan of a free cell holds the two single-direction
-    # scans bit for bit, over partial slots built through the state's own
-    # accepts; the denser slots give outdoor nd >= 8 active downlinks
+    # the joint scan of both directions (pass 1 and pass 2) holds the two
+    # single-direction scans bit for bit, over partial slots built through
+    # the state's own accepts; the denser slots give outdoor 8 or more
+    # active links in one direction
     rng = np.random.default_rng(23)
     checked = 0
     active = set()
@@ -176,54 +208,141 @@ def test_joint_scan_equals_single_scans(network, fd_ue):
         _, g = network(seed=60 + trial, cancellation_db=(75.0, 95.0, None)[trial % 3])
         B, N = g.n_cells, g.n_ues
         st = PFState(*(2.6e6 * 10 ** rng.uniform(0.0, 1.5, (2, N))))
-        state = _SlotState(g, (g.p_bs_w, g.p_ue_w), st, fd_ue)
+        state = one_drop_state(g, st, fd_ue)
         free = rng.choice(B, size=2, replace=False)
         p_link = (0.3, 0.6, 0.95)[trial // 3]
         for c in rng.permutation(B):
             for direction in (DL, UL):
                 if c not in free and rng.random() < p_link:
-                    scan = state.scan(c, direction)
-                    if len(scan.ks):
-                        state.accept(scan, int(rng.integers(len(scan.ks))))
-        active.add((state.nd, len(state.act) - state.nd))
+                    add_random_link(state, scan_one(state, c, direction), rng)
+        active.add((int(np.sum(state.R >= 0)), int(np.sum(state.Q >= 0))))
         for c in range(B):
-            if state.R[c] >= 0 or state.Q[c] >= 0:
-                continue
-            joint = state.scan_cell(c)
-            for direction, got in zip((DL, UL), joint):
-                ref = state.scan(c, direction)
-                assert got.cell == c and got.direction == direction
+            joint = state.scan(np.array([c]), BOTH)
+            for direction in (DL, UL):
+                ref = scan_one(state, c, direction)
+                part = joint.plan.code == (direction == UL)
                 for field in SCAN_FIELDS:
-                    assert np.array_equal(getattr(got, field), getattr(ref, field)), (trial, c, field)
+                    assert np.array_equal(getattr(joint, field)[:, part], getattr(ref, field)), (trial, c, field)
+                for field in ("den1", "chi1"):
+                    got = getattr(joint, field)[:, joint.plan.row[part]]
+                    assert np.array_equal(got, getattr(ref, field)[:, ref.plan.row]), (trial, c, field)
+                assert np.array_equal(state.eligible(joint)[:, part], state.eligible(ref))
                 checked += 1
     assert checked >= 36
     if network is outdoor_network:
         assert max(nd for nd, _ in active) >= 8 and max(nu for _, nu in active) >= 8
 
 
+def test_sum_layout_rows_sum_like_their_terms():
+    # a padded loss row adds its links in the order and grouping of
+    # numpy's sum over those links alone, for every link count
+    rng = np.random.default_rng(5)
+    for B in (1, 4, 8, 9, 12, 15, 16, 20):
+        W, col = _sum_layout(B)
+        for n in range(B + 1):
+            for _ in range(50):
+                terms = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 3, n)
+                row = np.zeros(W)
+                row[col[n, 1 : n + 1]] = terms
+                assert np.add.reduce(row) == np.add.reduce(terms), (B, n)
+
+
+def batch_state(tables, st, fd_ue, links):
+    """_SlotState of several drops, drop d with the (cell, direction, UE)
+    links of links[d] accepted in order, through joint scans."""
+    state = _SlotState(GainStack(tables), (tables[0].p_bs_w, tables[0].p_ue_w), st, fd_ue)
+    for step in range(max(map(len, links))):
+        a = [d for d in range(len(tables)) if step < len(links[d])]
+        cells = np.array([links[d][step][0] if step < len(links[d]) else 0 for d in range(len(tables))])
+        scan = state.scan(cells, BOTH)
+        j = [position(scan, *links[d][step]) for d in a]
+        state.accept(scan, np.array(a), np.array(j))
+    return state
+
+
+@pytest.mark.parametrize("ues_per_cell", [1, 3])
+def test_batched_scans_on_ragged_drops(ues_per_cell):
+    # one batch of drops in different partial states scores every
+    # candidate as the drop's own one-drop scan does, bit for bit, and
+    # as the whole-slot utility change does; the loss adds each drop's
+    # active links as numpy's sum over those links alone
+    U = ues_per_cell
+    links = [
+        [],                                                               # empty
+        [(c, DL, c * U) for c in range(9)] + [(10, UL, 10 * U)],         # 9 downlinks: tree sums
+        [(5, DL, 5 * U)] + [(c, UL, c * U + U - 1) for c in (0, 1, 2, 3, 7, 8, 11)],
+        [(5, DL, 5 * U)] + [(c, DL, c * U) for c in (1, 2, 3, 4)] + [(c, UL, c * U) for c in (6, 7, 8, 9)],
+        [(c, DL, c * U) for c in (0, 2, 4, 6, 8, 10)] + [(c, UL, c * U + U - 1) for c in (1, 3, 5, 7, 9, 11)],
+    ]
+    D = len(links)
+    tables = [outdoor_network(seed=90 + d, cancellation_db=95.0, ues_per_cell=U)[1] for d in range(D)]
+    B, N = tables[0].n_cells, tables[0].n_ues
+    rng = np.random.default_rng(U)
+    avg = 2.6e6 * 10 ** rng.uniform(0.0, 1.5, (2, D, N))
+    fd_ue = np.array([False, False, False, True, False])
+    state = batch_state(tables, PFState(avg[0].copy(), avg[1].copy()), fd_ue, links)
+    assert int(np.sum(state.R[1] >= 0)) >= 8
+    singles = [
+        slot_state(g, PFState(avg[0][d].copy(), avg[1][d].copy()), links[d], fd_ue=fd_ue[d])
+        for d, g in enumerate(tables)
+    ]
+    checked = 0
+    for c in range(B):
+        scan = state.scan(np.full(D, c), BOTH)
+        ok = state.eligible(scan)
+        if c == 5:
+            # cell 5's downlink UE may not take its uplink, unless fd_ue
+            j = position(scan, 5, UL, 5 * U)
+            assert not ok[2, j] and ok[3, j]
+        for d, g in enumerate(tables):
+            one = singles[d].scan(np.array([c]), BOTH)
+            assert np.array_equal(scan.du[d], one.du[0]), (d, c)
+            assert np.array_equal(ok[d], singles[d].eligible(one)[0])
+            R, Q = state.R[d], state.Q[d]
+            # the loss, summed as numpy sums the drop's active links alone
+            at = state.at[d]
+            for j in range(len(scan.plan.code)):
+                chi1 = scan.chi1[d, scan.plan.row[j]]
+                lost = [np.add.reduce(state.chi0[d, at[r][at[r] > 0]] - chi1[at[r][at[r] > 0]]) for r in (0, 1)]
+                assert scan.du[d, j] == scan.gain[d, j] - (lost[0] + lost[1])
+                direction, k = (DL, UL)[scan.plan.code[j]], scan.plan.ue[c, j]
+                if not ok[d, j]:
+                    continue
+                ref = utility_change(g, PFState(avg[0][d], avg[1][d]), R, Q, c, direction, k,
+                                     fd_ue=bool(fd_ue[d]))
+                assert scan.du[d, j] == pytest.approx(ref, rel=1e-12, abs=1e-12), (d, c, j)
+                checked += 1
+    assert checked >= 40
+
+
 def reference_select_ues(st, g, P, rng, fd_ue=False):
-    """select_ues with pass 1 scoring each direction by its own scan."""
+    """select_ues on one drop, with pass 1 scoring each direction by its own
+    scan and pass 2 scanning only the missing direction."""
     order = rng.permutation(g.n_cells)
-    state = _SlotState(g, P, st, fd_ue)
+    state = one_drop_state(g, st, fd_ue)
+
+    def best(scan):
+        du = np.where(state.eligible(scan)[0], scan.du[0], -np.inf)
+        i = int(du.argmax())
+        return du[i], np.array([i])
+
     for c in order:
-        scan_d = state.scan(c, DL)
-        scan_u = state.scan(c, UL)
-        du_d, i_d = scan_d.best()
-        du_u, i_u = scan_u.best()
+        scan_d, scan_u = scan_one(state, c, DL), scan_one(state, c, UL)
+        (du_d, i_d), (du_u, i_u) = best(scan_d), best(scan_u)
         if max(du_d, du_u) > 0.0:
             if du_d >= du_u:
-                state.accept(scan_d, i_d)
+                state.accept(scan_d, np.array([0]), i_d)
             else:
-                state.accept(scan_u, i_u)
+                state.accept(scan_u, np.array([0]), i_u)
     for c in order:
-        has_dl = state.R[c] >= 0
-        if has_dl == (state.Q[c] >= 0):
+        has_dl = state.R[0, c] >= 0
+        if has_dl == (state.Q[0, c] >= 0):
             continue
-        scan = state.scan(c, UL if has_dl else DL)
-        du, i = scan.best()
+        scan = scan_one(state, c, UL if has_dl else DL)
+        du, i = best(scan)
         if du > 0.0:
-            state.accept(scan, i)
-    return state.selection()
+            state.accept(scan, np.array([0]), i)
+    return Selection(state.selection().decision[0])
 
 
 @pytest.mark.parametrize("fd_ue", [False, True])

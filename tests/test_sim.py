@@ -415,6 +415,32 @@ def test_run_variant_pool_has_at_most_one_worker_per_drop(monkeypatch):
     assert workers == [3, 2]
 
 
+DROP_ARRAYS = ("bits_dl", "bits_ul", "trace_dl_ue", "trace_ul_ue", "trace_p_dl", "trace_p_ul")
+
+
+@pytest.mark.parametrize("canc", [75.0, None])
+@pytest.mark.parametrize("variant", sim.VARIANTS)
+@pytest.mark.parametrize("scenario", sim.SCENARIOS)
+def test_lockstep_drops_equal_one_drop_runs(scenario, variant, canc, monkeypatch):
+    # run_variant advances its drops in lockstep chunks; every drop's
+    # outputs equal its own run_drop's bit for bit, whatever the chunk
+    # width or the number of jobs
+    cfg = RunConfig(scenario=scenario, variant=variant, cancellation_db=canc,
+                    slots=4, drops=3, ues_per_cell=2, seed=11)
+    alone = [run_drop(cfg, d) for d in range(cfg.drops)]
+    runs = {"jobs=2": run_variant(cfg, jobs=2)}
+    for width in (1, 2, sim.LOCKSTEP):
+        monkeypatch.setattr(sim, "LOCKSTEP", width)
+        runs[f"width {width}"] = run_variant(cfg)
+    for how, results in runs.items():
+        assert len(results) == cfg.drops, how
+        for d, (got, ref) in enumerate(zip(results, alone)):
+            for name in DROP_ARRAYS:
+                assert np.array_equal(getattr(got, name), getattr(ref, name)), (how, d, name)
+            assert (got.energy_dl_j, got.energy_ul_j) == (ref.energy_dl_j, ref.energy_ul_j), (how, d)
+            assert got.diagnostics == ref.diagnostics, (how, d)
+
+
 def run_metrics(cfg):
     results = run_variant(cfg)
     return aggregate(cfg, results)

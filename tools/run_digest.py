@@ -11,6 +11,10 @@ two energies, the four per-slot traces and the allocator counters. The
 last line hashes all the lines above it. Two checkouts whose lines are
 equal simulate every cell of the grid bit for bit alike; a change meant
 to keep the outputs compares its lines with those of its parent.
+
+Each cell also runs through ``sim.run_variant``, which advances the
+DROPS drops of a seed in lockstep. The script exits 1, naming the cell,
+if any drop's sha256 there differs from its ``run_drop`` one.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ SLOTS = 30
 
 
 def drop_digest(h, res: sim.DropResult) -> None:
-    """Feed one drop's outputs into the sha256 object h."""
+    """Feed one drop's outputs into the sha256 object h (or hashlib.sha256())."""
     for a in (res.bits_dl, res.bits_ul, res.trace_dl_ue, res.trace_ul_ue,
               res.trace_p_dl, res.trace_p_ul):
         h.update(a.dtype.str.encode())
@@ -48,20 +52,32 @@ def drop_digest(h, res: sim.DropResult) -> None:
     h.update(json.dumps(res.diagnostics, sort_keys=True).encode())
 
 
+def sha(res: sim.DropResult) -> str:
+    h = hashlib.sha256()
+    drop_digest(h, res)
+    return h.hexdigest()
+
+
 def main() -> int:
     total = hashlib.sha256()
     for scenario in sim.SCENARIOS:
         for variant in sim.VARIANTS:
             for canc in CANCELLATIONS:
+                c = "inf" if canc is None else f"{canc:g}"
+                cell = f"{scenario:8s}{variant:15s}C={c:4s}"
                 h = hashlib.sha256()
                 for seed in SEEDS:
                     cfg = sim.RunConfig(scenario=scenario, variant=variant,
                                         cancellation_db=canc, slots=SLOTS,
                                         drops=DROPS, seed=seed).validated()
-                    for d in range(DROPS):
-                        drop_digest(h, sim.run_drop(cfg, d))
-                c = "inf" if canc is None else f"{canc:g}"
-                line = f"{scenario:8s}{variant:15s}C={c:4s}{h.hexdigest()}"
+                    alone = [sim.run_drop(cfg, d) for d in range(DROPS)]
+                    for res in alone:
+                        drop_digest(h, res)
+                    lockstep = sim.run_variant(cfg)
+                    if [sha(r) for r in lockstep] != [sha(r) for r in alone]:
+                        print(f"{cell}seed {seed}: lockstep drops differ from run_drop", flush=True)
+                        return 1
+                line = f"{cell}{h.hexdigest()}"
                 total.update(line.encode())
                 print(line, flush=True)
     print(f"{'total':27s}{total.hexdigest()}")
