@@ -218,8 +218,7 @@ class GainStack:
     are read from the first table. tx_rx stacks the drops' tables as
     (D, B + N, N + B) and rx_noise their noise vectors as (D, N + B).
     Each table's own tx_rx becomes a view of its layer of the stack, so
-    the stack holds no second copy of the gains; a single table is
-    viewed as a stack of one.
+    the stack holds no second copy of the gains.
     """
 
     def __init__(self, tables):
@@ -233,13 +232,10 @@ class GainStack:
         )
         self.cell_ids, self.cell_ue_ids, self.ue_cell = g.cell_ids, g.cell_ue_ids, g.ue_cell
         self.rx_noise = np.stack([t.rx_noise for t in self.tables])
-        if len(self.tables) == 1:
-            self.tx_rx = g.tx_rx[None]
-        else:
-            self.tx_rx = np.empty((len(self.tables),) + g.tx_rx.shape)
-            for t, layer in zip(self.tables, self.tx_rx):
-                layer[:] = t.tx_rx
-                t.tx_rx = layer
+        self.tx_rx = np.empty((len(self.tables),) + g.tx_rx.shape)
+        for t, layer in zip(self.tables, self.tx_rx):
+            layer[:] = t.tx_rx
+            t.tx_rx = layer
 
     def __len__(self) -> int:
         return len(self.tables)
@@ -278,48 +274,38 @@ def _reciprocal_gains(topo, params, kind, xy, rng) -> np.ndarray:
         los_u = rng.random((n, n)).ravel()[upper]
     shadow_n = rng.standard_normal((n, n)).ravel()[upper]
     dist, walls = paired_distance(topo, np.take(xy, i, axis=0), np.take(xy, j, axis=0))
-    if topo.layout == INDOOR_GRID:
-        loss = _indoor_pair_loss(params, dist, walls, los_u, shadow_n)
-    else:
-        loss = _outdoor_pair_loss(kind, params, dist, los_u, shadow_n)
+    loss = _pair_loss(topo, params, kind, dist, walls, los_u, shadow_n)
     out = np.zeros(n * n)
     out[upper] = out[lower] = _gain_from_db(loss)
     return out.reshape(n, n)
 
 
-def _indoor_pair_loss(
+def _pair_loss(
+    topo: NetworkTopology,
     params: ScenarioParams,
+    kind: str,
     dist_m: np.ndarray,
     walls: np.ndarray,
     los_u: np.ndarray,
     shadow_n: np.ndarray,
 ) -> np.ndarray:
-    """Loss in dB for indoor links given pre-drawn uniforms and normals."""
-    r = np.maximum(dist_m / 1000.0, MIN_DIST_KM)
-    same_room = walls == 0
-    los = los_u < los_probability_indoor(r)
-    intra = pathloss_indoor_intra(r, los)
-    inter = pathloss_indoor_inter(r) + params.wall_loss_db * walls
-    sigma = np.where(
-        same_room,
-        np.where(los, params.shadow_los_db, params.shadow_nlos_db),
-        params.shadow_nlos_db,
-    )
-    return np.where(same_room, intra, inter) + sigma * shadow_n
+    """Loss in dB for links of one kind given pre-drawn uniforms and normals.
 
-
-def _outdoor_pair_loss(
-    kind: str,
-    params: ScenarioParams,
-    dist_m: np.ndarray,
-    los_u: np.ndarray,
-    shadow_n: np.ndarray,
-) -> np.ndarray:
-    """Loss in dB for outdoor links given pre-drawn uniforms and normals.
-
-    UE-UE loss has no LOS state and reads no uniforms (los_u may be None).
+    Indoor links ignore kind; outdoor links ignore walls. Outdoor UE-UE
+    loss has no LOS state and reads no uniforms (los_u may be None).
     """
     r = np.maximum(dist_m / 1000.0, MIN_DIST_KM)
+    if topo.layout == INDOOR_GRID:
+        same_room = walls == 0
+        los = los_u < los_probability_indoor(r)
+        intra = pathloss_indoor_intra(r, los)
+        inter = pathloss_indoor_inter(r) + params.wall_loss_db * walls
+        sigma = np.where(
+            same_room,
+            np.where(los, params.shadow_los_db, params.shadow_nlos_db),
+            params.shadow_nlos_db,
+        )
+        return np.where(same_room, intra, inter) + sigma * shadow_n
     if kind == UE_UE:
         return pathloss_outdoor(UE_UE, r) + params.shadow_ue_ue_db * shadow_n
     los = los_u < los_probability_outdoor(r)
@@ -350,10 +336,7 @@ def build_gains(
     d_bu, w_bu = pairwise_distance(topo, bs, ue)
     los_bu = rng.random((B, N))
     sh_bu = rng.standard_normal((B, N))
-    if topo.layout == INDOOR_GRID:
-        loss_bu = _indoor_pair_loss(params, d_bu, w_bu, los_bu, sh_bu)
-    else:
-        loss_bu = _outdoor_pair_loss(BS_UE, params, d_bu, los_bu, sh_bu)
+    loss_bu = _pair_loss(topo, params, BS_UE, d_bu, w_bu, los_bu, sh_bu)
 
     g_bs = _reciprocal_gains(topo, params, BS_BS, bs, rng)
     g_ue = _reciprocal_gains(topo, params, UE_UE, ue, rng)

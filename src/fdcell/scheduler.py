@@ -29,12 +29,13 @@ transmitter's gain row to the receiver vector (a rank-1 update) and
 keeps the scan's link terms, so no slot-wide SINR evaluation runs
 during a selection.
 
-The active links of each drop are packed into one row per direction
-whose numpy sum adds them in the order and grouping of a sum over those
-links alone (_SlotState._gather), so every value, and so every
-decision, equals a one-drop selection's bit for bit. The tests check
-every scan against the whole-slot utility with and without the
-candidate (utility_change in tests/conftest.py).
+Every link is keyed by its direction and cell, as in the decision, and
+each drop's active links are packed into one row per direction whose
+numpy sum adds them in the order and grouping of a sum over those links
+alone (_SlotState._pack), so every value, and so every decision, equals
+a one-drop selection's bit for bit. The tests check every scan against
+the whole-slot utility with and without the candidate (utility_change in
+tests/conftest.py).
 """
 
 from __future__ import annotations
@@ -222,8 +223,8 @@ class _Scan:
     Candidate j is described by plan (_ScanPlan). du is its net utility
     change, and own holds its own link's signal, denominator, chi and
     beta * PF average (num, den, gain, b_avg), each (D, candidates).
-    Scheduling it moves the active links' denominators and chi to
-    den1[:, plan.row[j]] and chi1[:, plan.row[j]], each (D, rows, width).
+    Scheduling it moves the link slots' denominators and chi to
+    den1[:, plan.row[j]] and chi1[:, plan.row[j]], each (D, rows, 2B + 1).
     """
 
     cells: np.ndarray
@@ -233,10 +234,7 @@ class _Scan:
     den1: np.ndarray
     chi1: np.ndarray
 
-    num = property(lambda self: self.own[0])
-    den = property(lambda self: self.own[1])
     gain = property(lambda self: self.own[2])
-    b_avg = property(lambda self: self.own[3])
 
 
 class _SlotState:
@@ -246,23 +244,22 @@ class _SlotState:
     is the gain row of drop d's transmitter t (BS t, or UE t - B). rx_den
     is (D, N + B): the noise plus everything the scheduled transmitters
     put at each receiver. RQ[d, 0] holds each cell's downlink UE, RQ[d, 1]
-    its uplink UE (NONE when idle). fd_ue is a bool or one bool per drop.
+    its uplink UE (NONE when idle). fd_ue is one bool for all D drops.
 
-    Drop d's active links sit in the order they were accepted at
-    positions 1..n[d] of (D, 2B + 1) arrays: receiver (rx), signal,
-    denominator, chi and PF average scaled by beta (sig, den, chi0,
-    lavg). Position 0 and the free positions have signal 0, so chi 0
-    under any denominator; a scan evaluates the first `width` positions
-    of every drop. at[d, r, b] is the position of cell b's direction-r
-    link (0 when idle), and pack[d, r] lists the positions of drop d's
-    direction-r links in cell order at their _sum_layout columns, with
-    position 0 in every other column. The averages are fixed through a
-    selection, so b_avg holds them scaled by beta once per slot, as
-    (D, 2, N), for _chi_scaled.
+    Drop d's link of direction r (0 downlink, 1 uplink) at cell b sits in
+    slot r * B + b of (D, 2B + 1) arrays, the key of RQ[d, r, b]: its
+    receiver (rx), signal, denominator, chi and PF average scaled by beta
+    (sig, den, chi0, lavg). An idle slot has signal 0, so chi 0 under any
+    denominator, and slot 2B is never taken, so it is 0 even when every
+    link is active. pack[d, r] lists the slots of drop d's direction-r
+    links in cell order at their _sum_layout columns, with slot 2B in
+    every other column. The averages are fixed through a selection, so
+    b_avg holds them scaled by beta once per slot, as (D, 2, N), for
+    _chi_scaled.
     """
 
     def __init__(self, g: GainStack, powers, st: PFState, fd_ue=False):
-        self.powers, self.fd_ue = powers, fd_ue
+        self.powers, self.fd_ue = powers, bool(fd_ue)
         self.p = np.array(powers, dtype=float)        # downlink, uplink watts
         D, B, N = len(g), g.n_cells, g.n_ues
         self.D, self.B, self.U = D, B, N // B
@@ -272,24 +269,20 @@ class _SlotState:
         T, R = g.tx_rx.shape[1:]
         self.drops = np.arange(D)
         col = self.drops[:, None]
-        L = 2 * B + 1
-        # flat offset of each drop in tx_rx, rx_den, b_avg and the link arrays
-        self.at_g, self.at_rx, self.at_ue, self.at_link = col * (T * R), col * R, col * (2 * N), self.drops * L
+        # flat offset of each drop in tx_rx, rx_den and b_avg
+        self.at_g, self.at_rx, self.at_ue = col * (T * R), col * R, col * (2 * N)
         self._plans = {}
-        self.fd_col = np.reshape(fd_ue, (-1, 1))
         self.RQ = np.full((D, 2, B), NONE)
         self.rx_den = g.rx_noise.copy()
         self.b_avg = st.beta * np.stack([st.avg_dl, st.avg_ul], axis=1)
         self.one_minus_beta = 1.0 - st.beta
-        self.n = np.zeros(D, dtype=int)
-        self.width = 1
-        self.links = np.zeros((4, D, L))
+        self.L = 2 * B + 1
+        self.links = np.zeros((4, D, self.L))
         self.sig, self.den, self.chi0, self.lavg = self.links
         self.den[:] = self.lavg[:] = 1.0
-        self.rx = np.zeros((D, L), dtype=int)
-        self.at = np.zeros((D, 2, B), dtype=int)
+        self.rx = np.zeros((D, self.L), dtype=int)
         W, self.layout = _sum_layout(B)
-        self.pack = np.zeros((D, 2, W), dtype=int)
+        self.pack = np.full((D, 2, W), 2 * B)
 
     @property
     def R(self) -> np.ndarray:
@@ -301,20 +294,20 @@ class _SlotState:
 
     def _pack(self):
         """Lay each drop's active links out in its two loss rows (see _sum_layout)."""
-        on = self.at > 0
+        on = self.RQ >= 0
         rank = on.cumsum(axis=-1)
         cols = self.layout[rank[..., -1:], rank]
         d, r, c = on.nonzero()
-        self.pack = np.zeros_like(self.pack)
-        self.pack[d, r, cols[d, r, c]] = self.at[d, r, c]
+        self.pack = np.full_like(self.pack, 2 * self.B)
+        self.pack[d, r, cols[d, r, c]] = r * self.B + c
 
     def _plan(self, dirs: tuple):
-        """dirs' _ScanPlan, its candidates' and rows' powers, and each drop's
-        scan rows in units of the scan width."""
+        """dirs' _ScanPlan, its candidates' and rows' powers, and the flat
+        offset of each drop's scan rows in a (D, rows, 2B + 1) array."""
         if dirs not in self._plans:
             plan = _scan_plan(dirs, self.B, self.U)
             M = len(plan.row_code)
-            rows = (self.drops[:, None] * M + np.arange(M))[..., None, None]
+            rows = (self.drops[:, None] * M + np.arange(M))[..., None, None] * self.L
             self._plans[dirs] = plan, self.p[plan.code], self.p[plan.row_code][:, None], rows
         return self._plans[dirs]
 
@@ -325,18 +318,18 @@ class _SlotState:
         (UL,) or BOTH); eligible() says which ones may be added.
         """
         plan, p_cand, p_row, rows = self._plan(dirs)
-        D, nc, w = self.D, len(plan.code), self.width
+        D, nc = self.D, len(plan.code)
         own = np.empty((4, D, nc))
         num, den, gain, b_avg = own
         np.multiply(p_cand, self.gains.take(plan.own[cells] + self.at_g), out=num)
         self.rx_den.take(plan.rx[cells] + self.at_rx, out=den, mode="clip")
         self.b_avg.take(plan.bav[cells] + self.at_ue, out=b_avg, mode="clip")
-        # the active links' denominators under each distinct transmitter
-        den1 = self.gains.take((plan.row_base[cells] + self.at_g)[:, :, None] + self.rx[:, None, :w])
+        # every link slot's denominator under each distinct transmitter
+        den1 = self.gains.take((plan.row_base[cells] + self.at_g)[:, :, None] + self.rx[:, None])
         den1 *= p_row
-        den1 += self.den[:, None, :w]
-        sinr = np.concatenate([num / den, (self.sig[:, None, :w] / den1).reshape(D, -1)], axis=1)
-        lavg = self.lavg[:, None, :w].repeat(den1.shape[1], axis=1).reshape(D, -1)
+        den1 += self.den[:, None]
+        sinr = np.concatenate([num / den, (self.sig[:, None] / den1).reshape(D, -1)], axis=1)
+        lavg = self.lavg[:, None].repeat(den1.shape[1], axis=1).reshape(D, -1)
         chi = _chi_scaled(
             rate_from_sinr(sinr, self.bandwidth_hz),
             np.concatenate([b_avg, lavg], axis=1),
@@ -345,7 +338,7 @@ class _SlotState:
         gain[:] = chi[:, :nc]
         chi1 = chi[:, nc:].reshape(den1.shape)
         # the utility the active links lose, summed in _sum_layout's rows
-        lost = (self.chi0[:, None, :w] - chi1).take(rows * w + self.pack[:, None])
+        lost = (self.chi0[:, None] - chi1).take(rows + self.pack[:, None])
         lost = np.add.reduce(lost, axis=-1)
         du = gain - (lost[..., 0] + lost[..., 1])[:, plan.row]
         return _Scan(cells, plan, du, own, den1, chi1)
@@ -361,7 +354,7 @@ class _SlotState:
         plan = scan.plan
         ue = self.RQ[self.drops, :, scan.cells]      # (D, 2) the cell's UEs
         other = ue[:, plan.other]
-        ok = (ue[:, plan.code] < 0) & ((other != plan.ue[scan.cells]) | self.fd_col)
+        ok = (ue[:, plan.code] < 0) & ((other != plan.ue[scan.cells]) | self.fd_ue)
         if upgrade:
             ok &= other >= 0
         return ok
@@ -387,16 +380,12 @@ class _SlotState:
         tx = self.tx_rx[a, plan.tx[c, j]]
         tx *= self.p[code][:, None]
         self.rx_den[ix] += tx
-        m, w = plan.row[j], self.width
-        self.den[ix, :w] = scan.den1[a, m]
-        self.chi0[ix, :w] = scan.chi1[a, m]
-        self.n[ix] += 1
-        pos = self.n[a]
-        self.at[a, code, c] = pos
-        at = self.at_link[a] + pos
-        self.links.reshape(4, -1)[:, at] = scan.own.reshape(4, -1)[:, a * scan.own.shape[2] + j]
-        self.rx.put(at, plan.rx[c, j])
-        self.width = int(self.n.max()) + 1
+        m = plan.row[j]
+        self.den[ix] = scan.den1[a, m]
+        self.chi0[ix] = scan.chi1[a, m]
+        slot = code * self.B + c
+        self.links[:, a, slot] = scan.own[:, a, j]
+        self.rx[a, slot] = plan.rx[c, j]
         self._pack()
 
     def selection(self) -> Selection:

@@ -191,9 +191,6 @@ def test_scan_matches_utility_change(network, fd_ue):
     assert fd_cells > 0 and checked > 100
 
 
-SCAN_FIELDS = ("du", "num", "den", "gain", "b_avg")
-
-
 @pytest.mark.parametrize("fd_ue", [False, True])
 @pytest.mark.parametrize("network", [indoor_network, outdoor_network])
 def test_joint_scan_equals_single_scans(network, fd_ue):
@@ -221,8 +218,9 @@ def test_joint_scan_equals_single_scans(network, fd_ue):
             for direction in (DL, UL):
                 ref = scan_one(state, c, direction)
                 part = joint.plan.code == (direction == UL)
-                for field in SCAN_FIELDS:
-                    assert np.array_equal(getattr(joint, field)[:, part], getattr(ref, field)), (trial, c, field)
+                # du, and own's num, den, gain and b_avg
+                assert np.array_equal(joint.du[:, part], ref.du), (trial, c, "du")
+                assert np.array_equal(joint.own[..., part], ref.own), (trial, c, "own")
                 for field in ("den1", "chi1"):
                     got = getattr(joint, field)[:, joint.plan.row[part]]
                     assert np.array_equal(got, getattr(ref, field)[:, ref.plan.row]), (trial, c, field)
@@ -262,10 +260,10 @@ def batch_state(tables, st, fd_ue, links):
 
 @pytest.mark.parametrize("ues_per_cell", [1, 3])
 def test_batched_scans_on_ragged_drops(ues_per_cell):
-    # one batch of drops in different partial states scores every
-    # candidate as the drop's own one-drop scan does, bit for bit, and
-    # as the whole-slot utility change does; the loss adds each drop's
-    # active links as numpy's sum over those links alone
+    # batches of drops in different partial states score every candidate
+    # as the drop's own one-drop scan does, bit for bit, and as the
+    # whole-slot utility change does; the loss adds each drop's active
+    # links as numpy's sum over those links alone
     U = ues_per_cell
     links = [
         [],                                                               # empty
@@ -273,45 +271,56 @@ def test_batched_scans_on_ragged_drops(ues_per_cell):
         [(5, DL, 5 * U)] + [(c, UL, c * U + U - 1) for c in (0, 1, 2, 3, 7, 8, 11)],
         [(5, DL, 5 * U)] + [(c, DL, c * U) for c in (1, 2, 3, 4)] + [(c, UL, c * U) for c in (6, 7, 8, 9)],
         [(c, DL, c * U) for c in (0, 2, 4, 6, 8, 10)] + [(c, UL, c * U + U - 1) for c in (1, 3, 5, 7, 9, 11)],
+        # fully loaded: every cell serves both directions, so every link
+        # slot is taken and both loss rows are tree sums; with U = 1 the
+        # cell's one UE serves both, so the drop runs with fd_ue
+        [(c, r, c * U + (U - 1) * (r == UL)) for c in range(12) for r in (DL, UL)],
     ]
+    fd_ue = [False, False, False, True, False, True]
     D = len(links)
     tables = [outdoor_network(seed=90 + d, cancellation_db=95.0, ues_per_cell=U)[1] for d in range(D)]
     B, N = tables[0].n_cells, tables[0].n_ues
     rng = np.random.default_rng(U)
     avg = 2.6e6 * 10 ** rng.uniform(0.0, 1.5, (2, D, N))
-    fd_ue = np.array([False, False, False, True, False])
-    state = batch_state(tables, PFState(avg[0].copy(), avg[1].copy()), fd_ue, links)
-    assert int(np.sum(state.R[1] >= 0)) >= 8
+    # fd_ue is one bool per slot state: the fd_ue drops run in a batch of their own
+    batches = [[d for d in range(D) if fd_ue[d] == fd] for fd in (False, True)]
+    states = [
+        batch_state([tables[d] for d in ds], PFState(avg[0][ds], avg[1][ds]), fd_ue[ds[0]], [links[d] for d in ds])
+        for ds in batches
+    ]
+    assert int(np.sum(states[0].R[1] >= 0)) >= 8
+    assert np.all(states[1].RQ[-1] >= 0)
     singles = [
         slot_state(g, PFState(avg[0][d].copy(), avg[1][d].copy()), links[d], fd_ue=fd_ue[d])
         for d, g in enumerate(tables)
     ]
     checked = 0
     for c in range(B):
-        scan = state.scan(np.full(D, c), BOTH)
-        ok = state.eligible(scan)
-        if c == 5:
-            # cell 5's downlink UE may not take its uplink, unless fd_ue
-            j = position(scan, 5, UL, 5 * U)
-            assert not ok[2, j] and ok[3, j]
-        for d, g in enumerate(tables):
-            one = singles[d].scan(np.array([c]), BOTH)
-            assert np.array_equal(scan.du[d], one.du[0]), (d, c)
-            assert np.array_equal(ok[d], singles[d].eligible(one)[0])
-            R, Q = state.R[d], state.Q[d]
-            # the loss, summed as numpy sums the drop's active links alone
-            at = state.at[d]
-            for j in range(len(scan.plan.code)):
-                chi1 = scan.chi1[d, scan.plan.row[j]]
-                lost = [np.add.reduce(state.chi0[d, at[r][at[r] > 0]] - chi1[at[r][at[r] > 0]]) for r in (0, 1)]
-                assert scan.du[d, j] == scan.gain[d, j] - (lost[0] + lost[1])
-                direction, k = (DL, UL)[scan.plan.code[j]], scan.plan.ue[c, j]
-                if not ok[d, j]:
-                    continue
-                ref = utility_change(g, PFState(avg[0][d], avg[1][d]), R, Q, c, direction, k,
-                                     fd_ue=bool(fd_ue[d]))
-                assert scan.du[d, j] == pytest.approx(ref, rel=1e-12, abs=1e-12), (d, c, j)
-                checked += 1
+        for state, ds in zip(states, batches):
+            scan = state.scan(np.full(len(ds), c), BOTH)
+            ok = state.eligible(scan)
+            for i, d in enumerate(ds):
+                g = tables[d]
+                if c == 5 and d in (2, 3):
+                    # cell 5's downlink UE may not take its uplink, unless fd_ue
+                    assert ok[i, position(scan, 5, UL, 5 * U)] == (d == 3)
+                one = singles[d].scan(np.array([c]), BOTH)
+                assert np.array_equal(scan.du[i], one.du[0]), (d, c)
+                assert np.array_equal(ok[i], singles[d].eligible(one)[0])
+                R, Q = state.R[i], state.Q[i]
+                # the loss, summed as numpy sums the drop's active links alone
+                at = [r * B + np.flatnonzero(state.RQ[i, r] >= 0) for r in (0, 1)]
+                for j in range(len(scan.plan.code)):
+                    chi1 = scan.chi1[i, scan.plan.row[j]]
+                    lost = [np.add.reduce(state.chi0[i, at[r]] - chi1[at[r]]) for r in (0, 1)]
+                    assert scan.du[i, j] == scan.gain[i, j] - (lost[0] + lost[1])
+                    direction, k = (DL, UL)[scan.plan.code[j]], scan.plan.ue[c, j]
+                    if not ok[i, j]:
+                        continue
+                    ref = utility_change(g, PFState(avg[0][d], avg[1][d]), R, Q, c, direction, k,
+                                         fd_ue=fd_ue[d])
+                    assert scan.du[i, j] == pytest.approx(ref, rel=1e-12, abs=1e-12), (d, c, j)
+                    checked += 1
     assert checked >= 40
 
 
