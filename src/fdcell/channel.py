@@ -191,15 +191,6 @@ class GainTable:
         """Noise at every receiver, in tx_rx's column order."""
         return np.repeat([self.noise_ue_w, self.noise_bs_w], [self.n_ues, self.n_cells])
 
-    @cached_property
-    def idle_den(self) -> np.ndarray:
-        """(2B,) SINR denominator of an inactive link: the UE noise for each
-        cell's downlink, then the BS noise for each uplink. Read-only;
-        slot_link_terms copies it and overwrites the active links."""
-        out = np.repeat([self.noise_ue_w, self.noise_bs_w], self.n_cells)
-        out.flags.writeable = False
-        return out
-
     def with_cancellation(self, cancellation_db) -> "GainTable":
         """Copy sharing the gain arrays, with gamma = 10^(-C/10).
 

@@ -464,8 +464,7 @@ def round_robin_select(
     pick = np.broadcast_to(ids[:, pos], (len(rngs), B))
     partner = np.full((len(rngs), B), NONE, dtype=int)
     if mode == "FD" and U > 1:
-        high = np.full(B, U - 1)
-        k = np.stack([r.integers(0, high) for r in rngs])
+        k = np.stack([r.integers(0, U - 1, size=B) for r in rngs])
         partner = ids[np.arange(B), k + (k >= pos)]
     R, Q = (pick, partner) if direction == DL else (partner, pick)
     dec = _base_decision(Q, R, P_init, False)

@@ -7,11 +7,18 @@ table's one transmitter x receiver matrix (GainTable.tx_rx, which also
 holds the residual self-interference): one gather gives the links x
 links gain matrix, whose diagonal is each link's own signal, so every
 SINR is one matrix-vector product. The power allocator works on the
-same gather, so the quantity it optimizes is the rate that is charged.
+same matrix (link_gains, which shares the link rule), so the quantity
+it optimizes is the rate that is charged.
 
 Drops simulated in lockstep share one SlotDecision whose arrays have a
-leading drop axis; validate and slot_rates take it with the drops'
-GainStack.
+leading drop axis; validate, slot_link_terms, slot_sinrs and slot_rates
+take it with the drops' GainStack, and a one-drop decision with its
+GainTable is a stack of one. The evaluation groups the drops by their
+number of active links k: each group of m drops is one (m, k, k) gather
+and one stacked matrix-vector product. numpy evaluates a stacked
+product layer by layer with the BLAS call of the one-drop product, so
+a stack of same-size problems is bit-equal to the drops' own products;
+a product padded to a common size sums in another order and is not.
 """
 
 from __future__ import annotations
@@ -87,6 +94,19 @@ def validate(dec: SlotDecision, g: GainTable | GainStack) -> None:
         raise AssertionError(next(msg for bad, msg in checks if bad.any()))
 
 
+def _link_ends(g: GainTable | GainStack, slots, ue):
+    """Transmitter rows and receiver columns in tx_rx of the links in
+    slots that carry UEs ue: (tx, rx), each shaped like slots.
+
+    Slot b is cell b's downlink, from BS b to the UE, and slot B + b its
+    uplink, from the UE to BS b. A decision's links are its active
+    slots in order: the downlinks by cell, then the uplinks by cell.
+    """
+    B = g.n_cells
+    up = slots >= B
+    return np.where(up, B + ue, slots), np.where(up, g.n_ues - B + slots, ue)
+
+
 def link_gains(dec: SlotDecision, g: GainTable):
     """Active links of a decision and their gains: (cells_dl, cells_ul, gain, noise).
 
@@ -95,12 +115,12 @@ def link_gains(dec: SlotDecision, g: GainTable):
     receiver, the diagonal each link's own signal, noise[l] the noise at
     l's receiver.
     """
-    cells_dl = np.flatnonzero(dec.dl_ue >= 0)
-    cells_ul = np.flatnonzero(dec.ul_ue >= 0)
-    tx = np.concatenate([cells_dl, g.n_cells + dec.ul_ue[cells_ul]])
-    rx = np.concatenate([dec.dl_ue[cells_dl], g.n_ues + cells_ul])
+    ue = np.concatenate([dec.dl_ue, dec.ul_ue])
+    links = (ue >= 0).nonzero()[0]
+    tx, rx = _link_ends(g, links, ue[links])
+    n_dl = links.searchsorted(g.n_cells)
     # gathered through the transpose so the matrix comes out C-ordered
-    return cells_dl, cells_ul, g.tx_rx.T[rx[:, None], tx], g.rx_noise[rx]
+    return links[:n_dl], links[n_dl:] - g.n_cells, g.tx_rx.T[rx[:, None], tx], g.rx_noise[rx]
 
 
 def link_sinr(gain: np.ndarray, noise: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -109,26 +129,50 @@ def link_sinr(gain: np.ndarray, noise: np.ndarray, p: np.ndarray) -> np.ndarray:
     return sig / (noise + gain @ p - sig)
 
 
-def slot_link_terms(dec: SlotDecision, g: GainTable):
+def slot_link_terms(dec: SlotDecision, g: GainTable | GainStack):
     """Signal and denominator power per cell: (sig_d, den_d, sig_u, den_u).
 
     An inactive link has signal 0 and its receiver's noise as its
     denominator (the UE noise downlink, the BS noise uplink), so every
-    denominator is positive.
+    denominator is positive. A lockstep decision gives (D, B) arrays.
+
+    The drops are grouped by their number of active links k. Each group
+    of m drops takes one (m, k, k) gather of its link gains and one
+    stacked matrix-vector product, which evaluates each layer with the
+    BLAS call of a one-drop product: every drop's terms are bit for bit
+    those of its own evaluation, whatever its batch-mates.
     """
     B = g.n_cells
-    cells_dl, cells_ul, gain, noise = link_gains(dec, g)
-    p = np.concatenate([dec.p_dl[cells_dl], dec.p_ul[cells_ul]])
-    links = np.concatenate([cells_dl, B + cells_ul])
-    sig = np.zeros(2 * B)
-    den = g.idle_den.copy()
-    own = gain.diagonal() * p
-    sig[links] = own
-    den[links] = noise + gain @ p - own
-    return sig[:B], den[:B], sig[B:], den[B:]
+    R, C = g.tx_rx.shape[-2:]
+    ue = np.concatenate([dec.dl_ue, dec.ul_ue], axis=-1).reshape(-1, 2 * B)
+    p_all = np.concatenate([dec.p_dl, dec.p_ul], axis=-1).reshape(-1, 2 * B)
+    on = ue >= 0
+    sig = np.zeros(on.shape)
+    # UE noise (rx_noise's first entry) on every downlink slot, BS noise
+    # (its last) on every uplink slot
+    den = np.repeat(g.rx_noise.reshape(-1, g.n_ues + B)[:, [0, -1]], B, axis=1)
+    n_links = on.sum(axis=1)
+    for k in set(n_links.tolist()):
+        drops = (n_links == k).nonzero()[0]
+        slots = on[drops].nonzero()[1].reshape(len(drops), k)
+        at = drops[:, None] * (2 * B) + slots     # flat index into the (D, 2B) arrays
+        tx, rx = _link_ends(g, slots, ue.take(at))
+        # one flat-index gather of the (m, k, k) gains (a GainTable is
+        # drop 0); it comes out C-ordered, as the one-drop gather does:
+        # an F-ordered matrix changes the last bit of the product
+        row = (drops[:, None] * R + tx) * C
+        gain = g.tx_rx.reshape(-1).take(row[:, None, :] + rx[:, :, None])
+        noise = g.rx_noise.reshape(-1).take(drops[:, None] * C + rx)
+        p = p_all.take(at)
+        own = gain.diagonal(axis1=1, axis2=2) * p
+        sig.put(at, own)
+        den.put(at, noise + (gain @ p[..., None])[..., 0] - own)
+    shape = dec.dl_ue.shape[:-1] + (2 * B,)
+    sig, den = sig.reshape(shape), den.reshape(shape)
+    return sig[..., :B], den[..., :B], sig[..., B:], den[..., B:]
 
 
-def slot_sinrs(dec: SlotDecision, g: GainTable):
+def slot_sinrs(dec: SlotDecision, g: GainTable | GainStack):
     """Vector of downlink and uplink SINRs, zero on inactive links."""
     sig_d, den_d, sig_u, den_u = slot_link_terms(dec, g)
     return sig_d / den_d, sig_u / den_u
@@ -151,13 +195,9 @@ def slot_rates(dec: SlotDecision, g: GainTable | GainStack):
     """Downlink and uplink rate vectors for the decision, bits/second.
 
     Inactive links have SINR 0 and so rate 0. A lockstep decision gives
-    (D, B) rates: each drop's SINRs come from its own table's
-    matrix-vector product (one padded product for all drops would sum
-    in another order), and the rates from one element-wise call.
+    (D, B) rates from one evaluation of the stack (slot_link_terms) and
+    one element-wise rate call.
     """
-    if dec.dl_ue.ndim == 1:
-        sinr = np.concatenate(slot_sinrs(dec, g))
-    else:
-        sinr = np.stack([np.concatenate(slot_sinrs(dec[d], t)) for d, t in enumerate(g.tables)])
+    sinr = np.concatenate(slot_sinrs(dec, g), axis=-1)
     rate = rate_from_sinr(sinr, g.bandwidth_hz)
     return rate[..., : g.n_cells], rate[..., g.n_cells :]

@@ -583,3 +583,16 @@ def test_round_robin_matches_per_cell_choice_reference(network):
                 # the turn is each cursor's count of earlier calls in its direction
                 assert np.all(cursors[direction] == t // 2 + 1)
                 assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("shape", [(9, 8), (12, 10)])   # Indoor and Outdoor (B, U)
+def test_round_robin_partner_draw_scalar_bound_equals_array_bound(shape):
+    # round_robin_select draws the B partners with one scalar bound; an
+    # array of B equal bounds gives the same values and leaves the
+    # generator in the same state
+    B, U = shape
+    for seed in range(50):
+        scalar, array = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            assert np.array_equal(scalar.integers(0, U - 1, size=B), array.integers(0, np.full(B, U - 1)))
+            assert scalar.bit_generator.state == array.bit_generator.state

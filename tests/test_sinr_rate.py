@@ -6,11 +6,12 @@ import pytest
 
 import reference
 from conftest import indoor_network, make_decision, outdoor_network, toy_gains
-from fdcell.channel import dbm_to_w
+from fdcell.channel import GainStack, dbm_to_w
 from fdcell.sinr_rate import (
     MAX_SE,
     MIN_SE,
     NONE,
+    SlotDecision,
     link_gains,
     rate_from_sinr,
     slot_link_terms,
@@ -239,6 +240,80 @@ def test_link_gains_layout(network):
         np.testing.assert_array_equal(noise, g.rx_noise[rx])
         shared += int(((dec.dl_ue == dec.ul_ue) & (dec.dl_ue >= 0)).sum())
     assert shared > 0
+
+
+def random_links_decision(g, rng, n_links, fd_ue):
+    """Decision with n_links of its 2B links active, at random cells and
+    UEs, with random powers of which about one in five is zero. With
+    fd_ue, a cell's uplink takes its downlink UE half of the time."""
+    B = g.n_cells
+    dl, ul = [None] * B, [None] * B
+    for s in np.sort(rng.choice(2 * B, size=n_links, replace=False)):
+        ids = g.cell_ue_ids[s % B]
+        if s < B:
+            dl[s] = rng.choice(ids)
+            continue
+        c = s - B
+        if fd_ue and dl[c] is not None and rng.random() < 0.5:
+            ul[c] = dl[c]
+        else:
+            ul[c] = rng.choice(ids[ids != dl[c]])
+    dec = make_decision(g, dl=dl, ul=ul, fd_ue=fd_ue)
+    dec.p_dl *= rng.random(B) * (rng.random(B) > 0.2)
+    dec.p_ul *= rng.random(B) * (rng.random(B) > 0.2)
+    validate(dec, g)
+    return dec
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("network", [indoor_network, outdoor_network])
+@pytest.mark.parametrize("fd_ue", [False, True])
+@pytest.mark.parametrize("links", ["ragged", "one group", "all idle"])
+def test_lockstep_link_terms_equal_one_drop_terms(network, fd_ue, links):
+    # drops of one lockstep decision are grouped by their number of
+    # active links; each group is one stacked gather and product. Every
+    # drop's terms and rates must be bit for bit those of its own call,
+    # and its denominators the one-drop matrix-vector product over
+    # link_gains
+    tables = [network(seed=seed, cancellation_db=85.0)[1] for seed in range(6)]
+    g = GainStack(tables)
+    B = g.n_cells
+    rng = np.random.default_rng(19)
+    shared = 0
+    for _ in range(5):
+        if links == "ragged":
+            counts = [0, 1, 2 * B, *rng.integers(0, 2 * B + 1, size=3)]
+        elif links == "one group":
+            counts = [int(rng.integers(1, 2 * B + 1))] * len(tables)
+        else:
+            counts = [0] * len(tables)
+        dec = SlotDecision.stack(
+            [random_links_decision(t, rng, k, fd_ue) for t, k in zip(tables, counts)]
+        )
+        shared += int(((dec.dl_ue == dec.ul_ue) & (dec.dl_ue >= 0)).sum())
+        terms = slot_link_terms(dec, g)
+        rates = slot_rates(dec, g)
+        assert all(a.shape == (len(tables), B) for a in (*terms, *rates))
+        for d, t in enumerate(tables):
+            one = dec[d]
+            for lock, alone in zip((*terms, *rates), (*slot_link_terms(one, t), *slot_rates(one, t))):
+                assert same_bits(lock[d], alone)
+            cells_dl, cells_ul, gain, noise = link_gains(one, t)
+            links_on = np.concatenate([cells_dl, B + cells_ul])
+            assert len(links_on) == counts[d]
+            p = np.concatenate([one.p_dl[cells_dl], one.p_ul[cells_ul]])
+            own = gain.diagonal() * p
+            sig = np.concatenate([terms[0][d], terms[2][d]])
+            den = np.concatenate([terms[1][d], terms[3][d]])
+            assert same_bits(sig[links_on], own)
+            assert same_bits(den[links_on], noise + gain @ p - own)
+            idle = np.setdiff1d(np.arange(2 * B), links_on)
+            assert not sig[idle].any()
+            assert np.array_equal(den[idle], np.where(idle < B, t.noise_ue_w, t.noise_bs_w))
+    assert (shared > 0) == (fd_ue and links != "all idle")
 
 
 def test_reference_imports_only_posynomial_types():
