@@ -30,10 +30,10 @@ keeps the scan's link terms, so no slot-wide SINR evaluation runs
 during a selection.
 
 Every link is keyed by its direction and cell, as in the decision, and
-each drop's active links are packed into one row per direction whose
-numpy sum adds them in the order and grouping of a sum over those links
-alone (_SlotState._pack), so every value, and so every decision, equals
-a one-drop selection's bit for bit. The tests check every scan against
+a scan sums each drop's losses over that drop's own row of B link slots
+per direction, in which an idle slot adds an exact zero. Every value,
+and so every decision, is the same whatever the drop's batch-mates or
+the batch width, bit for bit. The tests check every scan against
 the whole-slot utility with and without the candidate (utility_change in
 tests/conftest.py).
 """
@@ -126,38 +126,6 @@ class Selection:
     decision: SlotDecision
 
 
-@lru_cache(maxsize=None)
-def _sum_layout(B: int):
-    """Columns that make a padded row sum like its links alone: (W, col).
-
-    numpy's add.reduce sums fewer than 8 terms left to right. It sums 8
-    to 128 terms in 8 accumulators, over the first n - n % 8 terms, and
-    adds their tree ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    and then the other n % 8 terms left to right. col[n, q] is the
-    column of the q-th (1-based) of n terms in a row of W columns whose
-    other columns hold zeros, so that the row sums to the same bits:
-    - B < 8: every sum runs left to right, so term q goes to column q - 1;
-    - n >= 8: the accumulated terms keep their columns and the rest go
-      to the tail, the columns after the 8 * (B // 8) accumulated ones;
-    - 0 < n < 8: terms 1-3 go to columns 0-2 and term 4 to column 4, where
-      the tree adds them left to right, and the rest go to the tail.
-    """
-    if B > 120:
-        raise ValueError(f"a pairwise sum runs in one block up to 128 terms; {B} cells need more")
-    acc = 8 * (B // 8)
-    col = np.zeros((B + 1, B + 1), dtype=int)
-    for n in range(1, B + 1):
-        head = 8 * (n // 8)
-        for q in range(1, n + 1):
-            if B < 8 or q <= head:
-                col[n, q] = q - 1
-            elif n >= 8:
-                col[n, q] = acc + q - 1 - head
-            else:
-                col[n, q] = (0, 1, 2, 4)[q - 1] if q <= 4 else acc + q - 5
-    return int(col.max()) + 1, col
-
-
 @dataclass(frozen=True)
 class _ScanPlan:
     """Where a scan over the directions `dirs` reads each candidate, per cell.
@@ -224,7 +192,7 @@ class _Scan:
     change, and own holds its own link's signal, denominator, chi and
     beta * PF average (num, den, gain, b_avg), each (D, candidates).
     Scheduling it moves the link slots' denominators and chi to
-    den1[:, plan.row[j]] and chi1[:, plan.row[j]], each (D, rows, 2B + 1).
+    den1[:, plan.row[j]] and chi1[:, plan.row[j]], each (D, rows, 2B).
     """
 
     cells: np.ndarray
@@ -247,15 +215,12 @@ class _SlotState:
     its uplink UE (NONE when idle). fd_ue is one bool for all D drops.
 
     Drop d's link of direction r (0 downlink, 1 uplink) at cell b sits in
-    slot r * B + b of (D, 2B + 1) arrays, the key of RQ[d, r, b]: its
+    slot r * B + b of (D, 2B) arrays, the key of RQ[d, r, b]: its
     receiver (rx), signal, denominator, chi and PF average scaled by beta
     (sig, den, chi0, lavg). An idle slot has signal 0, so chi 0 under any
-    denominator, and slot 2B is never taken, so it is 0 even when every
-    link is active. pack[d, r] lists the slots of drop d's direction-r
-    links in cell order at their _sum_layout columns, with slot 2B in
-    every other column. The averages are fixed through a selection, so
-    b_avg holds them scaled by beta once per slot, as (D, 2, N), for
-    _chi_scaled.
+    denominator: it adds an exact zero to its row's loss. The averages
+    are fixed through a selection, so b_avg holds them scaled by beta
+    once per slot, as (D, 2, N), for _chi_scaled.
     """
 
     def __init__(self, g: GainStack, powers, st: PFState, fd_ue=False):
@@ -276,13 +241,10 @@ class _SlotState:
         self.rx_den = g.rx_noise.copy()
         self.b_avg = st.beta * np.stack([st.avg_dl, st.avg_ul], axis=1)
         self.one_minus_beta = 1.0 - st.beta
-        self.L = 2 * B + 1
-        self.links = np.zeros((4, D, self.L))
+        self.links = np.zeros((4, D, 2 * B))
         self.sig, self.den, self.chi0, self.lavg = self.links
         self.den[:] = self.lavg[:] = 1.0
-        self.rx = np.zeros((D, self.L), dtype=int)
-        W, self.layout = _sum_layout(B)
-        self.pack = np.full((D, 2, W), 2 * B)
+        self.rx = np.zeros((D, 2 * B), dtype=int)
 
     @property
     def R(self) -> np.ndarray:
@@ -292,23 +254,11 @@ class _SlotState:
     def Q(self) -> np.ndarray:
         return self.RQ[:, 1]
 
-    def _pack(self):
-        """Lay each drop's active links out in its two loss rows (see _sum_layout)."""
-        on = self.RQ >= 0
-        rank = on.cumsum(axis=-1)
-        cols = self.layout[rank[..., -1:], rank]
-        d, r, c = on.nonzero()
-        self.pack = np.full_like(self.pack, 2 * self.B)
-        self.pack[d, r, cols[d, r, c]] = r * self.B + c
-
     def _plan(self, dirs: tuple):
-        """dirs' _ScanPlan, its candidates' and rows' powers, and the flat
-        offset of each drop's scan rows in a (D, rows, 2B + 1) array."""
+        """dirs' _ScanPlan and its candidates' and rows' powers."""
         if dirs not in self._plans:
             plan = _scan_plan(dirs, self.B, self.U)
-            M = len(plan.row_code)
-            rows = (self.drops[:, None] * M + np.arange(M))[..., None, None] * self.L
-            self._plans[dirs] = plan, self.p[plan.code], self.p[plan.row_code][:, None], rows
+            self._plans[dirs] = plan, self.p[plan.code], self.p[plan.row_code][:, None]
         return self._plans[dirs]
 
     def scan(self, cells: np.ndarray, dirs: tuple) -> _Scan:
@@ -317,7 +267,7 @@ class _SlotState:
         Every UE of the cell is scored in every direction of dirs ((DL,),
         (UL,) or BOTH); eligible() says which ones may be added.
         """
-        plan, p_cand, p_row, rows = self._plan(dirs)
+        plan, p_cand, p_row = self._plan(dirs)
         D, nc = self.D, len(plan.code)
         own = np.empty((4, D, nc))
         num, den, gain, b_avg = own
@@ -337,9 +287,8 @@ class _SlotState:
         )
         gain[:] = chi[:, :nc]
         chi1 = chi[:, nc:].reshape(den1.shape)
-        # the utility the active links lose, summed in _sum_layout's rows
-        lost = (self.chi0[:, None] - chi1).take(rows + self.pack[:, None])
-        lost = np.add.reduce(lost, axis=-1)
+        # the utility the links lose, summed over each drop's row of B slots per direction
+        lost = np.add.reduce((self.chi0[:, None] - chi1).reshape(D, -1, 2, self.B), axis=-1)
         du = gain - (lost[..., 0] + lost[..., 1])[:, plan.row]
         return _Scan(cells, plan, du, own, den1, chi1)
 
@@ -386,7 +335,6 @@ class _SlotState:
         slot = code * self.B + c
         self.links[:, a, slot] = scan.own[:, a, j]
         self.rx[a, slot] = plan.rx[c, j]
-        self._pack()
 
     def selection(self) -> Selection:
         return Selection(_base_decision(self.Q, self.R, self.powers, self.fd_ue))

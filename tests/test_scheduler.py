@@ -20,7 +20,6 @@ from fdcell.scheduler import (
     Selection,
     _batch_of_one,
     _SlotState,
-    _sum_layout,
     chi,
     hd_select_ues,
     init_state,
@@ -231,20 +230,6 @@ def test_joint_scan_equals_single_scans(network, fd_ue):
         assert max(nd for nd, _ in active) >= 8 and max(nu for _, nu in active) >= 8
 
 
-def test_sum_layout_rows_sum_like_their_terms():
-    # a padded loss row adds its links in the order and grouping of
-    # numpy's sum over those links alone, for every link count
-    rng = np.random.default_rng(5)
-    for B in (1, 4, 8, 9, 12, 15, 16, 20):
-        W, col = _sum_layout(B)
-        for n in range(B + 1):
-            for _ in range(50):
-                terms = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 3, n)
-                row = np.zeros(W)
-                row[col[n, 1 : n + 1]] = terms
-                assert np.add.reduce(row) == np.add.reduce(terms), (B, n)
-
-
 def batch_state(tables, st, fd_ue, links):
     """_SlotState of several drops, drop d with the (cell, direction, UE)
     links of links[d] accepted in order, through joint scans."""
@@ -262,18 +247,18 @@ def batch_state(tables, st, fd_ue, links):
 def test_batched_scans_on_ragged_drops(ues_per_cell):
     # batches of drops in different partial states score every candidate
     # as the drop's own one-drop scan does, bit for bit, and as the
-    # whole-slot utility change does; the loss adds each drop's active
-    # links as numpy's sum over those links alone
+    # whole-slot utility change does; the loss sums the drop's fixed row
+    # of B link slots per direction, in which idle slots hold exact zeros
     U = ues_per_cell
     links = [
         [],                                                               # empty
-        [(c, DL, c * U) for c in range(9)] + [(10, UL, 10 * U)],         # 9 downlinks: tree sums
+        [(c, DL, c * U) for c in range(9)] + [(10, UL, 10 * U)],         # 9 downlinks
         [(5, DL, 5 * U)] + [(c, UL, c * U + U - 1) for c in (0, 1, 2, 3, 7, 8, 11)],
         [(5, DL, 5 * U)] + [(c, DL, c * U) for c in (1, 2, 3, 4)] + [(c, UL, c * U) for c in (6, 7, 8, 9)],
         [(c, DL, c * U) for c in (0, 2, 4, 6, 8, 10)] + [(c, UL, c * U + U - 1) for c in (1, 3, 5, 7, 9, 11)],
         # fully loaded: every cell serves both directions, so every link
-        # slot is taken and both loss rows are tree sums; with U = 1 the
-        # cell's one UE serves both, so the drop runs with fd_ue
+        # slot is taken; with U = 1 the cell's one UE serves both, so the
+        # drop runs with fd_ue
         [(c, r, c * U + (U - 1) * (r == UL)) for c in range(12) for r in (DL, UL)],
     ]
     fd_ue = [False, False, False, True, False, True]
@@ -290,6 +275,10 @@ def test_batched_scans_on_ragged_drops(ues_per_cell):
     ]
     assert int(np.sum(states[0].R[1] >= 0)) >= 8
     assert np.all(states[1].RQ[-1] >= 0)
+    for state in states:
+        # an idle link slot holds signal 0 and chi 0, so it adds an exact zero to its row
+        idle = (state.RQ < 0).reshape(state.D, 2 * B)
+        assert np.all(state.sig[idle] == 0) and np.all(state.chi0[idle] == 0.0)
     singles = [
         slot_state(g, PFState(avg[0][d].copy(), avg[1][d].copy()), links[d], fd_ue=fd_ue[d])
         for d, g in enumerate(tables)
@@ -308,11 +297,12 @@ def test_batched_scans_on_ragged_drops(ues_per_cell):
                 assert np.array_equal(scan.du[i], one.du[0]), (d, c)
                 assert np.array_equal(ok[i], singles[d].eligible(one)[0])
                 R, Q = state.R[i], state.Q[i]
-                # the loss, summed as numpy sums the drop's active links alone
-                at = [r * B + np.flatnonzero(state.RQ[i, r] >= 0) for r in (0, 1)]
+                assert np.all(scan.chi1[i][:, (state.RQ[i] < 0).reshape(2 * B)] == 0.0)
+                chi0 = state.chi0[i].reshape(2, B)
                 for j in range(len(scan.plan.code)):
-                    chi1 = scan.chi1[i, scan.plan.row[j]]
-                    lost = [np.add.reduce(state.chi0[i, at[r]] - chi1[at[r]]) for r in (0, 1)]
+                    # the loss, summed over the drop's row of B slots per direction
+                    chi1 = scan.chi1[i, scan.plan.row[j]].reshape(2, B)
+                    lost = [np.add.reduce(chi0[r] - chi1[r]) for r in (0, 1)]
                     assert scan.du[i, j] == scan.gain[i, j] - (lost[0] + lost[1])
                     direction, k = (DL, UL)[scan.plan.code[j]], scan.plan.ue[c, j]
                     if not ok[i, j]:
