@@ -16,6 +16,9 @@ Each drop draws its cell order from its own generator. A single drop
 (a PFState of (N,) averages, a GainTable and a generator) runs as a
 batch of one.
 
+Round robin takes a GainStack only, and reads its FD partners from
+offsets that round_robin_partners draws for all of a chunk's slots.
+
 One slot state (_SlotState) lives through a whole selection. It holds
 the noise plus interference at every receiver, each UE and each BS (a
 BS's own residual gamma*p_dl included), every active link's signal,
@@ -385,35 +388,47 @@ def hd_select_ues(st: PFState, g: GainStack | GainTable, P_init, direction: str,
     return state.selection()
 
 
+def round_robin_partners(rngs, slots: int, n_cells: int, ues_per_cell: int) -> np.ndarray:
+    """(D, S, B) partner offsets of D drops' round-robin FD slots, drawn at once.
+
+    Entry [d, t, c] is cell c's draw in slot t of drop d, uniform over
+    the cell's U - 1 UEs other than the turn UE; round_robin_select maps
+    offset k to position k + (k >= turn position). Each drop makes one
+    integers call of size (S, B) on its own generator, which gives the
+    values and generator state of S calls of size B, one per slot. With
+    one UE per cell there is no partner and nothing is drawn.
+    """
+    if ues_per_cell == 1:
+        return np.zeros((len(rngs), slots, n_cells), dtype=int)
+    return np.stack([rng.integers(0, ues_per_cell - 1, size=(slots, n_cells)) for rng in rngs])
+
+
 def round_robin_select(
     turn: int,
     mode: str,
     direction: str,
-    g: GainStack | GainTable,
+    g: GainStack,
     P_init,
-    rng,
+    offsets,
 ) -> SlotDecision:
     """Round robin: each cell serves its UE at position turn % U.
 
     turn is the number of earlier slots in this direction; every cell
     takes its turns in step, so no per-cell cursor is kept. Mode FD adds
-    a random opposite partner. The turn pick matches what the HD round
-    robin would schedule in the same slot, so FD/HD round-robin runs
-    stay UE-aligned. The partner is a uniform draw over the cell's other
-    UEs; one vector draw gives the values and generator state of one
-    rng.choice per cell. In lockstep, rng holds one generator per drop,
-    each drawing its drop's partners.
+    an opposite partner. The turn pick matches what the HD round robin
+    would schedule in the same slot, so FD/HD round-robin runs stay
+    UE-aligned. offsets is the slot's (D, B) layer of
+    round_robin_partners, read only in mode FD (mode HD may pass None):
+    offset k names the cell's k-th UE other than the turn UE, so each
+    partner is uniform over the cell's other UEs, with the values and
+    generator state of one rng.choice per cell and slot.
     """
-    single = isinstance(g, GainTable)
-    rngs = [rng] if single else rng
     ids = g.cell_ue_ids
     B, U = ids.shape
     pos = turn % U
-    pick = np.broadcast_to(ids[:, pos], (len(rngs), B))
-    partner = np.full((len(rngs), B), NONE, dtype=int)
+    pick = np.broadcast_to(ids[:, pos], (len(g), B))
+    partner = np.full((len(g), B), NONE, dtype=int)
     if mode == "FD" and U > 1:
-        k = np.stack([r.integers(0, U - 1, size=B) for r in rngs])
-        partner = ids[np.arange(B), k + (k >= pos)]
+        partner = ids[np.arange(B), offsets + (offsets >= pos)]
     R, Q = (pick, partner) if direction == DL else (partner, pick)
-    dec = _base_decision(Q, R, P_init, False)
-    return dec[0] if single else dec
+    return _base_decision(Q, R, P_init, False)

@@ -23,14 +23,17 @@ The slot loop keeps only what it cannot derive: delivered bits, the
 energy ledgers, the allocator counters and each slot's UE ids and
 powers. Cell modes follow from the UE ids (DropResult.trace_mode), and
 round robin needs only the slot's turn, t // 2, because directions
-alternate network-wide.
+alternate network-wide, and for RR_FD the slot's row of partner offsets.
 
 run_variant runs its drops in lockstep chunks of at most LOCKSTEP:
 run_drop builds a chunk's networks and advances all its drops one slot
 at a time, so selection, validation, the rates, the bookkeeping and the
 PF update pay numpy's per-call cost once per slot for the chunk. Only
-the power allocator runs drop by drop. Every drop's outputs are those
-it gets alone, bit for bit, whatever the chunk.
+the power allocator runs drop by drop. RR_FD's random partners are
+drawn once per chunk, before the slot loop: one call per drop for all
+its slots, from the drop's own scheduler stream, with the values that
+one call per slot would give. Every drop's outputs are those it gets
+alone, bit for bit, whatever the chunk.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .scheduler import (
     Selection,
     hd_select_ues,
     init_state,
+    round_robin_partners,
     round_robin_select,
     select_ues,
     update_state,
@@ -219,7 +223,9 @@ def run_drop(cfg: RunConfig, drop_index: int | range) -> DropResult | list:
 
     An int gives its DropResult, a range (at most LOCKSTEP drops, as
     run_variant cuts them) the list of its drops' results; see the
-    module docstring.
+    module docstring. With the networks, RR_FD draws the partner
+    offsets of all the chunk's slots (round_robin_partners), an int per
+    cell-slot: 8 B, beside the 24 B of the four per-slot traces.
     """
     cfg = cfg.validated()
     single = np.ndim(drop_index) == 0
@@ -234,6 +240,10 @@ def run_drop(cfg: RunConfig, drop_index: int | range) -> DropResult | list:
     B, N = g.n_cells, g.n_ues
     P = (g.p_bs_w, g.p_ue_w)
     dt = SLOT_DURATION_S
+    partners = None
+    if cfg.variant == "RR_FD":
+        # every slot's partners at once, before init_state starts the slot loop
+        partners = round_robin_partners(sched_rngs, S, *g.cell_ue_ids.shape)
 
     st = init_state(N, cfg.bandwidth_hz, beta=cfg.beta, drops=D)
     alloc_cfg = AllocConfig(
@@ -267,8 +277,9 @@ def run_drop(cfg: RunConfig, drop_index: int | range) -> DropResult | list:
             diags = [diag for _, diag in outs]
         else:
             rr_mode = "HD" if cfg.variant == "RR_HD" else "FD"
+            offsets = None if partners is None else partners[:, t]
             # directions alternate, so t // 2 earlier slots ran in this one
-            dec = round_robin_select(t // 2, rr_mode, direction, g, P, sched_rngs)
+            dec = round_robin_select(t // 2, rr_mode, direction, g, P, offsets)
         validate(dec, g)
 
         rate_dl, rate_ul = slot_rates(dec, g)

@@ -23,6 +23,7 @@ from fdcell.scheduler import (
     chi,
     hd_select_ues,
     init_state,
+    round_robin_partners,
     round_robin_select,
     select_ues,
     update_state,
@@ -488,10 +489,10 @@ def test_selection_never_reuses_a_ue():
 def test_round_robin_cycles_each_ue_once():
     _, g = indoor_network(seed=4, ues_per_cell=8)
     P = (g.p_bs_w, g.p_ue_w)
-    rng = np.random.default_rng(0)
+    stack = GainStack([g])
     seen = []
     for turn in range(8):
-        dec = round_robin_select(turn, "HD", DL, g, P, rng)
+        dec = round_robin_select(turn, "HD", DL, stack, P, None)[0]
         assert np.all(dec.ul_ue == NONE)
         seen.append(dec.dl_ue.copy())
     seen = np.stack(seen)
@@ -502,12 +503,12 @@ def test_round_robin_cycles_each_ue_once():
 def test_round_robin_fd_partner_distinct():
     _, g = indoor_network(seed=4, ues_per_cell=8)
     P = (g.p_bs_w, g.p_ue_w)
-    rng = np.random.default_rng(0)
-    rng_hd = np.random.default_rng(0)
+    stack = GainStack([g])
+    partners = round_robin_partners([np.random.default_rng(0)], 16, *g.cell_ue_ids.shape)
     for t in range(16):
         direction = DL if t % 2 == 0 else UL
-        fd = round_robin_select(t // 2, "FD", direction, g, P, rng)
-        hd = round_robin_select(t // 2, "HD", direction, g, P, rng_hd)
+        fd = round_robin_select(t // 2, "FD", direction, stack, P, partners[:, t])[0]
+        hd = round_robin_select(t // 2, "HD", direction, stack, P, None)[0]
         assert np.all(fd.dl_ue >= 0) and np.all(fd.ul_ue >= 0)
         assert np.all(fd.dl_ue != fd.ul_ue)
         # turn side matches what the HD round robin scheduled
@@ -519,7 +520,8 @@ def test_round_robin_fd_partner_distinct():
 
 def test_round_robin_single_ue_degenerates_to_hd():
     _, g = indoor_network(seed=4, ues_per_cell=1)
-    dec = round_robin_select(0, "FD", DL, g, (g.p_bs_w, g.p_ue_w), np.random.default_rng(0))
+    partners = round_robin_partners([np.random.default_rng(0)], 1, *g.cell_ue_ids.shape)
+    dec = round_robin_select(0, "FD", DL, GainStack([g]), (g.p_bs_w, g.p_ue_w), partners[:, 0])[0]
     assert np.all(dec.dl_ue >= 0)
     assert np.all(dec.ul_ue == NONE)
 
@@ -561,28 +563,49 @@ def test_round_robin_matches_per_cell_choice_reference(network):
         _, g = outdoor_network(seed=3)
     assert all(len(ids) == ues_per_cell for ids in g.cell_ue_ids)
     P = (g.p_bs_w, g.p_ue_w)
+    stack = GainStack([g])
+    S = 16
     for seed in range(20):
         for mode in ("FD", "HD"):
             cursors = {d: np.zeros(g.n_cells, dtype=int) for d in (DL, UL)}
             rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            for t in range(16):
+            # the FD partners of all S slots are drawn before the first one
+            partners = round_robin_partners([rng], S, *g.cell_ue_ids.shape) if mode == "FD" else None
+            for t in range(S):
                 direction = DL if t % 2 == 0 else UL
-                dec = round_robin_select(t // 2, mode, direction, g, P, rng)
+                offsets = None if partners is None else partners[:, t]
+                dec = round_robin_select(t // 2, mode, direction, stack, P, offsets)[0]
                 R, Q = reference_round_robin(cursors, mode, direction, g, rng_ref)
                 assert np.array_equal(dec.dl_ue, R) and np.array_equal(dec.ul_ue, Q)
                 # the turn is each cursor's count of earlier calls in its direction
                 assert np.all(cursors[direction] == t // 2 + 1)
-                assert rng.bit_generator.state == rng_ref.bit_generator.state
+            assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
-@pytest.mark.parametrize("shape", [(9, 8), (12, 10)])   # Indoor and Outdoor (B, U)
-def test_round_robin_partner_draw_scalar_bound_equals_array_bound(shape):
-    # round_robin_select draws the B partners with one scalar bound; an
-    # array of B equal bounds gives the same values and leaves the
-    # generator in the same state
+@pytest.mark.parametrize("shape", [(9, 8), (12, 10), (9, 3)])   # (B, U): Indoor, Outdoor, small U
+def test_round_robin_partners_equal_per_slot_draws(shape):
+    # round_robin_partners draws each drop's S slots with one call; S calls
+    # of size B, one per slot, give the same values and leave the generator
+    # in the same state
     B, U = shape
+    S = 20
     for seed in range(50):
-        scalar, array = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(20):
-            assert np.array_equal(scalar.integers(0, U - 1, size=B), array.integers(0, np.full(B, U - 1)))
-            assert scalar.bit_generator.state == array.bit_generator.state
+        chunk = [np.random.default_rng(seed), np.random.default_rng(seed + 1000)]
+        per_slot = [np.random.default_rng(seed), np.random.default_rng(seed + 1000)]
+        partners = round_robin_partners(chunk, S, B, U)
+        assert partners.shape == (2, S, B)
+        for d, rng in enumerate(per_slot):
+            for t in range(S):
+                assert np.array_equal(partners[d, t], rng.integers(0, U - 1, size=B))
+            assert chunk[d].bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("U", [2, 1])
+def test_round_robin_partners_leave_generator_untouched_below_three_ues(U):
+    # U = 2 leaves one other UE (offset 0, a draw that consumes nothing);
+    # U = 1 leaves none, and nothing is drawn
+    rng = np.random.default_rng(7)
+    before = rng.bit_generator.state
+    partners = round_robin_partners([rng], 20, 9, U)
+    assert partners.shape == (1, 20, 9) and not partners.any()
+    assert rng.bit_generator.state == before

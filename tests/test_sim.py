@@ -427,7 +427,35 @@ def test_lockstep_drops_equal_one_drop_runs(scenario, variant, canc, monkeypatch
     # width or the number of jobs
     cfg = RunConfig(scenario=scenario, variant=variant, cancellation_db=canc,
                     slots=4, drops=3, ues_per_cell=2, seed=11)
+    assert_lockstep_equals_alone(cfg, [run_drop(cfg, d) for d in range(cfg.drops)], monkeypatch)
+
+
+@pytest.mark.parametrize("scenario, ues_per_cell", [("Indoor", 3), ("Outdoor", 4)])
+def test_lockstep_rr_fd_partners_follow_each_drops_stream(scenario, ues_per_cell, monkeypatch):
+    # with two UEs per cell every partner offset is 0 and consumes nothing,
+    # so only U >= 3 shows the order of the partner draws: each drop's
+    # partners are those of one draw of size B per slot from its own
+    # scheduler stream, alone and in every chunk
+    cfg = RunConfig(scenario=scenario, variant="RR_FD", cancellation_db=85.0,
+                    slots=6, drops=3, ues_per_cell=ues_per_cell, seed=11)
     alone = [run_drop(cfg, d) for d in range(cfg.drops)]
+    for d, res in enumerate(alone):
+        topo_rng, chan_rng, sched_rng = drop_rngs(cfg.seed, d)
+        ids = _build_network(cfg, topo_rng, chan_rng)[1].cell_ue_ids
+        B, U = ids.shape
+        for t in range(cfg.slots):
+            k, pos = sched_rng.integers(0, U - 1, size=B), (t // 2) % U
+            turn, partner = res.trace_dl_ue[t], res.trace_ul_ue[t]
+            if t % 2:
+                turn, partner = partner, turn
+            assert np.array_equal(turn, ids[:, pos]), (d, t)
+            assert np.array_equal(partner, ids[np.arange(B), k + (k >= pos)]), (d, t)
+    assert_lockstep_equals_alone(cfg, alone, monkeypatch)
+
+
+def assert_lockstep_equals_alone(cfg, alone, monkeypatch):
+    """run_variant with jobs=2 and at chunk widths 1, 2 and LOCKSTEP gives
+    every drop the outputs of its one-drop run in alone."""
     runs = {"jobs=2": run_variant(cfg, jobs=2)}
     for width in (1, 2, sim.LOCKSTEP):
         monkeypatch.setattr(sim, "LOCKSTEP", width)
