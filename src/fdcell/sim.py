@@ -25,15 +25,16 @@ powers. Cell modes follow from the UE ids (DropResult.trace_mode), and
 round robin needs only the slot's turn, t // 2, because directions
 alternate network-wide, and for RR_FD the slot's row of partner offsets.
 
-run_variant runs its drops in lockstep chunks of at most LOCKSTEP:
-run_drop builds a chunk's networks and advances all its drops one slot
-at a time, so selection, validation, the rates, the bookkeeping and the
-PF update pay numpy's per-call cost once per slot for the chunk. Only
-the power allocator runs drop by drop. RR_FD's random partners are
-drawn once per chunk, before the slot loop: one call per drop for all
-its slots, from the drop's own scheduler stream, with the values that
-one call per slot would give. Every drop's outputs are those it gets
-alone, bit for bit, whatever the chunk.
+run_variant runs its drops in lockstep chunks whose gain tables fit in
+LOCKSTEP_BYTES, 8 default Outdoor drops or 21 default Indoor ones
+(_lockstep_width): run_drop builds a chunk's networks and advances all
+its drops one slot at a time, so selection, validation, the rates, the
+bookkeeping and the PF update pay numpy's per-call cost once per slot
+for the chunk. Only the power allocator runs drop by drop. RR_FD's
+random partners are drawn once per chunk, before the slot loop: one
+call per drop for all its slots, from the drop's own scheduler stream,
+with the values that one call per slot would give. Every drop's outputs
+are those it gets alone, bit for bit, whatever the chunk.
 """
 
 from __future__ import annotations
@@ -74,8 +75,9 @@ MODE_NAMES = {MODE_IDLE: "IDLE", MODE_HD_DL: "HD-DL", MODE_HD_UL: "HD-UL", MODE_
 # default weight of the log-power penalty (scaled by 1/distance per link)
 ENERGY_KAPPA_DEFAULT = 0.05
 
-# most drops run_variant advances in lockstep: bounds the gain tables held at once
-LOCKSTEP = 8
+# gain bytes a lockstep chunk may hold at once: those of 8 default Outdoor
+# drops (12 cells, 120 UEs), 8 * 278,784 B
+LOCKSTEP_BYTES = 2_230_272
 
 
 @dataclass
@@ -182,19 +184,20 @@ class DropResult:
         return float(fd), float(hd), float(idle)
 
 
+def _topology_config(cfg: RunConfig):
+    """cfg's scenario topology config, with its ues_per_cell override."""
+    tcfg = IndoorConfig() if cfg.scenario == "Indoor" else OutdoorConfig()
+    if cfg.ues_per_cell is not None:
+        tcfg = replace(tcfg, ues_per_cell=cfg.ues_per_cell)
+    return tcfg
+
+
 def _build_network(cfg: RunConfig, topo_rng, chan_rng):
+    tcfg = _topology_config(cfg)
     if cfg.scenario == "Indoor":
-        tcfg = IndoorConfig()
-        if cfg.ues_per_cell is not None:
-            tcfg = replace(tcfg, ues_per_cell=cfg.ues_per_cell)
-        topo = build_indoor(tcfg, topo_rng)
-        par = indoor_params()
+        topo, par = build_indoor(tcfg, topo_rng), indoor_params()
     else:
-        tcfg = OutdoorConfig()
-        if cfg.ues_per_cell is not None:
-            tcfg = replace(tcfg, ues_per_cell=cfg.ues_per_cell)
-        topo = build_outdoor(tcfg, topo_rng)
-        par = outdoor_params()
+        topo, par = build_outdoor(tcfg, topo_rng), outdoor_params()
     par = replace(
         par,
         bandwidth_hz=cfg.bandwidth_hz,
@@ -203,6 +206,25 @@ def _build_network(cfg: RunConfig, topo_rng, chan_rng):
     )
     g = build_gains(topo, par, chan_rng).with_cancellation(cfg.cancellation_db)
     return topo, g
+
+
+def _drop_gain_bytes(cfg: RunConfig) -> int:
+    """Bytes of gains one drop of cfg holds in a lockstep chunk.
+
+    8 * ((B+N)^2 + N^2 + B^2 + 2*B*N): its GainStack layer (tx_rx) and
+    its table's g_ue, g_bs, g_dl and dist_bs_ue_m, all float64. B and N
+    follow from the topology config, before anything is built.
+    """
+    tcfg = _topology_config(cfg)
+    B = tcfg.rooms_per_side ** 2 if cfg.scenario == "Indoor" else tcfg.n_cells
+    N = B * tcfg.ues_per_cell
+    return 8 * ((B + N) ** 2 + N * N + B * B + 2 * B * N)
+
+
+def _lockstep_width(cfg: RunConfig) -> int:
+    """Most drops of cfg that run_variant advances in lockstep: as many
+    as LOCKSTEP_BYTES of gains hold, and at least one."""
+    return max(1, LOCKSTEP_BYTES // _drop_gain_bytes(cfg))
 
 
 def drop_rngs(seed: int, drop_index: int):
@@ -221,9 +243,9 @@ def drop_rngs(seed: int, drop_index: int):
 def run_drop(cfg: RunConfig, drop_index: int | range) -> DropResult | list:
     """Simulate drop drop_index, or a range of drops in lockstep.
 
-    An int gives its DropResult, a range (at most LOCKSTEP drops, as
-    run_variant cuts them) the list of its drops' results; see the
-    module docstring. With the networks, RR_FD draws the partner
+    An int gives its DropResult, a range (at most _lockstep_width(cfg)
+    drops, as run_variant cuts them) the list of its drops' results;
+    see the module docstring. With the networks, RR_FD draws the partner
     offsets of all the chunk's slots (round_robin_partners), an int per
     cell-slot: 8 B, beside the 24 B of the four per-slot traces.
     """
@@ -323,14 +345,14 @@ def run_drop(cfg: RunConfig, drop_index: int | range) -> DropResult | list:
     return results[0] if single else results
 
 
-def _lockstep_chunks(drops: int, jobs: int = 1) -> list:
+def _lockstep_chunks(drops: int, width: int, jobs: int = 1) -> list:
     """Contiguous ranges of drop indices that run_variant runs in lockstep.
 
-    max(jobs, ceil(drops / LOCKSTEP)) ranges, at most one per drop, of
+    max(jobs, ceil(drops / width)) ranges, at most one per drop, of
     sizes that differ by at most one: each pool worker gets a range, and
-    no range holds more than LOCKSTEP drops' gain tables at once.
+    no range holds more than width drops' gain tables at once.
     """
-    n = min(drops, max(jobs, -(-drops // LOCKSTEP)))
+    n = min(drops, max(jobs, -(-drops // width)))
     size, extra = divmod(drops, n)
     bounds = np.cumsum([0] + [size + (i < extra) for i in range(n)])
     return [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
@@ -339,12 +361,13 @@ def _lockstep_chunks(drops: int, jobs: int = 1) -> list:
 def run_variant(cfg: RunConfig, jobs: int = 1) -> list:
     """All drops for one config, in drop order.
 
-    Drops are independent: run_variant runs them in lockstep ranges
-    (_lockstep_chunks), one pool worker per range when jobs > 1, and
-    every drop's result is the same whatever the jobs or the range.
+    Drops are independent: run_variant runs them in lockstep ranges of
+    at most _lockstep_width(cfg) drops (_lockstep_chunks), one pool
+    worker per range when jobs > 1, and every drop's result is the same
+    whatever the jobs or the range.
     """
     cfg = cfg.validated()
-    chunks = _lockstep_chunks(cfg.drops, jobs)
+    chunks = _lockstep_chunks(cfg.drops, _lockstep_width(cfg), jobs)
     if jobs <= 1 or cfg.drops == 1:
         runs = [run_drop(cfg, chunk) for chunk in chunks]
     else:

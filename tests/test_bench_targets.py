@@ -112,7 +112,7 @@ def test_lockstep_loop_calls_each_layer_once_per_lockstep_slot(variant, monkeypa
     for name in names:
         monkeypatch.setattr(sim, name, counting(calls, name, getattr(sim, name)))
     cfg = sim.RunConfig(variant=variant, cancellation_db=85.0, slots=5, drops=3, ues_per_cell=2)
-    assert cfg.drops <= sim.LOCKSTEP
+    assert sim._lockstep_chunks(cfg.drops, sim._lockstep_width(cfg)) == [range(cfg.drops)]
     assert len(sim.run_variant(cfg)) == cfg.drops
     expected = dict.fromkeys(names, cfg.slots)
     if allocates:
@@ -121,9 +121,10 @@ def test_lockstep_loop_calls_each_layer_once_per_lockstep_slot(variant, monkeypa
 
 
 def test_lockstep_chunk_builds_at_most_lockstep_networks(monkeypatch):
-    # a chunk holds its drops' gain tables through its slots: no more than
-    # LOCKSTEP networks are built before the first PF update, or between
-    # two chunks' slots
+    # a chunk holds its drops' gain tables through its slots: no more
+    # networks than LOCKSTEP_BYTES hold are built before the first PF
+    # update, or between two chunks' slots; a budget just short of 4
+    # drops keeps the run small
     events = []
 
     def logged(name, fn):
@@ -135,12 +136,16 @@ def test_lockstep_chunk_builds_at_most_lockstep_networks(monkeypatch):
 
     for name in ("build_gains", "update_state"):
         monkeypatch.setattr(sim, name, logged(name, getattr(sim, name)))
-    cfg = sim.RunConfig(variant="RR_FD", slots=2, drops=2 * sim.LOCKSTEP + 1, ues_per_cell=2)
+    cfg = sim.RunConfig(variant="RR_FD", slots=2, ues_per_cell=2)
+    monkeypatch.setattr(sim, "LOCKSTEP_BYTES", 4 * sim._drop_gain_bytes(cfg) - 1)
+    width = sim._lockstep_width(cfg)
+    assert width == 3
+    cfg.drops = 2 * width + 1
     sim.run_variant(cfg)
     assert events.count("build_gains") == cfg.drops
-    assert events.index("update_state") <= sim.LOCKSTEP
+    assert events.index("update_state") <= width
     builds = "".join("b" if e == "build_gains" else "u" for e in events).split("u")
-    assert max(len(run) for run in builds) <= sim.LOCKSTEP
+    assert max(len(run) for run in builds) <= width
 
 
 @pytest.mark.parametrize("scenario", ["Indoor", "Outdoor"])

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 import fdcell.power_alloc as pa
 import fdcell.sim as sim
 from conftest import make_decision, toy_gains
-from fdcell.channel import dbm_to_w
+from fdcell.channel import GainStack, dbm_to_w
 from fdcell.errors import ConfigError
 from fdcell.power_alloc import AllocConfig, allocate_with_fallback
 from fdcell.scheduler import DL, UL, hd_select_ues, init_state, select_ues, update_state
@@ -453,12 +454,57 @@ def test_lockstep_rr_fd_partners_follow_each_drops_stream(scenario, ues_per_cell
     assert_lockstep_equals_alone(cfg, alone, monkeypatch)
 
 
+@pytest.mark.parametrize("variant", ["FD", "RR_FD"])
+def test_wide_lockstep_chunk_equals_one_drop_runs(variant, monkeypatch):
+    # the byte budget lets small Indoor networks run 16 drops as one chunk:
+    # each still gets the outputs of its own run_drop, bit for bit
+    cfg = RunConfig(variant=variant, cancellation_db=85.0, slots=4, drops=16,
+                    ues_per_cell=2, seed=11)
+    assert sim._lockstep_chunks(cfg.drops, sim._lockstep_width(cfg)) == [range(16)]
+    assert_lockstep_equals_alone(cfg, [run_drop(cfg, d) for d in range(cfg.drops)], monkeypatch)
+
+
+def _gain_bytes_built(cfg):
+    tables = [_build_network(cfg, *drop_rngs(cfg.seed, d)[:2])[1] for d in range(2)]
+    layer = GainStack(tables).tx_rx[0]
+    g = tables[0]
+    return layer.nbytes + g.g_ue.nbytes + g.g_bs.nbytes + g.g_dl.nbytes + g.dist_bs_ue_m.nbytes
+
+
+def test_lockstep_width_holds_default_networks():
+    # the budget is the gain bytes of 8 default Outdoor drops; an Indoor
+    # drop holds fewer, so 21 of them fit. The bytes counted from the
+    # shape are those a built drop holds, with or without an override
+    outdoor, indoor = RunConfig(scenario="Outdoor"), RunConfig(scenario="Indoor")
+    assert sim.LOCKSTEP_BYTES == 8 * sim._drop_gain_bytes(outdoor)
+    assert sim._lockstep_width(outdoor) == 8
+    assert sim._lockstep_width(indoor) == 21
+    for cfg in (outdoor, indoor, replace(outdoor, ues_per_cell=2), replace(indoor, ues_per_cell=3)):
+        assert sim._drop_gain_bytes(cfg) == _gain_bytes_built(cfg), cfg
+
+
+@pytest.mark.parametrize("scenario", sim.SCENARIOS)
+def test_lockstep_width_keeps_chunks_within_the_budget(scenario):
+    # as many drops as fit, and one more would overrun the budget
+    for ues_per_cell in (1, 2, 3, 5, 8, 10, 16, 20):
+        cfg = RunConfig(scenario=scenario, ues_per_cell=ues_per_cell)
+        width, per_drop = sim._lockstep_width(cfg), sim._drop_gain_bytes(cfg)
+        assert width * per_drop <= sim.LOCKSTEP_BYTES < (width + 1) * per_drop, ues_per_cell
+
+
+def test_lockstep_width_of_an_oversized_drop_is_one():
+    # computed from the shape alone: nothing of this size is built
+    cfg = RunConfig(scenario="Outdoor", ues_per_cell=1000)
+    assert sim._drop_gain_bytes(cfg) > sim.LOCKSTEP_BYTES
+    assert sim._lockstep_width(cfg) == 1
+
+
 def assert_lockstep_equals_alone(cfg, alone, monkeypatch):
-    """run_variant with jobs=2 and at chunk widths 1, 2 and LOCKSTEP gives
-    every drop the outputs of its one-drop run in alone."""
-    runs = {"jobs=2": run_variant(cfg, jobs=2)}
-    for width in (1, 2, sim.LOCKSTEP):
-        monkeypatch.setattr(sim, "LOCKSTEP", width)
+    """run_variant with jobs=2, at its own chunk width and at widths 1 and
+    2 gives every drop the outputs of its one-drop run in alone."""
+    runs = {"jobs=2": run_variant(cfg, jobs=2), "own width": run_variant(cfg)}
+    for width in (1, 2):
+        monkeypatch.setattr(sim, "_lockstep_width", lambda cfg, width=width: width)
         runs[f"width {width}"] = run_variant(cfg)
     for how, results in runs.items():
         assert len(results) == cfg.drops, how
