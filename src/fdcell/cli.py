@@ -104,6 +104,15 @@ def parse_cancellation(token: str):
     return _checked(RunConfig(cancellation_db=v)).cancellation_db
 
 
+def _no_repeats(key: str, tokens, values) -> tuple:
+    """values as a tuple; a SchemaError naming the first token whose
+    value an earlier token already gave (inf and none are one level)."""
+    for i, (token, v) in enumerate(zip(tokens, values)):
+        if v in values[:i]:
+            raise SchemaError(f"{key} lists {token.strip()!r}, which repeats an earlier entry")
+    return tuple(values)
+
+
 def apply_key(spec: ExperimentSpec, key: str, raw: str) -> ExperimentSpec:
     """One `key = value` assignment of the documented schema."""
     if key in FIELD_KEYS:
@@ -116,11 +125,12 @@ def apply_key(spec: ExperimentSpec, key: str, raw: str) -> ExperimentSpec:
         for v in vs:
             if v not in VARIANTS:
                 raise SchemaError(f"unknown variant {v!r}")
-        spec.variants = vs
+        spec.variants = _no_repeats(key, vs, vs)
     elif key == "cancellation":
-        vals = tuple(parse_cancellation(t) for t in raw.split(",") if t.strip())
-        if not vals:
+        tokens = [t for t in raw.split(",") if t.strip()]
+        if not tokens:
             raise SchemaError("cancellation list is empty")
+        vals = _no_repeats(key, tokens, [parse_cancellation(t) for t in tokens])
         spec.sweep_cancellation = vals
         spec.base = replace(spec.base, cancellation_db=vals[0])
     elif key == "out":

@@ -64,7 +64,7 @@ SE_CAP_SINR = 2.0**MAX_SE - 1.0
 MAX_OUTER = 30                # SP condensation rounds per solve
 SP_COUNTERS = ("outer_iterations", "inner_iterations", "outer_capped", "cap_rounds")
 # per-slot allocator counters: the SP_COUNTERS plus the policy's own
-ALLOC_COUNTERS = ("fallbacks", "certified", *SP_COUNTERS)
+ALLOC_COUNTERS = ("fallbacks", "certified", *SP_COUNTERS, "nonconverged_slots")
 
 
 @dataclass
@@ -398,10 +398,11 @@ def allocate_with_fallback(
     trimmed full power leaves every link at the cap is returned at that
     point with no solve and counts in "certified"; otherwise the solve
     starts at trimmed full power with its capped links pinned. An SP
-    that stops at an iteration limit keeps its point and reports that
-    status. The safeguard then compares the result with trimmed full
-    power on the realized objective and keeps the better one
-    ("fallbacks" counts the slots where trimmed full power wins).
+    that stops at an iteration limit keeps its point, reports that
+    status and counts in "nonconverged_slots". The safeguard then
+    compares the result with trimmed full power on the realized
+    objective and keeps the better one ("fallbacks" counts the slots
+    where trimmed full power wins).
     """
     diag = {"status": "idle", **dict.fromkeys(ALLOC_COUNTERS, 0)}
     prob = build_power_problem(st, selection, g, cfg)
@@ -420,7 +421,7 @@ def allocate_with_fallback(
     else:
         p0, pinned = base, base_capped
     p, pinned, diag["status"], info = _capped_solve(prob, p0, pinned)
-    diag.update(info)
+    diag.update(info, nonconverged_slots=int(diag["status"] != STATUS_CONVERGED))
     if realized_objective(prob, p) > realized_objective(prob, base):
         p, pinned = base, base_capped
         diag["fallbacks"] = 1

@@ -33,12 +33,14 @@ keeps the scan's link terms, so no slot-wide SINR evaluation runs
 during a selection.
 
 Every link is keyed by its direction and cell, as in the decision, and
-a scan sums each drop's losses over that drop's own row of B link slots
-per direction, in which an idle slot adds an exact zero. Every value,
-and so every decision, is the same whatever the drop's batch-mates or
-the batch width, bit for bit. The tests check every scan against
-the whole-slot utility with and without the candidate (utility_change in
-tests/conftest.py).
+sinr_rate.link_ends, the rule the charged rates and the allocator use,
+gives its transmitter row and receiver column; the scan plans
+(_ScanPlan) are derived from it. A scan sums each drop's losses over
+that drop's own row of B link slots per direction, in which an idle
+slot adds an exact zero. Every value, and so every decision, is the
+same whatever the drop's batch-mates or the batch width, bit for bit.
+The tests check every scan against the whole-slot utility with and
+without the candidate (utility_change in tests/conftest.py).
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import GainStack, GainTable
-from .sinr_rate import MIN_SE, NONE, SlotDecision, rate_from_sinr
+from .sinr_rate import MIN_SE, NONE, SlotDecision, link_ends, rate_from_sinr
 # unused here, but the benchmark tracer patches these names in this module
 from .sinr_rate import slot_link_terms, slot_rates  # noqa: F401
 
@@ -134,57 +136,41 @@ class _ScanPlan:
     """Where a scan over the directions `dirs` reads each candidate, per cell.
 
     Candidate j of cell c is UE ue[c, j] in direction code[j] (0
-    downlink, 1 uplink), downlink candidates first; other[j] is the
-    opposite direction. It transmits from tx_rx row tx[c, j] to column
-    rx[c, j]: BS c to UE k downlink, UE k (row B + k) to BS c (column
-    N + c) uplink. The scan has one row per distinct transmitter, of
-    direction row_code[m]: one for all downlink candidates, one per
-    uplink candidate; row[j] is candidate j's row. own and bav are the
-    flat offsets of a candidate's own gain in a (B + N, N + B) table and
-    of its average in a (2, N) array, row_base[c, m] those of row m's
-    transmitter's gains.
+    downlink, 1 uplink), downlink candidates first, at power p_cand[j].
+    It transmits from tx_rx row tx[c, j] to column rx[c, j], as
+    sinr_rate.link_ends puts link slot code[j] * B + c. The scan has one
+    row per distinct transmitter: one for all downlink candidates, one
+    per uplink candidate; row[j] is candidate j's row and p_row[m] row
+    m's power, (rows, 1). own and bav are the flat offsets of a
+    candidate's own gain in a (B + N, N + B) table and of its average in
+    a (2, N) array, row_base[c, m] those of row m's transmitter's gains.
     """
 
     code: np.ndarray
-    other: np.ndarray
     ue: np.ndarray
     tx: np.ndarray
     rx: np.ndarray
     row: np.ndarray
-    row_code: np.ndarray
     own: np.ndarray
     bav: np.ndarray
     row_base: np.ndarray
+    p_cand: np.ndarray
+    p_row: np.ndarray
 
 
 @lru_cache(maxsize=None)
-def _scan_plan(dirs: tuple, B: int, U: int) -> _ScanPlan:
+def _scan_plan(dirs: tuple, B: int, U: int, powers: tuple) -> _ScanPlan:
     N = B * U
-    ks = np.arange(N).reshape(B, U)
-    cells = np.repeat(np.arange(B)[:, None], U, axis=1)
-    code, ue, tx, rx, row, row_tx, row_code = [], [], [], [], [], [], []
-    for x in dirs:
-        m = sum(len(r) for r in row_code)
-        if x == DL:
-            code.append(np.zeros(U, dtype=int))
-            tx.append(cells)
-            rx.append(ks)
-            row.append(np.full(U, m))
-            row_tx.append(cells[:, :1])
-            row_code.append(np.zeros(1, dtype=int))
-        else:
-            code.append(np.ones(U, dtype=int))
-            tx.append(B + ks)
-            rx.append(N + cells)
-            row.append(m + np.arange(U))
-            row_tx.append(B + ks)
-            row_code.append(np.ones(U, dtype=int))
-        ue.append(ks)
-    code, row, row_code = (np.concatenate(a) for a in (code, row, row_code))
-    ue, tx, rx, row_tx = (np.concatenate(a, axis=1) for a in (ue, tx, rx, row_tx))
     R = N + B
-    return _ScanPlan(code, 1 - code, ue, tx, rx, row, row_code,
-                     own=tx * R + rx, bav=code * N + ue, row_base=row_tx * R)
+    code = np.repeat([BOTH.index(x) for x in dirs], U)
+    ue = np.tile(np.arange(N).reshape(B, U), len(dirs))
+    tx, rx = link_ends(B, N, code * B + np.arange(B)[:, None], ue)
+    # a new row at the first candidate and at every uplink candidate
+    first = np.r_[True, code[1:] == 1]
+    p = np.array(powers, dtype=float)
+    return _ScanPlan(code, ue, tx, rx, row=first.cumsum() - 1, own=tx * R + rx,
+                     bav=code * N + ue, row_base=tx[:, first] * R,
+                     p_cand=p[code], p_row=p[code[first]][:, None])
 
 
 @dataclass
@@ -205,30 +191,29 @@ class _Scan:
     den1: np.ndarray
     chi1: np.ndarray
 
-    gain = property(lambda self: self.own[2])
-
 
 class _SlotState:
     """What the partial slot assignments of D drops put at every receiver and link.
 
-    Receivers are the N UEs, then the B BSs (BS b at N + b); tx_rx[d, t]
-    is the gain row of drop d's transmitter t (BS t, or UE t - B). rx_den
-    is (D, N + B): the noise plus everything the scheduled transmitters
-    put at each receiver. RQ[d, 0] holds each cell's downlink UE, RQ[d, 1]
-    its uplink UE (NONE when idle). fd_ue is one bool for all D drops.
+    tx_rx[d] is drop d's transmitter x receiver gain table, read at the
+    row and column sinr_rate.link_ends gives each link; its receivers
+    are the N UEs, then the B BSs. rx_den is (D, N + B): the noise plus
+    everything the scheduled transmitters put at each receiver. RQ[d, 0]
+    holds each cell's downlink UE, RQ[d, 1] its uplink UE (NONE when
+    idle). fd_ue is one bool for all D drops.
 
     Drop d's link of direction r (0 downlink, 1 uplink) at cell b sits in
-    slot r * B + b of (D, 2B) arrays, the key of RQ[d, r, b]: its
-    receiver (rx), signal, denominator, chi and PF average scaled by beta
-    (sig, den, chi0, lavg). An idle slot has signal 0, so chi 0 under any
-    denominator: it adds an exact zero to its row's loss. The averages
-    are fixed through a selection, so b_avg holds them scaled by beta
-    once per slot, as (D, 2, N), for _chi_scaled.
+    slot r * B + b of (D, 2B) arrays, as link_ends numbers it, the key of
+    RQ[d, r, b]: its receiver (rx), signal, denominator, chi and PF
+    average scaled by beta (sig, den, chi0, lavg). An idle slot has
+    signal 0, so chi 0 under any denominator: it adds an exact zero to
+    its row's loss. The averages are fixed through a selection, so b_avg
+    holds them scaled by beta once per slot, as (D, 2, N), for
+    _chi_scaled.
     """
 
     def __init__(self, g: GainStack, powers, st: PFState, fd_ue=False):
-        self.powers, self.fd_ue = powers, bool(fd_ue)
-        self.p = np.array(powers, dtype=float)        # downlink, uplink watts
+        self.powers, self.fd_ue = tuple(powers), bool(fd_ue)
         D, B, N = len(g), g.n_cells, g.n_ues
         self.D, self.B, self.U = D, B, N // B
         self.bandwidth_hz = g.bandwidth_hz
@@ -239,7 +224,6 @@ class _SlotState:
         col = self.drops[:, None]
         # flat offset of each drop in tx_rx, rx_den and b_avg
         self.at_g, self.at_rx, self.at_ue = col * (T * R), col * R, col * (2 * N)
-        self._plans = {}
         self.RQ = np.full((D, 2, B), NONE)
         self.rx_den = g.rx_noise.copy()
         self.b_avg = st.beta * np.stack([st.avg_dl, st.avg_ul], axis=1)
@@ -257,29 +241,22 @@ class _SlotState:
     def Q(self) -> np.ndarray:
         return self.RQ[:, 1]
 
-    def _plan(self, dirs: tuple):
-        """dirs' _ScanPlan and its candidates' and rows' powers."""
-        if dirs not in self._plans:
-            plan = _scan_plan(dirs, self.B, self.U)
-            self._plans[dirs] = plan, self.p[plan.code], self.p[plan.row_code][:, None]
-        return self._plans[dirs]
-
     def scan(self, cells: np.ndarray, dirs: tuple) -> _Scan:
         """Utility change of adding each candidate of cell cells[d] in every drop d.
 
         Every UE of the cell is scored in every direction of dirs ((DL,),
         (UL,) or BOTH); eligible() says which ones may be added.
         """
-        plan, p_cand, p_row = self._plan(dirs)
+        plan = _scan_plan(dirs, self.B, self.U, self.powers)
         D, nc = self.D, len(plan.code)
         own = np.empty((4, D, nc))
         num, den, gain, b_avg = own
-        np.multiply(p_cand, self.gains.take(plan.own[cells] + self.at_g), out=num)
+        np.multiply(plan.p_cand, self.gains.take(plan.own[cells] + self.at_g), out=num)
         self.rx_den.take(plan.rx[cells] + self.at_rx, out=den, mode="clip")
         self.b_avg.take(plan.bav[cells] + self.at_ue, out=b_avg, mode="clip")
         # every link slot's denominator under each distinct transmitter
         den1 = self.gains.take((plan.row_base[cells] + self.at_g)[:, :, None] + self.rx[:, None])
-        den1 *= p_row
+        den1 *= plan.p_row
         den1 += self.den[:, None]
         sinr = np.concatenate([num / den, (self.sig[:, None] / den1).reshape(D, -1)], axis=1)
         lavg = self.lavg[:, None].repeat(den1.shape[1], axis=1).reshape(D, -1)
@@ -305,7 +282,7 @@ class _SlotState:
         """
         plan = scan.plan
         ue = self.RQ[self.drops, :, scan.cells]      # (D, 2) the cell's UEs
-        other = ue[:, plan.other]
+        other = ue[:, 1 - plan.code]
         ok = (ue[:, plan.code] < 0) & ((other != plan.ue[scan.cells]) | self.fd_ue)
         if upgrade:
             ok &= other >= 0
@@ -330,7 +307,7 @@ class _SlotState:
         ix = slice(None) if len(a) == self.D else a
         self.RQ[a, code, c] = plan.ue[c, j]
         tx = self.tx_rx[a, plan.tx[c, j]]
-        tx *= self.p[code][:, None]
+        tx *= plan.p_cand[j][:, None]
         self.rx_den[ix] += tx
         m = plan.row[j]
         self.den[ix] = scan.den1[a, m]
@@ -403,32 +380,25 @@ def round_robin_partners(rngs, slots: int, n_cells: int, ues_per_cell: int) -> n
     return np.stack([rng.integers(0, ues_per_cell - 1, size=(slots, n_cells)) for rng in rngs])
 
 
-def round_robin_select(
-    turn: int,
-    mode: str,
-    direction: str,
-    g: GainStack,
-    P_init,
-    offsets,
-) -> SlotDecision:
+def round_robin_select(turn: int, direction: str, g: GainStack, P_init, offsets) -> SlotDecision:
     """Round robin: each cell serves its UE at position turn % U.
 
     turn is the number of earlier slots in this direction; every cell
-    takes its turns in step, so no per-cell cursor is kept. Mode FD adds
-    an opposite partner. The turn pick matches what the HD round robin
-    would schedule in the same slot, so FD/HD round-robin runs stay
-    UE-aligned. offsets is the slot's (D, B) layer of
-    round_robin_partners, read only in mode FD (mode HD may pass None):
-    offset k names the cell's k-th UE other than the turn UE, so each
-    partner is uniform over the cell's other UEs, with the values and
-    generator state of one rng.choice per cell and slot.
+    takes its turns in step, so no per-cell cursor is kept. Given
+    offsets, the slot's (D, B) layer of round_robin_partners, each cell
+    adds an opposite partner (FD); with None it stays half duplex. The
+    turn pick matches what the HD round robin would schedule in the same
+    slot, so FD/HD round-robin runs stay UE-aligned. Offset k names the
+    cell's k-th UE other than the turn UE, so each partner is uniform
+    over the cell's other UEs, with the values and generator state of
+    one rng.choice per cell and slot.
     """
     ids = g.cell_ue_ids
     B, U = ids.shape
     pos = turn % U
     pick = np.broadcast_to(ids[:, pos], (len(g), B))
     partner = np.full((len(g), B), NONE, dtype=int)
-    if mode == "FD" and U > 1:
+    if offsets is not None and U > 1:
         partner = ids[np.arange(B), offsets + (offsets >= pos)]
     R, Q = (pick, partner) if direction == DL else (partner, pick)
     return _base_decision(Q, R, P_init, False)

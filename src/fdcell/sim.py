@@ -281,11 +281,10 @@ def run_drop(cfg: RunConfig, drop_index: int | range) -> DropResult | list:
     trace_ul_ue = np.full((D, S, B), -1, dtype=np.int32)
     trace_p_dl = np.zeros((D, S, B))
     trace_p_ul = np.zeros((D, S, B))
-    diag_tot = [dict.fromkeys((*ALLOC_COUNTERS, "nonconverged_slots"), 0) for _ in drops]
+    counts = np.zeros((D, len(ALLOC_COUNTERS)), dtype=int)
 
     for t in range(S):
         direction = DL if t % 2 == 0 else UL
-        diags = ()
         if cfg.variant in ("HD", "FD", "FD_FDUE", "FD_EnergyAware"):
             if cfg.variant == "HD":
                 sel = hd_select_ues(st, g, P, direction, sched_rngs)
@@ -296,12 +295,11 @@ def run_drop(cfg: RunConfig, drop_index: int | range) -> DropResult | list:
                 for d in range(D)
             ]
             dec = SlotDecision.stack([dec for dec, _ in outs])
-            diags = [diag for _, diag in outs]
+            counts += [[diag[k] for k in ALLOC_COUNTERS] for _, diag in outs]
         else:
-            rr_mode = "HD" if cfg.variant == "RR_HD" else "FD"
             offsets = None if partners is None else partners[:, t]
             # directions alternate, so t // 2 earlier slots ran in this one
-            dec = round_robin_select(t // 2, rr_mode, direction, g, P, offsets)
+            dec = round_robin_select(t // 2, direction, g, P, offsets)
         validate(dec, g)
 
         rate_dl, rate_ul = slot_rates(dec, g)
@@ -317,12 +315,6 @@ def run_drop(cfg: RunConfig, drop_index: int | range) -> DropResult | list:
         trace_ul_ue[:, t] = dec.ul_ue
         trace_p_dl[:, t] = dec.p_dl
         trace_p_ul[:, t] = dec.p_ul
-        for tot, diag in zip(diag_tot, diags):
-            for k in ALLOC_COUNTERS:
-                tot[k] += diag[k]
-            if diag["status"] not in ("converged", "idle"):
-                tot["nonconverged_slots"] += 1
-
         st = update_state(st, dec, rate_dl, rate_ul)
 
     results = [
@@ -338,7 +330,7 @@ def run_drop(cfg: RunConfig, drop_index: int | range) -> DropResult | list:
             trace_ul_ue=trace_ul_ue[d],
             trace_p_dl=trace_p_dl[d],
             trace_p_ul=trace_p_ul[d],
-            diagnostics=diag_tot[d],
+            diagnostics=dict(zip(ALLOC_COUNTERS, counts[d].tolist())),
         )
         for d in range(D)
     ]

@@ -6,9 +6,10 @@ cell, then the uplinks by cell, and every link is read from the gain
 table's one transmitter x receiver matrix (GainTable.tx_rx, which also
 holds the residual self-interference): one gather gives the links x
 links gain matrix, whose diagonal is each link's own signal, so every
-SINR is one matrix-vector product. The power allocator works on the
-same matrix (link_gains, which shares the link rule), so the quantity
-it optimizes is the rate that is charged.
+SINR is one matrix-vector product. link_ends is the one rule for which
+row and column a link uses: the power allocator works on the same
+matrix (link_gains), so the quantity it optimizes is the rate that is
+charged, and the greedy scheduler's scan plans read it too.
 
 Drops simulated in lockstep share one SlotDecision whose arrays have a
 leading drop axis; validate, slot_link_terms, slot_sinrs and slot_rates
@@ -94,17 +95,18 @@ def validate(dec: SlotDecision, g: GainTable | GainStack) -> None:
         raise AssertionError(next(msg for bad, msg in checks if bad.any()))
 
 
-def _link_ends(g: GainTable | GainStack, slots, ue):
+def link_ends(B: int, N: int, slots, ue):
     """Transmitter rows and receiver columns in tx_rx of the links in
-    slots that carry UEs ue: (tx, rx), each shaped like slots.
+    slots that carry UEs ue, in a network of B cells and N UEs: (tx, rx),
+    each shaped like slots.
 
     Slot b is cell b's downlink, from BS b to the UE, and slot B + b its
-    uplink, from the UE to BS b. A decision's links are its active
-    slots in order: the downlinks by cell, then the uplinks by cell.
+    uplink, from the UE (row B + ue) to BS b (column N + b). A
+    decision's links are its active slots in order: the downlinks by
+    cell, then the uplinks by cell.
     """
-    B = g.n_cells
     up = slots >= B
-    return np.where(up, B + ue, slots), np.where(up, g.n_ues - B + slots, ue)
+    return np.where(up, B + ue, slots), np.where(up, N - B + slots, ue)
 
 
 def link_gains(dec: SlotDecision, g: GainTable):
@@ -117,7 +119,7 @@ def link_gains(dec: SlotDecision, g: GainTable):
     """
     ue = np.concatenate([dec.dl_ue, dec.ul_ue])
     links = (ue >= 0).nonzero()[0]
-    tx, rx = _link_ends(g, links, ue[links])
+    tx, rx = link_ends(g.n_cells, g.n_ues, links, ue[links])
     n_dl = links.searchsorted(g.n_cells)
     # gathered through the transpose so the matrix comes out C-ordered
     return links[:n_dl], links[n_dl:] - g.n_cells, g.tx_rx.T[rx[:, None], tx], g.rx_noise[rx]
@@ -156,7 +158,7 @@ def slot_link_terms(dec: SlotDecision, g: GainTable | GainStack):
         drops = (n_links == k).nonzero()[0]
         slots = on[drops].nonzero()[1].reshape(len(drops), k)
         at = drops[:, None] * (2 * B) + slots     # flat index into the (D, 2B) arrays
-        tx, rx = _link_ends(g, slots, ue.take(at))
+        tx, rx = link_ends(B, g.n_ues, slots, ue.take(at))
         # one flat-index gather of the (m, k, k) gains (a GainTable is
         # drop 0); it comes out C-ordered, as the one-drop gather does:
         # an F-ordered matrix changes the last bit of the product

@@ -84,6 +84,34 @@ def test_parse_config_values_and_comments(tmp_path):
     assert spec.output_dir == "results/x"
 
 
+@pytest.mark.parametrize(
+    "body,entry",
+    [
+        ("variants = HD, FD, HD", "'HD'"),
+        ("variants = FD,FD", "'FD'"),
+        ("cancellation = 95, 85, 95", "'95'"),
+        ("cancellation = 95, 95.0", "'95.0'"),
+        # compared as parsed levels: both mean perfect cancellation
+        ("cancellation = inf, none", "'none'"),
+        ("cancellation = 1e999, perfect", "'perfect'"),
+    ],
+)
+def test_repeated_list_entries_are_schema_errors(tmp_path, capsys, body, entry):
+    # a repeat would run its cell twice and write its rows twice
+    cfg = write_config(tmp_path / "dup.conf", "slots = 4\n" + body + "\n")
+    with pytest.raises(SchemaError, match=f"dup.conf:2: .*{entry}, which repeats"):
+        parse_config(cfg)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_SCHEMA
+    assert entry in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_repeated_cancellation_flag_entry_is_a_schema_error(tmp_path, capsys):
+    argv = ["sweep", "--slots", "2", "--drops", "1", "--cancellation", "inf,75,inf", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_SCHEMA
+    assert "cancellation lists 'inf', which repeats" in capsys.readouterr().err
+
+
 def test_parse_config_errors_carry_line_numbers(tmp_path):
     cfg = write_config(tmp_path / "bad.conf", "slots = 4\nwibble = 3\n")
     with pytest.raises(SchemaError, match="bad.conf:2"):

@@ -385,6 +385,21 @@ def test_allocate_keeps_the_point_of_an_sp_stopped_at_its_round_limit(monkeypatc
     assert realized_objective(prob, active_powers(prob, out)) <= realized_objective(prob, base)
 
 
+def test_allocator_counts_its_nonconverged_slots(monkeypatch):
+    # a solved slot whose SP stops at its round limit counts once; a
+    # certified slot and an idle slot never run the SP and count 0
+    monkeypatch.setattr(pa, "MAX_OUTER", 0)
+    g = toy_gains([[1e-11, 1e-13], [1e-13, 1e-11]])
+    _, diag = allocate_with_fallback(state_with([1e7, 1e7]), Selection(make_decision(g, dl=[0, 1])), g)
+    assert diag["status"] == STATUS_MAX_ITER and diag["nonconverged_slots"] == 1
+    st, sel, g = certified_instance()
+    _, diag = allocate_with_fallback(st, sel, g)
+    assert diag["certified"] == 1 and diag["nonconverged_slots"] == 0
+    _, diag = allocate_with_fallback(st, Selection(make_decision(g)), g)
+    assert diag["status"] == "idle" and diag["nonconverged_slots"] == 0
+    assert set(pa.ALLOC_COUNTERS) <= set(diag)
+
+
 def test_floor_prune_spares_pinned_links():
     g = toy_gains([[1e-8, 1e-13, 1e-13], [1e-13, 1e-8, 1e-13], [1e-13, 1e-13, 1e-8]])
     dec = make_decision(g, dl=[0, 1, 2])

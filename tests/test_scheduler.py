@@ -304,7 +304,7 @@ def test_batched_scans_on_ragged_drops(ues_per_cell):
                     # the loss, summed over the drop's row of B slots per direction
                     chi1 = scan.chi1[i, scan.plan.row[j]].reshape(2, B)
                     lost = [np.add.reduce(chi0[r] - chi1[r]) for r in (0, 1)]
-                    assert scan.du[i, j] == scan.gain[i, j] - (lost[0] + lost[1])
+                    assert scan.du[i, j] == scan.own[2][i, j] - (lost[0] + lost[1])
                     direction, k = (DL, UL)[scan.plan.code[j]], scan.plan.ue[c, j]
                     if not ok[i, j]:
                         continue
@@ -492,7 +492,7 @@ def test_round_robin_cycles_each_ue_once():
     stack = GainStack([g])
     seen = []
     for turn in range(8):
-        dec = round_robin_select(turn, "HD", DL, stack, P, None)[0]
+        dec = round_robin_select(turn, DL, stack, P, None)[0]
         assert np.all(dec.ul_ue == NONE)
         seen.append(dec.dl_ue.copy())
     seen = np.stack(seen)
@@ -507,8 +507,8 @@ def test_round_robin_fd_partner_distinct():
     partners = round_robin_partners([np.random.default_rng(0)], 16, *g.cell_ue_ids.shape)
     for t in range(16):
         direction = DL if t % 2 == 0 else UL
-        fd = round_robin_select(t // 2, "FD", direction, stack, P, partners[:, t])[0]
-        hd = round_robin_select(t // 2, "HD", direction, stack, P, None)[0]
+        fd = round_robin_select(t // 2, direction, stack, P, partners[:, t])[0]
+        hd = round_robin_select(t // 2, direction, stack, P, None)[0]
         assert np.all(fd.dl_ue >= 0) and np.all(fd.ul_ue >= 0)
         assert np.all(fd.dl_ue != fd.ul_ue)
         # turn side matches what the HD round robin scheduled
@@ -521,7 +521,7 @@ def test_round_robin_fd_partner_distinct():
 def test_round_robin_single_ue_degenerates_to_hd():
     _, g = indoor_network(seed=4, ues_per_cell=1)
     partners = round_robin_partners([np.random.default_rng(0)], 1, *g.cell_ue_ids.shape)
-    dec = round_robin_select(0, "FD", DL, GainStack([g]), (g.p_bs_w, g.p_ue_w), partners[:, 0])[0]
+    dec = round_robin_select(0, DL, GainStack([g]), (g.p_bs_w, g.p_ue_w), partners[:, 0])[0]
     assert np.all(dec.dl_ue >= 0)
     assert np.all(dec.ul_ue == NONE)
 
@@ -574,7 +574,7 @@ def test_round_robin_matches_per_cell_choice_reference(network):
             for t in range(S):
                 direction = DL if t % 2 == 0 else UL
                 offsets = None if partners is None else partners[:, t]
-                dec = round_robin_select(t // 2, mode, direction, stack, P, offsets)[0]
+                dec = round_robin_select(t // 2, direction, stack, P, offsets)[0]
                 R, Q = reference_round_robin(cursors, mode, direction, g, rng_ref)
                 assert np.array_equal(dec.dl_ue, R) and np.array_equal(dec.ul_ue, Q)
                 # the turn is each cursor's count of earlier calls in its direction
