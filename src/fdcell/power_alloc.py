@@ -28,8 +28,9 @@ worse), never return a point worse than trimmed full power, zero out
 links parked at the numerical floor, and shed the power that only
 overshoots the spectral-efficiency cap. That trim is a linear solve:
 the powers at which the links above the cap sit exactly at it. The
-policy works on one link power vector (downlinks by cell, then uplinks
-by cell) and writes the slot decision once, at the end.
+policy works on one link power vector, indexed like link_gains' links
+(the decision's active slots in order: downlinks by cell, then uplinks
+by cell), and writes the slot decision once, at the end.
 
 Without an energy penalty the SP starts at full power trimmed to the
 cap, with the links that point leaves at the cap pinned: their capped
@@ -72,32 +73,31 @@ class AllocConfig:
     energy_kappa: float = 0.0       # > 0 enables the log-power penalty
 
 
-def pf_weights(st: PFState, selection: Selection):
-    """Per-link rate weights (1-beta)/(beta * avg * ln 10), zero if idle."""
-    dec = selection.decision
+def pf_weights(st: PFState, selection: Selection) -> np.ndarray:
+    """(2, B) rate weights (1-beta)/(beta * avg * ln 10) of the decision's
+    link slots, zero if idle."""
+    ue = selection.decision.ue
     b = st.beta
-    w_dl = np.zeros(len(dec.dl_ue))
-    w_ul = np.zeros(len(dec.ul_ue))
-    on = dec.dl_ue >= 0
-    w_dl[on] = (1.0 - b) / (b * st.avg_dl[dec.dl_ue[on]] * LN10)
-    on = dec.ul_ue >= 0
-    w_ul[on] = (1.0 - b) / (b * st.avg_ul[dec.ul_ue[on]] * LN10)
-    return w_dl, w_ul
+    w = np.zeros(ue.shape)
+    on = ue >= 0
+    avg = np.stack([st.avg_dl, st.avg_ul])
+    w[on] = (1.0 - b) / (b * avg[on.nonzero()[0], ue[on]] * LN10)
+    return w
 
 
 @dataclass
 class PowerProblem:
     """Per-slot power problem over the active links.
 
-    Variable order: downlink links by cell, then uplink links by cell.
+    Variable l is link links[l], a slot r * B + b of the decision (see
+    sinr_rate), in slot order: downlinks by cell, then uplinks by cell.
     gain[l, k] is the gain from link k's transmitter to link l's
     receiver (the diagonal is the link's own signal) and noise[l] the
-    noise at l's receiver. `lin` carries
-    the energy penalty exponents (zero when plain).
+    noise at l's receiver. `lin` carries the energy penalty exponents
+    (zero when plain).
     """
 
-    cells_dl: np.ndarray
-    cells_ul: np.ndarray
+    links: np.ndarray           # (L,) link slots
     w: np.ndarray               # (L,) rescaled weights
     w_scale: float              # multiply w by this to recover the raw weights
     gain: np.ndarray            # (L, L) link gains
@@ -141,34 +141,25 @@ def build_power_problem(
     if cfg.energy_kappa < 0:
         raise ConfigError(f"energy_kappa must be non-negative, got {cfg.energy_kappa}")
     dec = selection.decision
-    cells_dl, cells_ul, gain, noise = link_gains(dec, g)
+    links, gain, noise = link_gains(dec, g)
     n = len(noise)
     if n == 0:
         return None
 
-    w_dl, w_ul = pf_weights(st, selection)
-    w = np.concatenate([w_dl[cells_dl], w_ul[cells_ul]])
+    w = pf_weights(st, selection).reshape(-1)[links]
     w_scale = float(w.max())
     w = w / w_scale
 
     lin = np.zeros(n)
     if cfg.energy_kappa > 0:
-        dist = np.concatenate(
-            [
-                g.dist_bs_ue_m[cells_dl, dec.dl_ue[cells_dl]],
-                g.dist_bs_ue_m[cells_ul, dec.ul_ue[cells_ul]],
-            ]
-        )
+        dist = g.dist_bs_ue_m[links % g.n_cells, dec.ue.reshape(-1)[links]]
         c_energy = cfg.energy_kappa / np.maximum(dist, 1.0)
         # product form: each penalty is the monomial factor p^(c ln2 / W)
         lin = c_energy * np.log(2.0) / g.bandwidth_hz / w_scale
 
-    p_max = np.concatenate(
-        [np.full(len(cells_dl), g.p_bs_w), np.full(len(cells_ul), g.p_ue_w)]
-    )
+    p_max = np.where(links < g.n_cells, g.p_bs_w, g.p_ue_w)
     return PowerProblem(
-        cells_dl=cells_dl,
-        cells_ul=cells_ul,
+        links=links,
         w=w,
         w_scale=w_scale,
         gain=gain,
@@ -275,11 +266,9 @@ def _reduce_problem(prob: PowerProblem, fixed_p: np.ndarray, fixed: np.ndarray):
     free = ~fixed
     if not fixed.any():
         return prob, free
-    nd = len(prob.cells_dl)
     rows = prob.gain[free]
     sub = PowerProblem(
-        cells_dl=prob.cells_dl[free[:nd]],
-        cells_ul=prob.cells_ul[free[nd:]],
+        links=prob.links[free],
         w=prob.w[free],
         w_scale=prob.w_scale,
         gain=rows[:, free],
@@ -438,9 +427,6 @@ def allocate_with_fallback(
 def _decision(selection: Selection, prob: PowerProblem, p: np.ndarray):
     """The selection's decision with link powers p; zero-power links go idle."""
     out = selection.decision.copy()
-    nd = len(prob.cells_dl)
-    out.p_dl[prob.cells_dl] = p[:nd]
-    out.p_ul[prob.cells_ul] = p[nd:]
-    out.dl_ue[prob.cells_dl[p[:nd] == 0]] = NONE
-    out.ul_ue[prob.cells_ul[p[nd:] == 0]] = NONE
+    out.p.reshape(-1)[prob.links] = p
+    out.ue.reshape(-1)[prob.links[p == 0]] = NONE
     return out

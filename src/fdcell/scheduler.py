@@ -84,17 +84,19 @@ def init_state(n_ues: int, bandwidth_hz: float, beta: float = BETA_DEFAULT, drop
     return PFState(np.full(shape, r0), np.full(shape, r0), beta)
 
 
-def update_state(st: PFState, dec: SlotDecision, rate_dl, rate_ul) -> PFState:
+def update_state(st: PFState, dec: SlotDecision, rate) -> PFState:
     """EWMA update: scheduled links blend in their rate, the rest decay.
 
-    Works on one drop or on a lockstep state and decision alike.
+    rate is in the decision's layout, (2, B) or (D, 2, B), as slot_rates
+    gives it. Works on one drop or on a lockstep state and decision alike.
     """
     b = st.beta
-    for avg, ue, rate in ((st.avg_dl, dec.dl_ue, rate_dl), (st.avg_ul, dec.ul_ue, rate_ul)):
+    for r, avg in enumerate((st.avg_dl, st.avg_ul)):
+        ue = dec.ue[..., r, :]
         avg *= b
         on = (ue >= 0).nonzero()
         # (drop,) cell -> (drop,) UE: validate serves no UE twice per direction
-        avg[on[:-1] + (ue[on],)] += (1.0 - b) * np.asarray(rate)[on]
+        avg[on[:-1] + (ue[on],)] += (1.0 - b) * rate[..., r, :][on]
     return st
 
 
@@ -108,17 +110,10 @@ def _chi_scaled(rate, b_avg, one_minus_beta):
     return np.log1p(one_minus_beta * rate / b_avg) / LN10
 
 
-def _base_decision(Q, R, powers, fd_ue: bool) -> SlotDecision:
-    p_dl_w, p_ul_w = powers
-    R = np.asarray(R)
-    Q = np.asarray(Q)
-    return SlotDecision(
-        dl_ue=R.copy(),
-        ul_ue=Q.copy(),
-        p_dl=np.where(R >= 0, p_dl_w, 0.0),
-        p_ul=np.where(Q >= 0, p_ul_w, 0.0),
-        fd_ue=fd_ue,
-    )
+def _base_decision(ue: np.ndarray, powers, fd_ue: bool) -> SlotDecision:
+    """The decision over the (..., 2, B) UEs ue (kept, not copied), every
+    scheduled link at its direction's power in powers."""
+    return SlotDecision.of(ue, np.where(ue >= 0, np.reshape(powers, (2, 1)), 0.0), fd_ue)
 
 
 def _batch_of_one(st: PFState, g: GainTable, rng):
@@ -200,7 +195,8 @@ class _SlotState:
     are the N UEs, then the B BSs. rx_den is (D, N + B): the noise plus
     everything the scheduled transmitters put at each receiver. RQ[d, 0]
     holds each cell's downlink UE, RQ[d, 1] its uplink UE (NONE when
-    idle). fd_ue is one bool for all D drops.
+    idle): the (D, 2, B) layout of SlotDecision.ue, so the selection's
+    decision holds RQ itself. fd_ue is one bool for all D drops.
 
     Drop d's link of direction r (0 downlink, 1 uplink) at cell b sits in
     slot r * B + b of (D, 2B) arrays, as link_ends numbers it, the key of
@@ -232,14 +228,6 @@ class _SlotState:
         self.sig, self.den, self.chi0, self.lavg = self.links
         self.den[:] = self.lavg[:] = 1.0
         self.rx = np.zeros((D, 2 * B), dtype=int)
-
-    @property
-    def R(self) -> np.ndarray:
-        return self.RQ[:, 0]
-
-    @property
-    def Q(self) -> np.ndarray:
-        return self.RQ[:, 1]
 
     def scan(self, cells: np.ndarray, dirs: tuple) -> _Scan:
         """Utility change of adding each candidate of cell cells[d] in every drop d.
@@ -317,7 +305,7 @@ class _SlotState:
         self.rx[a, slot] = plan.rx[c, j]
 
     def selection(self) -> Selection:
-        return Selection(_base_decision(self.Q, self.R, self.powers, self.fd_ue))
+        return Selection(_base_decision(self.RQ, self.powers, self.fd_ue))
 
 
 def _orders(rngs, n_cells: int) -> np.ndarray:
@@ -396,9 +384,9 @@ def round_robin_select(turn: int, direction: str, g: GainStack, P_init, offsets)
     ids = g.cell_ue_ids
     B, U = ids.shape
     pos = turn % U
-    pick = np.broadcast_to(ids[:, pos], (len(g), B))
-    partner = np.full((len(g), B), NONE, dtype=int)
+    r = BOTH.index(direction)
+    ue = np.full((len(g), 2, B), NONE)
+    ue[:, r] = ids[:, pos]
     if offsets is not None and U > 1:
-        partner = ids[np.arange(B), offsets + (offsets >= pos)]
-    R, Q = (pick, partner) if direction == DL else (partner, pick)
-    return _base_decision(Q, R, P_init, False)
+        ue[:, 1 - r] = ids[np.arange(B), offsets + (offsets >= pos)]
+    return _base_decision(ue, P_init, False)

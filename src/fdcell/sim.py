@@ -247,7 +247,10 @@ def run_drop(cfg: RunConfig, drop_index: int | range) -> DropResult | list:
     drops, as run_variant cuts them) the list of its drops' results;
     see the module docstring. With the networks, RR_FD draws the partner
     offsets of all the chunk's slots (round_robin_partners), an int per
-    cell-slot: 8 B, beside the 24 B of the four per-slot traces.
+    cell-slot: 8 B, beside the 24 B of the UE (int32) and power traces.
+    Every ledger keeps the decision's (direction, cell) layout: bits
+    (D, 2, N), energy (D, 2) and the traces (D, S, 2, B); a DropResult
+    gets views of its drop's rows.
     """
     cfg = cfg.validated()
     single = np.ndim(drop_index) == 0
@@ -273,14 +276,10 @@ def run_drop(cfg: RunConfig, drop_index: int | range) -> DropResult | list:
     )
     fd_ue = cfg.variant == "FD_FDUE"
 
-    bits_dl = np.zeros((D, N))
-    bits_ul = np.zeros((D, N))
-    energy_dl = np.zeros(D)
-    energy_ul = np.zeros(D)
-    trace_dl_ue = np.full((D, S, B), -1, dtype=np.int32)
-    trace_ul_ue = np.full((D, S, B), -1, dtype=np.int32)
-    trace_p_dl = np.zeros((D, S, B))
-    trace_p_ul = np.zeros((D, S, B))
+    bits = np.zeros((D, 2, N))
+    energy = np.zeros((D, 2))
+    trace_ue = np.full((D, S, 2, B), -1, dtype=np.int32)
+    trace_p = np.zeros((D, S, 2, B))
     counts = np.zeros((D, len(ALLOC_COUNTERS)), dtype=int)
 
     for t in range(S):
@@ -302,34 +301,29 @@ def run_drop(cfg: RunConfig, drop_index: int | range) -> DropResult | list:
             dec = round_robin_select(t // 2, direction, g, P, offsets)
         validate(dec, g)
 
-        rate_dl, rate_ul = slot_rates(dec, g)
+        rate = slot_rates(dec, g)
         # validate served each UE by its own cell: no UE twice per direction
-        on = (dec.dl_ue >= 0).nonzero()
-        bits_dl[on[0], dec.dl_ue[on]] += rate_dl[on] * dt
-        on = (dec.ul_ue >= 0).nonzero()
-        bits_ul[on[0], dec.ul_ue[on]] += rate_ul[on] * dt
-        energy_dl += dec.p_dl.sum(axis=1) * dt
-        energy_ul += dec.p_ul.sum(axis=1) * dt
+        on = (dec.ue >= 0).nonzero()
+        bits[on[:2] + (dec.ue[on],)] += rate[on] * dt
+        energy += dec.p.sum(axis=-1) * dt
 
-        trace_dl_ue[:, t] = dec.dl_ue
-        trace_ul_ue[:, t] = dec.ul_ue
-        trace_p_dl[:, t] = dec.p_dl
-        trace_p_ul[:, t] = dec.p_ul
-        st = update_state(st, dec, rate_dl, rate_ul)
+        trace_ue[:, t] = dec.ue
+        trace_p[:, t] = dec.p
+        st = update_state(st, dec, rate)
 
     results = [
         DropResult(
             n_cells=B,
             n_ues=N,
             slots=S,
-            bits_dl=bits_dl[d],
-            bits_ul=bits_ul[d],
-            energy_dl_j=float(energy_dl[d]),
-            energy_ul_j=float(energy_ul[d]),
-            trace_dl_ue=trace_dl_ue[d],
-            trace_ul_ue=trace_ul_ue[d],
-            trace_p_dl=trace_p_dl[d],
-            trace_p_ul=trace_p_ul[d],
+            bits_dl=bits[d, 0],
+            bits_ul=bits[d, 1],
+            energy_dl_j=float(energy[d, 0]),
+            energy_ul_j=float(energy[d, 1]),
+            trace_dl_ue=trace_ue[d, :, 0],
+            trace_ul_ue=trace_ue[d, :, 1],
+            trace_p_dl=trace_p[d, :, 0],
+            trace_p_ul=trace_p[d, :, 1],
             diagnostics=dict(zip(ALLOC_COUNTERS, counts[d].tolist())),
         )
         for d in range(D)

@@ -10,17 +10,25 @@ import numpy as np
 import pytest
 
 import fdcell.sim as sim
+from conftest import make_decision, toy_gains
+from fdcell.scheduler import Selection, init_state
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 RUN = TRACER.with_name("run.py")
 
 
-def test_tracer_targets_resolve():
-    # the tracer patches (module, attribute) pairs by name; a rename in the
-    # package would otherwise only show up as a failing traced benchmark run
+def load_tracer():
+    """perfbench/tracer.py, loaded from its path."""
     spec = importlib.util.spec_from_file_location("_fdcell_bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_targets_resolve():
+    # the tracer patches (module, attribute) pairs by name; a rename in the
+    # package would otherwise only show up as a failing traced benchmark run
+    tracer = load_tracer()
     assert tracer.TARGETS
     missing = [
         (mod_name, attr)
@@ -28,6 +36,18 @@ def test_tracer_targets_resolve():
         if not callable(getattr(importlib.import_module(mod_name), attr, None))
     ]
     assert missing == []
+
+
+def test_alloc_value_reads_allocator_output():
+    # the tracer's power_alloc.alloc value reads allocate_with_fallback's
+    # return: a change to its shape would otherwise only show up as a
+    # failing traced benchmark run
+    alloc_value = load_tracer()._alloc_value
+    g = toy_gains([[1e-8, 1e-8]])
+    st = init_state(g.n_ues, g.bandwidth_hz)
+    assert alloc_value(sim.allocate_with_fallback(st, Selection(make_decision(g)), g)) == (False, 0)
+    out = sim.allocate_with_fallback(st, Selection(make_decision(g, dl=[0])), g)
+    assert alloc_value(out) == (True, out[1]["fallbacks"])
 
 
 def setup_code() -> str:

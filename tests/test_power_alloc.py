@@ -45,17 +45,14 @@ def state_with(avg_dl, avg_ul=None, beta=0.99):
 
 
 def active_powers(prob, dec):
-    return np.concatenate([dec.p_dl[prob.cells_dl], dec.p_ul[prob.cells_ul]])
+    return dec.p.reshape(-1)[prob.links]
 
 
 def trim_decision(dec, g):
     """trim_to_se_cap on a decision's links, gathered with link_gains."""
-    cells_dl, cells_ul, gain, noise = link_gains(dec, g)
-    p = np.concatenate([dec.p_dl[cells_dl], dec.p_ul[cells_ul]])
-    p = trim_to_se_cap(gain, noise, p)
+    links, gain, noise = link_gains(dec, g)
     out = dec.copy()
-    out.p_dl[cells_dl] = p[: len(cells_dl)]
-    out.p_ul[cells_ul] = p[len(cells_dl):]
+    out.p.reshape(-1)[links] = trim_to_se_cap(gain, noise, dec.p.reshape(-1)[links])
     return out
 
 
@@ -152,11 +149,9 @@ def test_objective_matches_sinr_module(rng):
         u = rng.uniform(0.05, 1.0, size=prob.n_vars)
         p = prob.p_floor * (prob.p_max / prob.p_floor) ** u
         dec = dec0.copy()
-        dec.p_dl[prob.cells_dl] = p[: len(prob.cells_dl)]
-        dec.p_ul[prob.cells_ul] = p[len(prob.cells_dl):]
+        dec.p.reshape(-1)[prob.links] = p
         # the block formulas, not the gather the problem is built from
-        sinr_d, sinr_u = reference_slot_sinrs(dec, g)
-        sinr = np.concatenate([sinr_d[prob.cells_dl], sinr_u[prob.cells_ul]])
+        sinr = np.concatenate(reference_slot_sinrs(dec, g))[prob.links]
         expected = -float(prob.w @ np.log1p(sinr))
         assert prob.true_objective(p) == pytest.approx(expected, rel=1e-10)
         # the link-space SINR behind it
@@ -177,10 +172,8 @@ def test_reduce_problem_keeps_pinned_interference():
         fixed[rng.choice(prob.n_vars, size=prob.n_vars // 2, replace=False)] = True
         sub, free = pa._reduce_problem(prob, p, fixed)
         dec = sel.decision.copy()
-        dec.p_dl[prob.cells_dl] = p[: len(prob.cells_dl)]
-        dec.p_ul[prob.cells_ul] = p[len(prob.cells_dl):]
-        sinr_d, sinr_u = slot_sinrs(dec, g)
-        sinr = np.concatenate([sinr_d[prob.cells_dl], sinr_u[prob.cells_ul]])
+        dec.p.reshape(-1)[prob.links] = p
+        sinr = slot_sinrs(dec, g).reshape(-1)[prob.links]
         # the free links' rate terms, with the pinned links still interfering
         expected = -float(prob.w[free] @ np.log1p(sinr[free]))
         assert sub.true_objective(p[free]) == pytest.approx(expected, rel=1e-10)
@@ -588,8 +581,8 @@ def test_trim_to_se_cap_all_over_matches_masked_solve():
     n_all = n_mixed = 0
     for i in range(80):
         dec, g = weakly_coupled_instance(rng) if i % 2 else coupled_cap_instance(rng)
-        cells_dl, cells_ul, gain, noise = link_gains(dec, g)
-        p = np.concatenate([dec.p_dl[cells_dl], dec.p_ul[cells_ul]])
+        links, gain, noise = link_gains(dec, g)
+        p = dec.p.reshape(-1)[links]
         over = link_sinr(gain, noise, p) > SE_CAP_SINR * (1 + 1e-12)
         n_all += over.all()
         n_mixed += 0 < over.sum() < len(p)

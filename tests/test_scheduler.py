@@ -50,7 +50,7 @@ def test_ewma_update_oracle():
     g = toy_gains([[1e-8, 1e-8]])
     st = fresh_state(2, avg=10e6)
     dec = make_decision(g, dl=[0])
-    st = update_state(st, dec, np.array([60e6]), np.array([0.0]))
+    st = update_state(st, dec, np.array([[60e6], [0.0]]))
     assert st.avg_dl[0] == pytest.approx(0.99 * 10e6 + 0.01 * 60e6, rel=1e-12)   # 10.5 Mbps
     assert st.avg_dl[1] == pytest.approx(9.9e6, rel=1e-12)                       # decayed
     assert st.avg_ul[0] == pytest.approx(9.9e6, rel=1e-12)
@@ -60,7 +60,7 @@ def test_ewma_fixed_point():
     g = toy_gains([[1e-8, 1e-8]])
     st = fresh_state(2, avg=10e6)
     dec = make_decision(g, dl=[0])
-    st = update_state(st, dec, np.array([10e6]), np.array([0.0]))
+    st = update_state(st, dec, np.array([[10e6], [0.0]]))
     assert st.avg_dl[0] == pytest.approx(10e6, rel=1e-12)
 
 
@@ -125,7 +125,7 @@ def test_scan_matches_total_utility_difference():
     state = slot_state(g, st, [(0, DL, g.cell_ue_ids[0][0]), (1, UL, g.cell_ue_ids[1][1])])
     cand = g.cell_ue_ids[2][0]
     du = scan_du(state, 2, DL, cand)
-    ref = utility_change(g, st, state.R[0], state.Q[0], 2, DL, cand)
+    ref = utility_change(g, st, *state.RQ[0], 2, DL, cand)
     assert du == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
@@ -173,7 +173,7 @@ def test_scan_matches_utility_change(network, fd_ue):
             for direction in (DL, UL):
                 if rng.random() < 0.55:
                     add_random_link(state, scan_one(state, c, direction), rng)
-        R, Q = state.R[0], state.Q[0]
+        R, Q = state.RQ[0]
         fd_cells += int(np.sum((R >= 0) & (Q >= 0)))
         for c in range(B):
             for direction, taken, other in ((DL, R, Q), (UL, Q, R)):
@@ -212,7 +212,7 @@ def test_joint_scan_equals_single_scans(network, fd_ue):
             for direction in (DL, UL):
                 if c not in free and rng.random() < p_link:
                     add_random_link(state, scan_one(state, c, direction), rng)
-        active.add((int(np.sum(state.R >= 0)), int(np.sum(state.Q >= 0))))
+        active.add((int(np.sum(state.RQ[:, 0] >= 0)), int(np.sum(state.RQ[:, 1] >= 0))))
         for c in range(B):
             joint = state.scan(np.array([c]), BOTH)
             for direction in (DL, UL):
@@ -274,7 +274,7 @@ def test_batched_scans_on_ragged_drops(ues_per_cell):
         batch_state([tables[d] for d in ds], PFState(avg[0][ds], avg[1][ds]), fd_ue[ds[0]], [links[d] for d in ds])
         for ds in batches
     ]
-    assert int(np.sum(states[0].R[1] >= 0)) >= 8
+    assert int(np.sum(states[0].RQ[1, 0] >= 0)) >= 8
     assert np.all(states[1].RQ[-1] >= 0)
     for state in states:
         # an idle link slot holds signal 0 and chi 0, so it adds an exact zero to its row
@@ -297,7 +297,7 @@ def test_batched_scans_on_ragged_drops(ues_per_cell):
                 one = singles[d].scan(np.array([c]), BOTH)
                 assert np.array_equal(scan.du[i], one.du[0]), (d, c)
                 assert np.array_equal(ok[i], singles[d].eligible(one)[0])
-                R, Q = state.R[i], state.Q[i]
+                R, Q = state.RQ[i]
                 assert np.all(scan.chi1[i][:, (state.RQ[i] < 0).reshape(2 * B)] == 0.0)
                 chi0 = state.chi0[i].reshape(2, B)
                 for j in range(len(scan.plan.code)):
@@ -335,8 +335,8 @@ def reference_select_ues(st, g, P, rng, fd_ue=False):
             else:
                 state.accept(scan_u, np.array([0]), i_u)
     for c in order:
-        has_dl = state.R[0, c] >= 0
-        if has_dl == (state.Q[0, c] >= 0):
+        has_dl = state.RQ[0, 0, c] >= 0
+        if has_dl == (state.RQ[0, 1, c] >= 0):
             continue
         scan = scan_one(state, c, UL if has_dl else DL)
         du, i = best(scan)
@@ -359,7 +359,7 @@ def test_select_ues_matches_two_scan_reference(ues_per_cell, fd_ue):
             assert np.array_equal(dec.dl_ue, ref.dl_ue) and np.array_equal(dec.ul_ue, ref.ul_ue)
             assert rng.bit_generator.state == rng_ref.bit_generator.state
             # the PF averages evolve as in a drop
-            st = update_state(st, dec, *slot_rates(dec, g))
+            st = update_state(st, dec, slot_rates(dec, g))
 
 
 def exhaustive_best(st, g, P):

@@ -233,15 +233,15 @@ def test_fd_doubles_clean_single_cell():
         direction = DL if t % 2 == 0 else UL
         sel = hd_select_ues(st_hd, g, P, direction, rng_hd)
         dec, _ = allocate_with_fallback(st_hd, sel, g, AllocConfig())
-        rd, ru = slot_rates(dec, g)
-        bits["HD"] += (rd.sum() + ru.sum()) * SLOT_DURATION_S
-        st_hd = update_state(st_hd, dec, rd, ru)
+        rate = slot_rates(dec, g)
+        bits["HD"] += (rate[0].sum() + rate[1].sum()) * SLOT_DURATION_S
+        st_hd = update_state(st_hd, dec, rate)
 
         sel = select_ues(st_fd, g, P, rng_fd)
         dec, _ = allocate_with_fallback(st_fd, sel, g, AllocConfig())
-        rd, ru = slot_rates(dec, g)
-        bits["FD"] += (rd.sum() + ru.sum()) * SLOT_DURATION_S
-        st_fd = update_state(st_fd, dec, rd, ru)
+        rate = slot_rates(dec, g)
+        bits["FD"] += (rate[0].sum() + rate[1].sum()) * SLOT_DURATION_S
+        st_fd = update_state(st_fd, dec, rate)
 
     assert bits["HD"] > 0
     assert bits["FD"] == pytest.approx(2.0 * bits["HD"], rel=1e-12)

@@ -12,6 +12,7 @@ from fdcell.sinr_rate import (
     MIN_SE,
     NONE,
     SlotDecision,
+    link_ends,
     link_gains,
     rate_from_sinr,
     slot_link_terms,
@@ -56,7 +57,7 @@ def test_self_interference_residual_dbm():
     # 24 dBm transmit under 95 dB cancellation leaves -71 dBm at the BS
     g = toy_gains([[1e-8, 1e-8]], gamma=10.0**-9.5)
     dec = make_decision(g, dl=[0], ul=[1])
-    _, _, _, den_u = slot_link_terms(dec, g)
+    _, (_, den_u) = slot_link_terms(dec, g)
     residual = den_u[0] - g.noise_bs_w
     assert residual == pytest.approx(dbm_to_w(24.0 - 95.0), rel=1e-12)
 
@@ -74,7 +75,7 @@ def test_fd_ue_self_interference():
     # same UE in both directions: its own transmission leaks into its receiver
     g = toy_gains([[1e-8, 1e-8]], gamma=10.0**-9.5)
     dec = make_decision(g, dl=[0], ul=[0], fd_ue=True)
-    _, den_d, _, _ = slot_link_terms(dec, g)
+    _, (den_d, _) = slot_link_terms(dec, g)
     assert den_d[0] == pytest.approx(g.noise_ue_w + g.p_ue_w * g.gamma, rel=1e-12)
 
 
@@ -101,11 +102,11 @@ def test_zero_power_assigned_link():
     assert slot_sinrs(make_decision(g), g)[1][0] == 0.0
     # an inactive link has no signal and only its receiver's noise, also
     # at a BS that transmits and so hears its own residual
-    sig_d, den_d, sig_u, _ = slot_link_terms(dec, g)
+    (sig_d, sig_u), (den_d, _) = slot_link_terms(dec, g)
     assert sig_u[0] == 0.0
     assert sig_d[0] == 0.0 and den_d[0] == g.noise_ue_w
     g_si = toy_gains([[1e-8, 1e-8]], gamma=10.0**-9.5)
-    _, _, sig_u, den_u = slot_link_terms(make_decision(g_si, dl=[0]), g_si)
+    (_, sig_u), (_, den_u) = slot_link_terms(make_decision(g_si, dl=[0]), g_si)
     assert sig_u[0] == 0.0 and den_u[0] == g_si.noise_bs_w
 
 
@@ -230,9 +231,10 @@ def test_link_gains_layout(network):
         decisions.append(make_decision(g, dl=dl, ul=ul, fd_ue=True))
     shared = 0
     for dec in decisions:
-        cells_dl, cells_ul, gain, noise = link_gains(dec, g)
-        np.testing.assert_array_equal(cells_dl, np.nonzero(dec.dl_ue >= 0)[0])
-        np.testing.assert_array_equal(cells_ul, np.nonzero(dec.ul_ue >= 0)[0])
+        links, gain, noise = link_gains(dec, g)
+        cells_dl = np.nonzero(dec.dl_ue >= 0)[0]
+        cells_ul = np.nonzero(dec.ul_ue >= 0)[0]
+        np.testing.assert_array_equal(links, np.concatenate([cells_dl, B + cells_ul]))
         tx = np.concatenate([cells_dl, B + dec.ul_ue[cells_ul]])
         rx = np.concatenate([dec.dl_ue[cells_dl], N + cells_ul])
         assert np.array_equal(gain, g.tx_rx.T[np.ix_(rx, tx)])
@@ -263,6 +265,66 @@ def random_links_decision(g, rng, n_links, fd_ue):
     dec.p_ul *= rng.random(B) * (rng.random(B) > 0.2)
     validate(dec, g)
     return dec
+
+
+def test_decision_holds_link_slots_as_views():
+    # a decision keeps its UEs and powers as (..., 2, B) arrays whose
+    # flattened entry s is link slot s, the slot link_ends reads and
+    # link_gains gathers; the per-direction names are views that write
+    # through, a lockstep decision's drop is a view and its copy is not
+    _, g = indoor_network(seed=5, cancellation_db=85.0)
+    B, N = g.n_cells, g.n_ues
+    rng = np.random.default_rng(29)
+    D = 3
+    dl = np.where(rng.random((D, B)) < 0.6, g.cell_ue_ids[:, 0], NONE)
+    ul = np.where(rng.random((D, B)) < 0.6, g.cell_ue_ids[:, 1], NONE)
+    p_dl = np.where(dl >= 0, g.p_bs_w * rng.random((D, B)), 0.0)
+    p_ul = np.where(ul >= 0, g.p_ue_w * rng.random((D, B)), 0.0)
+    lock = SlotDecision(dl, ul, p_dl, p_ul)
+    ones = [SlotDecision(dl[d], ul[d], p_dl[d], p_ul[d]) for d in range(D)]
+    assert lock.ue.shape == lock.p.shape == (D, 2, B)
+    assert all(one.ue.shape == one.p.shape == (2, B) for one in ones)
+    # slot s of every drop: the downlinks by cell, then the uplinks
+    want_ue = np.concatenate([dl, ul], axis=-1)
+    want_p = np.concatenate([p_dl, p_ul], axis=-1)
+    for dec, at in [(lock, slice(None)), *((one, d) for d, one in enumerate(ones))]:
+        slot_ue = dec.ue.reshape(*dec.ue.shape[:-2], 2 * B)
+        slot_p = dec.p.reshape(*dec.p.shape[:-2], 2 * B)
+        for s in range(2 * B):
+            np.testing.assert_array_equal(slot_ue[..., s], want_ue[at, s])
+            np.testing.assert_array_equal(slot_p[..., s], want_p[at, s])
+    for one in ones:
+        links, gain, noise = link_gains(one, g)
+        slot_ue = one.ue.reshape(2 * B)
+        np.testing.assert_array_equal(links, np.nonzero(slot_ue >= 0)[0])
+        ends = [link_ends(B, N, s, slot_ue[s]) for s in links]
+        for i, (_, rx) in enumerate(ends):
+            assert noise[i] == g.rx_noise[rx]
+            for k, (tx, _) in enumerate(ends):
+                assert gain[i, k] == g.tx_rx[tx, rx]
+
+    one, c = ones[0], int(rng.integers(B))
+    p0 = one.p.copy()
+    one.p_dl *= 0.5
+    one.ul_ue[c] = NONE
+    np.testing.assert_array_equal(one.p, [p0[0] * 0.5, p0[1]])
+    assert one.ue[1, c] == NONE
+    one.p_ul = np.zeros(B)
+    assert not one.p[1].any() and np.shares_memory(one.p_ul, one.p)
+
+    p0 = lock.p.copy()
+    lock.p_dl *= 0.5
+    lock.ul_ue[1, c] = NONE
+    np.testing.assert_array_equal(lock.p[:, 0], p0[:, 0] * 0.5)
+    np.testing.assert_array_equal(lock.p[:, 1], p0[:, 1])
+    assert lock.ue[1, 1, c] == NONE
+    view, copy = lock[2], lock.copy()
+    assert np.shares_memory(view.ue, lock.ue) and np.shares_memory(view.p, lock.p)
+    assert not np.shares_memory(copy.ue, lock.ue) and not np.shares_memory(copy.p, lock.p)
+    view.dl_ue[c] = NONE
+    view.p_dl[c] = 0.0
+    assert lock.ue[2, 0, c] == NONE and lock.p[2, 0, c] == 0.0
+    assert copy.ue[2, 0, c] == dl[2, c] and copy.p[2, 0, c] == p0[2, 0, c] * 0.5
 
 
 def same_bits(a, b):
@@ -296,18 +358,16 @@ def test_lockstep_link_terms_equal_one_drop_terms(network, fd_ue, links):
         shared += int(((dec.dl_ue == dec.ul_ue) & (dec.dl_ue >= 0)).sum())
         terms = slot_link_terms(dec, g)
         rates = slot_rates(dec, g)
-        assert all(a.shape == (len(tables), B) for a in (*terms, *rates))
+        assert all(a.shape == (len(tables), 2, B) for a in (*terms, rates))
         for d, t in enumerate(tables):
             one = dec[d]
-            for lock, alone in zip((*terms, *rates), (*slot_link_terms(one, t), *slot_rates(one, t))):
+            for lock, alone in zip((*terms, rates), (*slot_link_terms(one, t), slot_rates(one, t))):
                 assert same_bits(lock[d], alone)
-            cells_dl, cells_ul, gain, noise = link_gains(one, t)
-            links_on = np.concatenate([cells_dl, B + cells_ul])
+            links_on, gain, noise = link_gains(one, t)
             assert len(links_on) == counts[d]
-            p = np.concatenate([one.p_dl[cells_dl], one.p_ul[cells_ul]])
+            p = one.p.reshape(-1)[links_on]
             own = gain.diagonal() * p
-            sig = np.concatenate([terms[0][d], terms[2][d]])
-            den = np.concatenate([terms[1][d], terms[3][d]])
+            sig, den = (a[d].reshape(2 * B) for a in terms)
             assert same_bits(sig[links_on], own)
             assert same_bits(den[links_on], noise + gain @ p - own)
             idle = np.setdiff1d(np.arange(2 * B), links_on)
