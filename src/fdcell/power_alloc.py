@@ -1,4 +1,4 @@
-"""Transmit-power optimization for a fixed UE selection.
+"""Transmit-power optimization for a slot decision's fixed UEs.
 
 The weighted sum-rate maximization over powers is a signomial problem:
 each scheduled link contributes ((interference+noise)/(interference+
@@ -21,16 +21,17 @@ that matrix. No posynomial is built at run time; the posynomial-ratio
 form lives in tests/reference.py, where it checks the condensed
 objective against gp_core.condense.
 
-The allocator wraps the loop with the scheduler-facing policy: keep
-every selected link, take the SP's point even when a round stops at an
-iteration limit (successive condensation never makes the objective
-worse), never return a point worse than trimmed full power, zero out
-links parked at the numerical floor, and shed the power that only
-overshoots the spectral-efficiency cap. That trim is a linear solve:
-the powers at which the links above the cap sit exactly at it. The
-policy works on one link power vector, indexed like link_gains' links
-(the decision's active slots in order: downlinks by cell, then uplinks
-by cell), and writes the slot decision once, at the end.
+The allocator takes the scheduler's SlotDecision and wraps the loop
+with the scheduler-facing policy: keep every scheduled link, take the
+SP's point even when a round stops at an iteration limit (successive
+condensation never makes the objective worse), never return a point
+worse than trimmed full power, zero out links parked at the numerical
+floor, and shed the power that only overshoots the spectral-efficiency
+cap. That trim is a linear solve: the powers at which the links above
+the cap sit exactly at it. The policy works on one link power vector,
+indexed like link_gains' links (the decision's active slots in order:
+downlinks by cell, then uplinks by cell), and writes the slot decision
+once, at the end.
 
 Without an energy penalty the SP starts at full power trimmed to the
 cap, with the links that point leaves at the cap pinned: their capped
@@ -55,8 +56,8 @@ import numpy as np
 from .channel import GainTable
 from .errors import ConfigError
 from .gp_core import STATUS_CONVERGED, STATUS_MAX_ITER, minimize_box
-from .scheduler import LN10, PFState, Selection
-from .sinr_rate import MAX_SE, NONE, link_gains, link_sinr
+from .scheduler import LN10, PFState
+from .sinr_rate import MAX_SE, NONE, SlotDecision, link_gains, link_sinr
 # unused here, but the benchmark tracer patches these names in this module
 from .sinr_rate import slot_rates, slot_sinrs  # noqa: F401
 
@@ -68,20 +69,14 @@ SP_COUNTERS = ("outer_iterations", "inner_iterations", "outer_capped", "cap_roun
 ALLOC_COUNTERS = ("fallbacks", "certified", *SP_COUNTERS, "nonconverged_slots")
 
 
-@dataclass
-class AllocConfig:
-    energy_kappa: float = 0.0       # > 0 enables the log-power penalty
-
-
-def pf_weights(st: PFState, selection: Selection) -> np.ndarray:
+def pf_weights(st: PFState, dec: SlotDecision) -> np.ndarray:
     """(2, B) rate weights (1-beta)/(beta * avg * ln 10) of the decision's
     link slots, zero if idle."""
-    ue = selection.decision.ue
+    ue = dec.ue
     b = st.beta
     w = np.zeros(ue.shape)
     on = ue >= 0
-    avg = np.stack([st.avg_dl, st.avg_ul])
-    w[on] = (1.0 - b) / (b * avg[on.nonzero()[0], ue[on]] * LN10)
+    w[on] = (1.0 - b) / (b * st.avg[on.nonzero()[0], ue[on]] * LN10)
     return w
 
 
@@ -132,28 +127,27 @@ def _at_cap(gain: np.ndarray, noise: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def build_power_problem(
-    st: PFState,
-    selection: Selection,
-    g: GainTable,
-    cfg: AllocConfig = AllocConfig(),
+    st: PFState, dec: SlotDecision, g: GainTable, energy_kappa: float = 0.0
 ) -> PowerProblem | None:
-    """Assemble the SP arrays for the selection; None if nothing is active."""
-    if cfg.energy_kappa < 0:
-        raise ConfigError(f"energy_kappa must be non-negative, got {cfg.energy_kappa}")
-    dec = selection.decision
+    """Assemble the SP arrays for the decision's links; None if nothing is active.
+
+    energy_kappa > 0 weighs the log-power penalty, 0 leaves it out.
+    """
+    if not 0 <= energy_kappa < np.inf:
+        raise ConfigError(f"energy_kappa must be finite and non-negative, got {energy_kappa}")
     links, gain, noise = link_gains(dec, g)
     n = len(noise)
     if n == 0:
         return None
 
-    w = pf_weights(st, selection).reshape(-1)[links]
+    w = pf_weights(st, dec).reshape(-1)[links]
     w_scale = float(w.max())
     w = w / w_scale
 
     lin = np.zeros(n)
-    if cfg.energy_kappa > 0:
+    if energy_kappa > 0:
         dist = g.dist_bs_ue_m[links % g.n_cells, dec.ue.reshape(-1)[links]]
-        c_energy = cfg.energy_kappa / np.maximum(dist, 1.0)
+        c_energy = energy_kappa / np.maximum(dist, 1.0)
         # product form: each penalty is the monomial factor p^(c ln2 / W)
         lin = c_energy * np.log(2.0) / g.bandwidth_hz / w_scale
 
@@ -373,15 +367,10 @@ def _capped_solve(prob: PowerProblem, p0: np.ndarray, pinned: np.ndarray):
     return p, fixed, status, info
 
 
-def allocate_with_fallback(
-    st: PFState,
-    selection: Selection,
-    g: GainTable,
-    cfg: AllocConfig = AllocConfig(),
-):
-    """Power-optimize the selection in one pass, never below trimmed full power.
+def allocate_with_fallback(st: PFState, dec: SlotDecision, g: GainTable, energy_kappa: float = 0.0):
+    """Power-optimize the decision in one pass, never below trimmed full power.
 
-    Returns (final SlotDecision, diagnostics dict). Every selected link
+    Returns (final SlotDecision, diagnostics dict). Every scheduled link
     stays on air unless the chosen powers park it at the numerical
     floor, where it is zeroed. Without an energy penalty, a slot whose
     trimmed full power leaves every link at the cap is returned at that
@@ -394,9 +383,9 @@ def allocate_with_fallback(
     where trimmed full power wins).
     """
     diag = {"status": "idle", **dict.fromkeys(ALLOC_COUNTERS, 0)}
-    prob = build_power_problem(st, selection, g, cfg)
+    prob = build_power_problem(st, dec, g, energy_kappa)
     if prob is None:
-        return selection.decision.copy(), diag
+        return dec.copy(), diag
     base = trim_to_se_cap(prob.gain, prob.noise, prob.p_max)
     base_capped = _at_cap(prob.gain, prob.noise, base)
     if prob.lin.any():
@@ -406,7 +395,7 @@ def allocate_with_fallback(
         # every link attains the capped rate: no power vector does better.
         # Each link sits at the cap, so none has zero power to prune.
         diag.update(status=STATUS_CONVERGED, certified=1)
-        return _decision(selection, prob, base), diag
+        return _decision(dec, prob, base), diag
     else:
         p0, pinned = base, base_capped
     p, pinned, diag["status"], info = _capped_solve(prob, p0, pinned)
@@ -421,12 +410,12 @@ def allocate_with_fallback(
     on = p > 0
     if not on.all():
         p[on] = trim_to_se_cap(prob.gain[on][:, on], prob.noise[on], p[on])
-    return _decision(selection, prob, p), diag
+    return _decision(dec, prob, p), diag
 
 
-def _decision(selection: Selection, prob: PowerProblem, p: np.ndarray):
-    """The selection's decision with link powers p; zero-power links go idle."""
-    out = selection.decision.copy()
+def _decision(dec: SlotDecision, prob: PowerProblem, p: np.ndarray):
+    """A copy of dec with link powers p; zero-power links go idle."""
+    out = dec.copy()
     out.p.reshape(-1)[prob.links] = p
     out.ue.reshape(-1)[prob.links[p == 0]] = NONE
     return out

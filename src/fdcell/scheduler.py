@@ -9,11 +9,11 @@ the interference it inflicts on everything already scheduled. A pure
 half-duplex variant runs only the first pass with the direction forced,
 and round-robin baselines ignore utilities altogether.
 
-Selection runs D drops in lockstep: the PF averages carry a leading
+The selectors run D drops in lockstep: the PF averages carry a leading
 drop axis, the drops' gain tables come as one GainStack, and step i of
 the greedy order scans cell order[d, i] of every drop d in one call.
 Each drop draws its cell order from its own generator. A single drop
-(a PFState of (N,) averages, a GainTable and a generator) runs as a
+(a PFState of (2, N) averages, a GainTable and a generator) runs as a
 batch of one.
 
 Round robin takes a GainStack only, and reads its FD partners from
@@ -51,7 +51,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import GainStack, GainTable
-from .sinr_rate import MIN_SE, NONE, SlotDecision, link_ends, rate_from_sinr
+from .sinr_rate import MIN_SE, NONE, SlotDecision, _row, link_ends, rate_from_sinr
 # unused here, but the benchmark tracer patches these names in this module
 from .sinr_rate import slot_link_terms, slot_rates  # noqa: F401
 
@@ -65,13 +65,16 @@ LN10 = np.log(10.0)
 
 @dataclass
 class PFState:
-    avg_dl: np.ndarray        # (N,), or (D, N) in lockstep: EWMA of delivered downlink rate, bits/s
-    avg_ul: np.ndarray
+    # (2, N), or (D, 2, N) in lockstep: row r is the EWMA of the rate
+    # delivered in direction r (0 downlink, 1 uplink), bits/s
+    avg: np.ndarray
     beta: float = BETA_DEFAULT
+
+    avg_dl, avg_ul = _row("avg", 0), _row("avg", 1)
 
     def __getitem__(self, d) -> "PFState":
         """Drop d's averages (views) out of a lockstep state."""
-        return PFState(self.avg_dl[d], self.avg_ul[d], self.beta)
+        return PFState(self.avg[d], self.beta)
 
 
 def init_state(n_ues: int, bandwidth_hz: float, beta: float = BETA_DEFAULT, drops=None) -> PFState:
@@ -79,9 +82,8 @@ def init_state(n_ues: int, bandwidth_hz: float, beta: float = BETA_DEFAULT, drop
 
     With drops set, the averages get a leading axis of that many drops.
     """
-    r0 = bandwidth_hz * MIN_SE
-    shape = n_ues if drops is None else (drops, n_ues)
-    return PFState(np.full(shape, r0), np.full(shape, r0), beta)
+    shape = (2, n_ues) if drops is None else (drops, 2, n_ues)
+    return PFState(np.full(shape, bandwidth_hz * MIN_SE), beta)
 
 
 def update_state(st: PFState, dec: SlotDecision, rate) -> PFState:
@@ -91,12 +93,11 @@ def update_state(st: PFState, dec: SlotDecision, rate) -> PFState:
     gives it. Works on one drop or on a lockstep state and decision alike.
     """
     b = st.beta
-    for r, avg in enumerate((st.avg_dl, st.avg_ul)):
-        ue = dec.ue[..., r, :]
-        avg *= b
-        on = (ue >= 0).nonzero()
-        # (drop,) cell -> (drop,) UE: validate serves no UE twice per direction
-        avg[on[:-1] + (ue[on],)] += (1.0 - b) * rate[..., r, :][on]
+    st.avg *= b
+    on = (dec.ue >= 0).nonzero()
+    # (drop,) direction, cell -> (drop,) direction, UE: validate serves no
+    # UE twice per direction
+    st.avg[on[:-1] + (dec.ue[on],)] += (1.0 - b) * rate[on]
     return st
 
 
@@ -118,12 +119,7 @@ def _base_decision(ue: np.ndarray, powers, fd_ue: bool) -> SlotDecision:
 
 def _batch_of_one(st: PFState, g: GainTable, rng):
     """One drop's state, gain table and generator as a lockstep batch of one."""
-    return PFState(st.avg_dl[None], st.avg_ul[None], st.beta), GainStack([g]), [rng]
-
-
-@dataclass
-class Selection:
-    decision: SlotDecision
+    return PFState(st.avg[None], st.beta), GainStack([g]), [rng]
 
 
 @dataclass(frozen=True)
@@ -222,7 +218,7 @@ class _SlotState:
         self.at_g, self.at_rx, self.at_ue = col * (T * R), col * R, col * (2 * N)
         self.RQ = np.full((D, 2, B), NONE)
         self.rx_den = g.rx_noise.copy()
-        self.b_avg = st.beta * np.stack([st.avg_dl, st.avg_ul], axis=1)
+        self.b_avg = st.beta * st.avg
         self.one_minus_beta = 1.0 - st.beta
         self.links = np.zeros((4, D, 2 * B))
         self.sig, self.den, self.chi0, self.lavg = self.links
@@ -304,8 +300,8 @@ class _SlotState:
         self.links[:, a, slot] = scan.own[:, a, j]
         self.rx[a, slot] = plan.rx[c, j]
 
-    def selection(self) -> Selection:
-        return Selection(_base_decision(self.RQ, self.powers, self.fd_ue))
+    def decision(self) -> SlotDecision:
+        return _base_decision(self.RQ, self.powers, self.fd_ue)
 
 
 def _orders(rngs, n_cells: int) -> np.ndarray:
@@ -313,7 +309,7 @@ def _orders(rngs, n_cells: int) -> np.ndarray:
     return np.stack([rng.permutation(n_cells) for rng in rngs])
 
 
-def select_ues(st: PFState, g: GainStack | GainTable, P_init, rng, fd_ue=False) -> Selection:
+def select_ues(st: PFState, g: GainStack | GainTable, P_init, rng, fd_ue=False) -> SlotDecision:
     """Two-pass greedy hybrid selection over a fresh random cell order.
 
     Pass 1 gives each cell its better single direction if it helps; pass
@@ -324,7 +320,7 @@ def select_ues(st: PFState, g: GainStack | GainTable, P_init, rng, fd_ue=False) 
     """
     if isinstance(g, GainTable):
         st, g, rng = _batch_of_one(st, g, rng)
-        return Selection(select_ues(st, g, P_init, rng, fd_ue).decision[0])
+        return select_ues(st, g, P_init, rng, fd_ue)[0]
     order = _orders(rng, g.n_cells)
     state = _SlotState(g, P_init, st, fd_ue)
 
@@ -338,19 +334,19 @@ def select_ues(st: PFState, g: GainStack | GainTable, P_init, rng, fd_ue=False) 
             scan = state.scan(cells, BOTH)
             state.take_best(scan, np.where(state.eligible(scan, upgrade=True), scan.du, -np.inf))
 
-    return state.selection()
+    return state.decision()
 
 
-def hd_select_ues(st: PFState, g: GainStack | GainTable, P_init, direction: str, rng) -> Selection:
+def hd_select_ues(st: PFState, g: GainStack | GainTable, P_init, direction: str, rng) -> SlotDecision:
     """Single-direction greedy pass with all cells synchronized."""
     if isinstance(g, GainTable):
         st, g, rng = _batch_of_one(st, g, rng)
-        return Selection(hd_select_ues(st, g, P_init, direction, rng).decision[0])
+        return hd_select_ues(st, g, P_init, direction, rng)[0]
     state = _SlotState(g, P_init, st)
     for cells in _orders(rng, g.n_cells).T:
         scan = state.scan(cells, (direction,))
         state.take_best(scan, scan.du)
-    return state.selection()
+    return state.decision()
 
 
 def round_robin_partners(rngs, slots: int, n_cells: int, ues_per_cell: int) -> np.ndarray:

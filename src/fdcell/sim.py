@@ -49,11 +49,10 @@ import numpy as np
 
 from .channel import GainStack, build_gains, indoor_params, outdoor_params
 from .errors import ConfigError
-from .power_alloc import ALLOC_COUNTERS, AllocConfig, allocate_with_fallback
+from .power_alloc import ALLOC_COUNTERS, allocate_with_fallback
 from .scheduler import (
     DL,
     UL,
-    Selection,
     hd_select_ues,
     init_state,
     round_robin_partners,
@@ -271,9 +270,7 @@ def run_drop(cfg: RunConfig, drop_index: int | range) -> DropResult | list:
         partners = round_robin_partners(sched_rngs, S, *g.cell_ue_ids.shape)
 
     st = init_state(N, cfg.bandwidth_hz, beta=cfg.beta, drops=D)
-    alloc_cfg = AllocConfig(
-        energy_kappa=cfg.energy_kappa if cfg.variant == "FD_EnergyAware" else 0.0
-    )
+    kappa = cfg.energy_kappa if cfg.variant == "FD_EnergyAware" else 0.0
     fd_ue = cfg.variant == "FD_FDUE"
 
     bits = np.zeros((D, 2, N))
@@ -289,10 +286,7 @@ def run_drop(cfg: RunConfig, drop_index: int | range) -> DropResult | list:
                 sel = hd_select_ues(st, g, P, direction, sched_rngs)
             else:
                 sel = select_ues(st, g, P, sched_rngs, fd_ue=fd_ue)
-            outs = [
-                allocate_with_fallback(st[d], Selection(sel.decision[d]), g.tables[d], alloc_cfg)
-                for d in range(D)
-            ]
+            outs = [allocate_with_fallback(st[d], sel[d], g.tables[d], kappa) for d in range(D)]
             dec = SlotDecision.stack([dec for dec, _ in outs])
             counts += [[diag[k] for k in ALLOC_COUNTERS] for _, diag in outs]
         else:

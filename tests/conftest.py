@@ -102,12 +102,12 @@ def utility_change(g, st, dl, ul, c, direction, k, fd_ue=False):
 
 
 def random_power_instance(rng, n_cells=None):
-    """Random coupled multi-cell power problem: (state, selection, gains).
+    """Random coupled multi-cell power problem: (state, decision, gains).
 
     Two UEs per cell, log-uniform serving and cross gains, residual
     self-interference at 95 dB, at least one active link guaranteed.
     """
-    from fdcell.scheduler import PFState, Selection
+    from fdcell.scheduler import PFState
 
     B = int(rng.integers(2, 5)) if n_cells is None else n_cells
     N = 2 * B
@@ -127,9 +127,7 @@ def random_power_instance(rng, n_cells=None):
         gamma=10.0 ** -9.5,
         dist_m=rng.uniform(3.0, 40.0, size=(B, N)),
     )
-    st = PFState(
-        10 ** rng.uniform(6.5, 7.5, size=N), 10 ** rng.uniform(6.5, 7.5, size=N), 0.99
-    )
+    st = PFState(10 ** rng.uniform(6.5, 7.5, size=(2, N)), 0.99)
     dl = [None] * B
     ul = [None] * B
     for b in range(B):
@@ -147,7 +145,7 @@ def random_power_instance(rng, n_cells=None):
     # two discarded draws keep the stream the criteria 3 and 5 fixtures consume
     rng.uniform(0.0, 0.1, size=B)
     rng.uniform(0.0, 0.1, size=B)
-    return st, Selection(dec), g
+    return st, dec, g
 
 
 def cell_options(ids, allow_fd=True):

@@ -45,7 +45,6 @@ from fdcell.gp_core import (
     solve_gp,
 )
 from fdcell.power_alloc import (
-    AllocConfig,
     STATUS_CONVERGED,
     allocate_with_fallback,
     build_power_problem,
@@ -231,7 +230,7 @@ def test_criterion_03_sp_monotone_descent():
     outers = []
     for i in range(50):
         st, sel, g = random_power_instance(rng)
-        prob = build_power_problem(st, sel, g, AllocConfig())
+        prob = build_power_problem(st, sel, g)
         p, status, info = solve_power_sp(prob, prob.p_max.copy())
         outers.append(info["outer_iterations"])
         if status != STATUS_CONVERGED:
@@ -268,7 +267,7 @@ def test_criterion_04_selection_matches_exhaustive():
         g = replace(g.with_cancellation(None), g_ue=np.zeros((n_ues, n_ues)))
         st = init_state(n_ues, 10e6, beta=0.99)
         sel = select_ues(st, g, (g.p_bs_w, g.p_ue_w), np.random.default_rng(trial))
-        u_got = total_slot_utility(sel.decision, g, st)
+        u_got = total_slot_utility(sel, g, st)
         u_best = 0.0
         for d, u in cell_options(g.cell_ue_ids[0]):
             dec = make_decision(g, dl=[d], ul=[u])
@@ -352,7 +351,7 @@ def test_criterion_05_pipeline_near_grid_optimum():
     for i in range(50):
         st, _, g = random_power_instance(rng, n_cells=2)
         sel = select_ues(st, g, (g.p_bs_w, g.p_ue_w), np.random.default_rng(1000 + i))
-        dec, _ = allocate_with_fallback(st, sel, g, AllocConfig())
+        dec, _ = allocate_with_fallback(st, sel, g)
         u_pipe = total_slot_utility(dec, g, st)
         u_grid, best = _grid_optimum(st, g)
         if best is not None:

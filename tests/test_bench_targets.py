@@ -11,7 +11,7 @@ import pytest
 
 import fdcell.sim as sim
 from conftest import make_decision, toy_gains
-from fdcell.scheduler import Selection, init_state
+from fdcell.scheduler import init_state
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 RUN = TRACER.with_name("run.py")
@@ -45,8 +45,8 @@ def test_alloc_value_reads_allocator_output():
     alloc_value = load_tracer()._alloc_value
     g = toy_gains([[1e-8, 1e-8]])
     st = init_state(g.n_ues, g.bandwidth_hz)
-    assert alloc_value(sim.allocate_with_fallback(st, Selection(make_decision(g)), g)) == (False, 0)
-    out = sim.allocate_with_fallback(st, Selection(make_decision(g, dl=[0])), g)
+    assert alloc_value(sim.allocate_with_fallback(st, make_decision(g), g)) == (False, 0)
+    out = sim.allocate_with_fallback(st, make_decision(g, dl=[0]), g)
     assert alloc_value(out) == (True, out[1]["fallbacks"])
 
 

@@ -14,7 +14,6 @@ from fdcell.gp_core import STATUS_CONVERGED, STATUS_MAX_ITER, condense
 from fdcell.power_alloc import (
     POWER_FLOOR_RATIO,
     SE_CAP_SINR,
-    AllocConfig,
     allocate_with_fallback,
     build_power_problem,
     pf_weights,
@@ -22,7 +21,7 @@ from fdcell.power_alloc import (
     solve_power_sp,
     trim_to_se_cap,
 )
-from fdcell.scheduler import PFState, Selection
+from fdcell.scheduler import PFState
 from fdcell.sinr_rate import NONE, link_gains, link_sinr, slot_sinrs
 from reference import (
     reference_slot_sinrs,
@@ -41,7 +40,7 @@ P_UE = dbm_to_w(23.0)
 def state_with(avg_dl, avg_ul=None, beta=0.99):
     avg_dl = np.asarray(avg_dl, dtype=float)
     avg_ul = avg_dl.copy() if avg_ul is None else np.asarray(avg_ul, dtype=float)
-    return PFState(avg_dl, avg_ul, beta)
+    return PFState(np.stack([avg_dl, avg_ul]), beta)
 
 
 def active_powers(prob, dec):
@@ -60,7 +59,7 @@ def test_pf_weights_oracle():
     g = toy_gains([[1e-8, 1e-8]])
     dec = make_decision(g, dl=[0], ul=[1])
     st = state_with([1e7, 1e7])
-    w_dl, w_ul = pf_weights(st, Selection(dec))
+    w_dl, w_ul = pf_weights(st, dec)
     expected = 0.01 / (0.99 * 1e7 * math.log(10.0))
     assert w_dl[0] == pytest.approx(expected, rel=1e-12)
     assert w_ul[0] == pytest.approx(expected, rel=1e-12)
@@ -68,10 +67,10 @@ def test_pf_weights_oracle():
 
     # halving the average doubles the weight; idle direction carries zero
     st2 = state_with([5e6, 1e7])
-    w2_dl, _ = pf_weights(st2, Selection(dec))
+    w2_dl, _ = pf_weights(st2, dec)
     assert w2_dl[0] == pytest.approx(2.0 * expected, rel=1e-12)
     dec_dl_only = make_decision(g, dl=[0])
-    w3_dl, w3_ul = pf_weights(st, Selection(dec_dl_only))
+    w3_dl, w3_ul = pf_weights(st, dec_dl_only)
     assert w3_dl[0] > 0 and w3_ul[0] == 0.0
 
 
@@ -79,7 +78,7 @@ def test_problem_structure_single_link():
     g = toy_gains([[1e-8]])
     dec = make_decision(g, dl=[0])
     st = state_with([1e7])
-    prob = build_power_problem(st, Selection(dec), g, AllocConfig())
+    prob = build_power_problem(st, dec, g)
     assert prob.n_vars == 1
     assert prob.w.tolist() == [1.0]
     assert prob.w_scale == pytest.approx(0.01 / (0.99 * 1e7 * math.log(10.0)), rel=1e-12)
@@ -110,7 +109,7 @@ def test_problem_fd_pair_interference_terms():
     st = state_with([1e7, 1e7])
 
     dec = make_decision(g, dl=[0], ul=[1])
-    prob = build_power_problem(st, Selection(dec), g, AllocConfig())
+    prob = build_power_problem(st, dec, g)
     assert len(prob.w) == 2 and np.all(prob.w > 0)
     # entry (l, k) is link k's power at link l's receiver: the noise and
     # the off-diagonal terms form the numerator, the own signal (the
@@ -131,7 +130,7 @@ def test_problem_fd_pair_interference_terms():
 
     # same-UE pair: the UE receiver sees its own residual, not a UE-UE gain
     dec_same = make_decision(g, dl=[0], ul=[0], fd_ue=True)
-    prob_same = build_power_problem(st, Selection(dec_same), g, AllocConfig())
+    prob_same = build_power_problem(st, dec_same, g)
     assert prob_same.gain[0, 1] == gamma
     assert prob_same.interference[0, 1] == gamma
 
@@ -139,13 +138,12 @@ def test_problem_fd_pair_interference_terms():
 def test_objective_matches_sinr_module(rng):
     st, sel, g = random_power_instance(rng, n_cells=3)
     # same instance with cell 0 serving one FD-capable UE in both directions
-    same = sel.decision.copy()
+    same = sel.copy()
     same.fd_ue = True
     same.dl_ue[0] = same.ul_ue[0] = 0
     same.p_dl[0], same.p_ul[0] = g.p_bs_w, g.p_ue_w
-    for dec0 in (sel.decision, same):
-        sel0 = Selection(dec0)
-        prob = build_power_problem(st, sel0, g, AllocConfig())
+    for dec0 in (sel, same):
+        prob = build_power_problem(st, dec0, g)
         u = rng.uniform(0.05, 1.0, size=prob.n_vars)
         p = prob.p_floor * (prob.p_max / prob.p_floor) ** u
         dec = dec0.copy()
@@ -164,14 +162,14 @@ def test_reduce_problem_keeps_pinned_interference():
     rng = np.random.default_rng(5)
     for _ in range(10):
         st, sel, g = random_power_instance(rng, n_cells=4)
-        prob = build_power_problem(st, sel, g, AllocConfig())
+        prob = build_power_problem(st, sel, g)
         if prob.n_vars < 2:
             continue
         p = prob.p_max * rng.uniform(0.05, 1.0, size=prob.n_vars)
         fixed = np.zeros(prob.n_vars, dtype=bool)
         fixed[rng.choice(prob.n_vars, size=prob.n_vars // 2, replace=False)] = True
         sub, free = pa._reduce_problem(prob, p, fixed)
-        dec = sel.decision.copy()
+        dec = sel.copy()
         dec.p.reshape(-1)[prob.links] = p
         sinr = slot_sinrs(dec, g).reshape(-1)[prob.links]
         # the free links' rate terms, with the pinned links still interfering
@@ -188,7 +186,7 @@ def surrogate_instances(rng):
             g = dataclasses.replace(g, gamma=0.0)
         kappa = 0.05 if i % 3 == 2 else 0.0
         st = state_with(10 ** rng.uniform(6.5, 7.5, g.n_ues), 10 ** rng.uniform(6.5, 7.5, g.n_ues))
-        prob = build_power_problem(st, Selection(dec), g, AllocConfig(energy_kappa=kappa))
+        prob = build_power_problem(st, dec, g, kappa)
         yield prob, i % 3
 
 
@@ -235,7 +233,7 @@ def test_single_link_solves_to_full_power():
     g = toy_gains([[1e-8]])
     dec = make_decision(g, dl=[0])
     st = state_with([1e7])
-    prob = build_power_problem(st, Selection(dec), g, AllocConfig())
+    prob = build_power_problem(st, dec, g)
     p, status, info = solve_power_sp(prob, prob.p_max.copy())
     assert status == STATUS_CONVERGED
     assert p[0] == pytest.approx(P_BS, rel=1e-12)
@@ -247,7 +245,7 @@ def test_sp_stops_at_an_inner_round_out_of_iterations(monkeypatch):
     # its point is returned with its status, and the cap is not reached
     rng = np.random.default_rng(7)
     st, sel, g = random_power_instance(rng)
-    prob = build_power_problem(st, sel, g, AllocConfig())
+    prob = build_power_problem(st, sel, g)
     _, status, info = solve_power_sp(prob, prob.p_max.copy())
     assert status == STATUS_CONVERGED and info["outer_iterations"] >= 3
 
@@ -289,7 +287,7 @@ def two_cell_problem(case):
     g = toy_gains([[a, d], [b, c]])
     dec = make_decision(g, dl=[0, 1])
     st = state_with([1e7, 1e7])
-    prob = build_power_problem(st, Selection(dec), g, AllocConfig())
+    prob = build_power_problem(st, dec, g)
     return prob, (a, b, c, d)
 
 
@@ -329,7 +327,7 @@ def test_trajectory_monotone_on_random_instances():
     rng = np.random.default_rng(7)
     for _ in range(25):
         st, sel, g = random_power_instance(rng)
-        prob = build_power_problem(st, sel, g, AllocConfig())
+        prob = build_power_problem(st, sel, g)
         p, status, info = solve_power_sp(prob, prob.p_max.copy())
         assert status == STATUS_CONVERGED
         assert info["steps"][-1] < prob.epsilon
@@ -345,11 +343,10 @@ def test_allocate_happy_path_equals_sp_output():
     g = toy_gains([[1e-11, 1e-13], [1e-13, 1e-11]])
     dec = make_decision(g, dl=[0, 1])
     st = state_with([1e7, 1e7])
-    sel = Selection(dec)
-    prob = build_power_problem(st, sel, g, AllocConfig())
+    prob = build_power_problem(st, dec, g)
     p_direct, status, _ = solve_power_sp(prob, prob.p_max.copy())
     assert status == STATUS_CONVERGED
-    out, diag = allocate_with_fallback(st, sel, g)
+    out, diag = allocate_with_fallback(st, dec, g)
     assert diag["status"] == STATUS_CONVERGED
     assert diag["outer_iterations"] >= 1
     assert diag["outer_capped"] == 0
@@ -364,16 +361,15 @@ def test_allocate_keeps_the_point_of_an_sp_stopped_at_its_round_limit(monkeypatc
     g = toy_gains([[1e-11, 1e-13, 1e-13], [1e-13, 1e-11, 1e-13], [1e-13, 1e-13, 1e-11]])
     dec = make_decision(g, dl=[0, 1, None], ul=[None, None, 2])
     st = state_with([1e7, 1e7, 1e7])
-    sel = Selection(dec)
     monkeypatch.setattr(pa, "MAX_OUTER", 0)
-    out, diag = allocate_with_fallback(st, sel, g)
+    out, diag = allocate_with_fallback(st, dec, g)
     assert diag["status"] == STATUS_MAX_ITER
     assert diag["outer_capped"] == 1 and diag["certified"] == 0
     # every selected link stays on air
     np.testing.assert_array_equal(out.dl_ue, dec.dl_ue)
     np.testing.assert_array_equal(out.ul_ue, dec.ul_ue)
     assert out.p_dl[[0, 1]].all() and out.p_ul[2] > 0
-    prob = build_power_problem(st, sel, g, AllocConfig())
+    prob = build_power_problem(st, dec, g)
     base = trim_to_se_cap(prob.gain, prob.noise, prob.p_max)
     assert realized_objective(prob, active_powers(prob, out)) <= realized_objective(prob, base)
 
@@ -383,12 +379,12 @@ def test_allocator_counts_its_nonconverged_slots(monkeypatch):
     # certified slot and an idle slot never run the SP and count 0
     monkeypatch.setattr(pa, "MAX_OUTER", 0)
     g = toy_gains([[1e-11, 1e-13], [1e-13, 1e-11]])
-    _, diag = allocate_with_fallback(state_with([1e7, 1e7]), Selection(make_decision(g, dl=[0, 1])), g)
+    _, diag = allocate_with_fallback(state_with([1e7, 1e7]), make_decision(g, dl=[0, 1]), g)
     assert diag["status"] == STATUS_MAX_ITER and diag["nonconverged_slots"] == 1
     st, sel, g = certified_instance()
     _, diag = allocate_with_fallback(st, sel, g)
     assert diag["certified"] == 1 and diag["nonconverged_slots"] == 0
-    _, diag = allocate_with_fallback(st, Selection(make_decision(g)), g)
+    _, diag = allocate_with_fallback(st, make_decision(g), g)
     assert diag["status"] == "idle" and diag["nonconverged_slots"] == 0
     assert set(pa.ALLOC_COUNTERS) <= set(diag)
 
@@ -396,7 +392,7 @@ def test_allocator_counts_its_nonconverged_slots(monkeypatch):
 def test_floor_prune_spares_pinned_links():
     g = toy_gains([[1e-8, 1e-13, 1e-13], [1e-13, 1e-8, 1e-13], [1e-13, 1e-13, 1e-8]])
     dec = make_decision(g, dl=[0, 1, 2])
-    prob = build_power_problem(state_with([1e7] * 3), Selection(dec), g, AllocConfig())
+    prob = build_power_problem(state_with([1e7] * 3), dec, g)
     floor = prob.p_floor
     p = np.array([floor[0] / 10, floor[1] * (1 + 1e-10), 2 * floor[2]])
     free = np.zeros(3, dtype=bool)
@@ -424,7 +420,7 @@ def test_allocate_trims_once_per_cap_round_without_pruned_links(monkeypatch):
     # link 0 starts far above the cap, link 1 stays below it at full
     # power, so full power is not certified; neither ends at the floor
     g = toy_gains([[1e-8, 2e-13], [2e-13, 1e-11]])
-    sel = Selection(make_decision(g, dl=[0, 1]))
+    sel = make_decision(g, dl=[0, 1])
     calls = trim_counter(monkeypatch)
     out, diag = allocate_with_fallback(state_with([1e7, 1e7]), sel, g)
     assert diag["certified"] == 0
@@ -442,10 +438,10 @@ def test_allocate_retrims_kept_links_after_floor_prune(monkeypatch):
     # the far one (1 km) at full power, above the cap
     dist = np.array([[8.0, 1000.0], [8.0, 1000.0]])
     g = toy_gains([[1e-8, 2e-11], [2e-11, 1e-8]], dist_m=dist)
-    sel = Selection(make_decision(g, dl=[0, 1]))
+    sel = make_decision(g, dl=[0, 1])
     calls = trim_counter(monkeypatch)
     out, diag = allocate_with_fallback(
-        state_with([1e7, 1e7]), sel, g, AllocConfig(energy_kappa=0.2)
+        state_with([1e7, 1e7]), sel, g, 0.2
     )
     assert out.dl_ue.tolist() == [NONE, 1] and out.p_dl[0] == 0.0
     # the last trim runs on the kept link alone
@@ -595,8 +591,7 @@ def test_realized_objective_matches_true_below_cap(rng):
     g = toy_gains([[3e-11, 5e-13], [7e-13, 4e-11]], gamma=1e-9)
     dec = make_decision(g, dl=[0, None], ul=[None, 1])
     st = state_with([8e6, 1.2e7])
-    sel = Selection(dec)
-    prob = build_power_problem(st, sel, g, AllocConfig())
+    prob = build_power_problem(st, dec, g)
     p = prob.p_max * rng.uniform(0.3, 1.0, size=prob.n_vars)
     assert realized_objective(prob, p) == pytest.approx(prob.true_objective(p), rel=1e-12)
 
@@ -612,7 +607,7 @@ def test_allocate_respects_cap_and_never_beats_baseline():
         assert np.all(sinr_u[out.ul_ue >= 0] <= SE_CAP_SINR * (1 + 1e-6))
         assert np.all(out.p_dl <= g.p_bs_w * (1 + 1e-9))
         assert np.all(out.p_ul <= g.p_ue_w * (1 + 1e-9))
-        prob = build_power_problem(st, sel, g, AllocConfig())
+        prob = build_power_problem(st, sel, g)
         base = trim_to_se_cap(prob.gain, prob.noise, prob.p_max)
         # floor-pruned links shed an O(log1p(floor SINR)) rate term after
         # the safeguard comparison, hence the per-link slack
@@ -625,7 +620,7 @@ def certified_instance(near_gain=1e-8):
     """Two strong, weakly coupled downlinks: full power trimmed to the SE
     cap leaves both at the cap. (state, selection, gains)"""
     g = toy_gains([[near_gain, 1e-13], [1e-13, 1e-8]])
-    return state_with([1e7, 1e7]), Selection(make_decision(g, dl=[0, 1])), g
+    return state_with([1e7, 1e7]), make_decision(g, dl=[0, 1]), g
 
 
 def sp_counter(monkeypatch, starts=None):
@@ -670,7 +665,7 @@ def test_certified_slot_returns_trimmed_full_power():
     # the near UE's link sits at the cap below the power floor and is kept
     for near_gain in (1e-8, 1e-4):
         st, sel, g = certified_instance(near_gain)
-        prob = build_power_problem(st, sel, g, AllocConfig())
+        prob = build_power_problem(st, sel, g)
         base = trim_to_se_cap(prob.gain, prob.noise, prob.p_max)
         assert (base[0] < prob.p_floor[0]) == (near_gain == 1e-4)
         out, _ = allocate_with_fallback(st, sel, g)
@@ -690,12 +685,12 @@ def test_certified_slot_counts_once():
 def test_certificate_not_taken_with_energy_penalty_or_link_below_cap(monkeypatch):
     calls = sp_counter(monkeypatch)
     st, sel, g = certified_instance()
-    _, diag = allocate_with_fallback(st, sel, g, AllocConfig(energy_kappa=0.05))
+    _, diag = allocate_with_fallback(st, sel, g, 0.05)
     assert diag["certified"] == 0 and len(calls) >= 1
     # link 1 stays below the cap at full power
     calls.clear()
     g = toy_gains([[1e-8, 1e-13], [1e-13, 1e-11]])
-    _, diag = allocate_with_fallback(st, Selection(make_decision(g, dl=[0, 1])), g)
+    _, diag = allocate_with_fallback(st, make_decision(g, dl=[0, 1]), g)
     assert diag["certified"] == 0 and len(calls) >= 1
 
 
@@ -709,8 +704,8 @@ def test_certificate_bounds_the_capped_solve():
             st, sel, g = random_power_instance(rng)
         else:
             dec, g = coupled_cap_instance(rng)
-            st, sel = state_with(10 ** rng.uniform(6.5, 7.5, g.n_ues)), Selection(dec)
-        prob = build_power_problem(st, sel, g, AllocConfig())
+            st, sel = state_with(10 ** rng.uniform(6.5, 7.5, g.n_ues)), dec
+        prob = build_power_problem(st, sel, g)
         base = trim_to_se_cap(prob.gain, prob.noise, prob.p_max)
         if not pa._at_cap(prob.gain, prob.noise, base).all():
             continue
@@ -730,8 +725,8 @@ def test_fallback_keeps_links_at_cap_below_the_floor(monkeypatch):
     # UE 0 sits next to its BS, so the trim parks its link at the cap
     # below the power floor; link 1 stays below the cap at full power
     g = toy_gains([[1e-4, 1e-13], [1e-13, 1e-11]])
-    st, sel = state_with([1e7, 1e7]), Selection(make_decision(g, dl=[0, 1]))
-    prob = build_power_problem(st, sel, g, AllocConfig())
+    st, sel = state_with([1e7, 1e7]), make_decision(g, dl=[0, 1])
+    prob = build_power_problem(st, sel, g)
     base = trim_to_se_cap(prob.gain, prob.noise, prob.p_max)
     assert base[0] < prob.p_floor[0] and base[1] == prob.p_max[1]
 
@@ -758,12 +753,12 @@ def partly_capped_instance():
     """Links 0 and 2 end at the SE cap after the trim, link 1 stays below
     it at full power. (state, selection, gains)"""
     g = toy_gains([[1e-8, 1e-13, 1e-13], [1e-13, 1e-11, 1e-13], [1e-13, 1e-13, 1e-8]])
-    return state_with([1e7] * 3), Selection(make_decision(g, dl=[0, 1, 2])), g
+    return state_with([1e7] * 3), make_decision(g, dl=[0, 1, 2]), g
 
 
 def test_sp_starts_at_trimmed_full_power_with_capped_links_pinned(monkeypatch):
     st, sel, g = partly_capped_instance()
-    prob = build_power_problem(st, sel, g, AllocConfig())
+    prob = build_power_problem(st, sel, g)
     base = trim_to_se_cap(prob.gain, prob.noise, prob.p_max)
     assert pa._at_cap(prob.gain, prob.noise, base).tolist() == [True, False, True]
     starts = []
@@ -777,12 +772,12 @@ def test_sp_starts_at_trimmed_full_power_with_capped_links_pinned(monkeypatch):
 
 def test_sp_with_energy_penalty_starts_every_link_at_full_power(monkeypatch):
     st, sel, g = partly_capped_instance()
-    cfg = AllocConfig(energy_kappa=0.05)
-    prob = build_power_problem(st, sel, g, cfg)
+    kappa = 0.05
+    prob = build_power_problem(st, sel, g, kappa)
     assert prob.lin.any()
     starts = []
     calls = sp_counter(monkeypatch, starts)
-    allocate_with_fallback(st, sel, g, cfg)
+    allocate_with_fallback(st, sel, g, kappa)
     assert calls[0] == 3
     np.testing.assert_array_equal(starts[0], prob.p_max)
 
@@ -791,11 +786,10 @@ def test_energy_kappa_zero_is_plain_problem():
     g = toy_gains([[1e-8, 2e-11], [2e-11, 1e-8]])
     dec = make_decision(g, dl=[0, 1])
     st = state_with([1e7, 1e7])
-    sel = Selection(dec)
-    prob0 = build_power_problem(st, sel, g, AllocConfig(energy_kappa=0.0))
+    prob0 = build_power_problem(st, dec, g, 0.0)
     assert not prob0.lin.any()
     p0, _, _ = solve_power_sp(prob0, prob0.p_max.copy())
-    prob1 = build_power_problem(st, sel, g, AllocConfig())
+    prob1 = build_power_problem(st, dec, g)
     p1, _, _ = solve_power_sp(prob1, prob1.p_max.copy())
     np.testing.assert_array_equal(p0, p1)
 
@@ -816,7 +810,7 @@ def energy_single_link(kappa, dist_m=8.0):
     g = toy_gains([[1e-8]], dist_m=np.full((1, 1), dist_m))
     dec = make_decision(g, dl=[0])
     st = state_with([1e7])
-    prob = build_power_problem(st, Selection(dec), g, AllocConfig(energy_kappa=kappa))
+    prob = build_power_problem(st, dec, g, kappa)
     return dataclasses.replace(prob, epsilon=1e-9)
 
 
@@ -876,20 +870,22 @@ def test_energy_aware_objective_value_and_validation(rng):
     p = np.array([0.01])
     assert sp_objective_value(prob, p) == pytest.approx(math.exp(prob.true_objective(p)), rel=1e-9)
 
-    with pytest.raises(ConfigError):
-        build_power_problem(
-            state_with([1e7]),
-            Selection(make_decision(toy_gains([[1e-8]]), dl=[0])),
-            toy_gains([[1e-8]]),
-            AllocConfig(energy_kappa=-0.1),
-        )
+    # a penalty weight must be finite and non-negative, as RunConfig checks it
+    for kappa in (-0.1, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="energy_kappa must be finite and non-negative"):
+            build_power_problem(
+                state_with([1e7]),
+                make_decision(toy_gains([[1e-8]]), dl=[0]),
+                toy_gains([[1e-8]]),
+                kappa,
+            )
 
 
 def test_empty_selection_short_circuits():
     g = toy_gains([[1e-8]])
     dec = make_decision(g)
     st = state_with([1e7])
-    assert build_power_problem(st, Selection(dec), g, AllocConfig()) is None
-    out, diag = allocate_with_fallback(st, Selection(dec), g)
+    assert build_power_problem(st, dec, g) is None
+    out, diag = allocate_with_fallback(st, dec, g)
     assert diag["status"] == "idle"
     assert np.all(out.dl_ue == NONE) and np.all(out.ul_ue == NONE)

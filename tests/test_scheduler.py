@@ -17,7 +17,6 @@ from fdcell.scheduler import (
     DL,
     UL,
     PFState,
-    Selection,
     _batch_of_one,
     _SlotState,
     chi,
@@ -29,7 +28,7 @@ from fdcell.scheduler import (
     update_state,
 )
 from fdcell.channel import GainStack
-from fdcell.sinr_rate import NONE, slot_rates
+from fdcell.sinr_rate import NONE, SlotDecision, slot_rates
 
 
 def fresh_state(n, avg=None, beta=0.99):
@@ -44,6 +43,51 @@ def test_init_state_minimum_rate():
     st = init_state(4, 10e6)
     assert np.all(st.avg_dl == 0.26 * 10e6)
     assert st.beta == 0.99
+
+
+def test_pf_state_holds_one_direction_by_ue_array():
+    # row r of the averages is direction r, as in SlotDecision; avg_dl,
+    # avg_ul and a drop's state are views that writes go through
+    st = init_state(4, 10e6)
+    assert st.avg.shape == (2, 4)
+    st.avg_dl[:] = [1.0, 2.0, 3.0, 4.0]
+    st.avg_ul[:] = 5.0
+    assert st.avg.tolist() == [[1.0, 2.0, 3.0, 4.0], [5.0] * 4]
+    lock = init_state(4, 10e6, drops=3)
+    assert lock.avg.shape == (3, 2, 4) and lock.avg_ul.shape == (3, 4)
+    for d in range(3):
+        assert np.shares_memory(lock[d].avg, lock.avg)
+        assert lock[d].beta == lock.beta
+    lock[1].avg_ul[:] = 7.0
+    assert np.all(lock.avg[1, 1] == 7.0)
+    assert np.all(lock.avg[[0, 2]] == 0.26 * 10e6) and np.all(lock.avg[1, 0] == 0.26 * 10e6)
+
+
+def test_lockstep_update_equals_one_drop_updates():
+    # one scatter over (drop, direction, UE) leaves every drop with the
+    # averages of its own one-drop update, bit for bit; drop 1 serves UE 1
+    # and UE 3 in both directions, as an FD_FDUE cell may
+    rng = np.random.default_rng(8)
+    ue = np.array([
+        [[0, 2], [1, NONE]],
+        [[1, 3], [1, 3]],
+        [[NONE, NONE], [NONE, 2]],
+    ])
+    D, N = len(ue), 4
+    rate = rng.uniform(1e6, 6e7, ue.shape) * (ue >= 0)
+    avg = 2.6e6 * 10 ** rng.uniform(0.0, 1.5, (D, 2, N))
+    dec = SlotDecision.of(ue, np.where(ue >= 0, 0.2, 0.0), fd_ue=True)
+    lock = update_state(PFState(avg.copy()), dec, rate)
+    for d in range(D):
+        one = update_state(PFState(avg[d].copy()), dec[d], rate[d])
+        assert np.array_equal(lock.avg[d], one.avg), d
+    b = lock.beta
+    for r in (0, 1):
+        # the same UE blends its own rate into each direction's row
+        assert lock.avg[1, r, 1] == avg[1, r, 1] * b + (1.0 - b) * rate[1, r, 0]
+        assert lock.avg[1, r, 3] == avg[1, r, 3] * b + (1.0 - b) * rate[1, r, 1]
+    # unscheduled UEs only decay
+    assert lock.avg[2, 0, 2] == avg[2, 0, 2] * b and lock.avg[0, 1, 0] == avg[0, 1, 0] * b
 
 
 def test_ewma_update_oracle():
@@ -167,7 +211,7 @@ def test_scan_matches_utility_change(network, fd_ue):
         _, g = network(seed=40 + trial, cancellation_db=(75.0, 95.0, 110.0)[trial % 3])
         B, N = g.n_cells, g.n_ues
         # spread averages: no two candidates tie
-        st = PFState(*(2.6e6 * 10 ** rng.uniform(0.0, 1.5, (2, N))))
+        st = PFState(2.6e6 * 10 ** rng.uniform(0.0, 1.5, (2, N)))
         state = one_drop_state(g, st, fd_ue)
         for c in rng.permutation(B):
             for direction in (DL, UL):
@@ -204,7 +248,7 @@ def test_joint_scan_equals_single_scans(network, fd_ue):
     for trial in range(9):
         _, g = network(seed=60 + trial, cancellation_db=(75.0, 95.0, None)[trial % 3])
         B, N = g.n_cells, g.n_ues
-        st = PFState(*(2.6e6 * 10 ** rng.uniform(0.0, 1.5, (2, N))))
+        st = PFState(2.6e6 * 10 ** rng.uniform(0.0, 1.5, (2, N)))
         state = one_drop_state(g, st, fd_ue)
         free = rng.choice(B, size=2, replace=False)
         p_link = (0.3, 0.6, 0.95)[trial // 3]
@@ -267,11 +311,12 @@ def test_batched_scans_on_ragged_drops(ues_per_cell):
     tables = [outdoor_network(seed=90 + d, cancellation_db=95.0, ues_per_cell=U)[1] for d in range(D)]
     B, N = tables[0].n_cells, tables[0].n_ues
     rng = np.random.default_rng(U)
-    avg = 2.6e6 * 10 ** rng.uniform(0.0, 1.5, (2, D, N))
+    # (D, 2, N), from the (2, D, N) draw
+    avg = np.moveaxis(2.6e6 * 10 ** rng.uniform(0.0, 1.5, (2, D, N)), 0, 1)
     # fd_ue is one bool per slot state: the fd_ue drops run in a batch of their own
     batches = [[d for d in range(D) if fd_ue[d] == fd] for fd in (False, True)]
     states = [
-        batch_state([tables[d] for d in ds], PFState(avg[0][ds], avg[1][ds]), fd_ue[ds[0]], [links[d] for d in ds])
+        batch_state([tables[d] for d in ds], PFState(avg[ds]), fd_ue[ds[0]], [links[d] for d in ds])
         for ds in batches
     ]
     assert int(np.sum(states[0].RQ[1, 0] >= 0)) >= 8
@@ -281,7 +326,7 @@ def test_batched_scans_on_ragged_drops(ues_per_cell):
         idle = (state.RQ < 0).reshape(state.D, 2 * B)
         assert np.all(state.sig[idle] == 0) and np.all(state.chi0[idle] == 0.0)
     singles = [
-        slot_state(g, PFState(avg[0][d].copy(), avg[1][d].copy()), links[d], fd_ue=fd_ue[d])
+        slot_state(g, PFState(avg[d].copy()), links[d], fd_ue=fd_ue[d])
         for d, g in enumerate(tables)
     ]
     checked = 0
@@ -308,7 +353,7 @@ def test_batched_scans_on_ragged_drops(ues_per_cell):
                     direction, k = (DL, UL)[scan.plan.code[j]], scan.plan.ue[c, j]
                     if not ok[i, j]:
                         continue
-                    ref = utility_change(g, PFState(avg[0][d], avg[1][d]), R, Q, c, direction, k,
+                    ref = utility_change(g, PFState(avg[d]), R, Q, c, direction, k,
                                          fd_ue=fd_ue[d])
                     assert scan.du[i, j] == pytest.approx(ref, rel=1e-12, abs=1e-12), (d, c, j)
                     checked += 1
@@ -342,7 +387,7 @@ def reference_select_ues(st, g, P, rng, fd_ue=False):
         du, i = best(scan)
         if du > 0.0:
             state.accept(scan, np.array([0]), i)
-    return Selection(state.selection().decision[0])
+    return state.decision()[0]
 
 
 @pytest.mark.parametrize("fd_ue", [False, True])
@@ -354,8 +399,8 @@ def test_select_ues_matches_two_scan_reference(ues_per_cell, fd_ue):
         st = init_state(g.n_ues, g.bandwidth_hz)
         rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(10):
-            dec = select_ues(st, g, P, rng, fd_ue=fd_ue).decision
-            ref = reference_select_ues(st, g, P, rng_ref, fd_ue=fd_ue).decision
+            dec = select_ues(st, g, P, rng, fd_ue=fd_ue)
+            ref = reference_select_ues(st, g, P, rng_ref, fd_ue=fd_ue)
             assert np.array_equal(dec.dl_ue, ref.dl_ue) and np.array_equal(dec.ul_ue, ref.ul_ue)
             assert rng.bit_generator.state == rng_ref.bit_generator.state
             # the PF averages evolve as in a drop
@@ -383,8 +428,7 @@ def exhaustive_best(st, g, P):
 def test_single_cell_one_ue_stays_hd():
     _, g = indoor_network(seed=2, ues_per_cell=1, rooms_per_side=1)
     st = fresh_state(1)
-    sel = select_ues(st, g, (g.p_bs_w, g.p_ue_w), np.random.default_rng(0))
-    dec = sel.decision
+    dec = select_ues(st, g, (g.p_bs_w, g.p_ue_w), np.random.default_rng(0))
     assert (dec.dl_ue[0] >= 0) != (dec.ul_ue[0] >= 0)
 
 
@@ -392,8 +436,7 @@ def test_single_cell_clean_fd_pair():
     # perfect cancellation and no UE-UE coupling: both directions help
     g = toy_gains([[1e-8, 1e-8]], gamma=0.0)
     st = fresh_state(2)
-    sel = select_ues(st, g, (g.p_bs_w, g.p_ue_w), np.random.default_rng(0))
-    dec = sel.decision
+    dec = select_ues(st, g, (g.p_bs_w, g.p_ue_w), np.random.default_rng(0))
     assert dec.dl_ue[0] >= 0 and dec.ul_ue[0] >= 0
     assert dec.dl_ue[0] != dec.ul_ue[0]
     u_best, _ = exhaustive_best(st, g, (g.p_bs_w, g.p_ue_w))
@@ -406,8 +449,7 @@ def test_hostile_pass2_keeps_pass1():
     g_ue = np.array([[0.0, 1e-4], [1e-4, 0.0]])
     g = toy_gains([[1e-8, 1e-8]], g_ue=g_ue, gamma=1.0)
     st = fresh_state(2)
-    sel = select_ues(st, g, (g.p_bs_w, g.p_ue_w), np.random.default_rng(0))
-    dec = sel.decision
+    dec = select_ues(st, g, (g.p_bs_w, g.p_ue_w), np.random.default_rng(0))
     assert (dec.dl_ue[0] >= 0) != (dec.ul_ue[0] >= 0)
 
 
@@ -425,7 +467,7 @@ def test_greedy_matches_exhaustive_single_cell():
         P = (g.p_bs_w, g.p_ue_w)
         sel = select_ues(st, g, P, np.random.default_rng(trial))
         u_best, _ = exhaustive_best(st, g, P)
-        u_got = total_slot_utility(sel.decision, g, st)
+        u_got = total_slot_utility(sel, g, st)
         hits += u_got >= u_best * (1 - 1e-12) - 1e-15
     assert hits == 40
 
@@ -440,7 +482,7 @@ def test_greedy_is_not_exhaustive_under_coupling():
         st = fresh_state(2)
         sel = select_ues(st, g, (g.p_bs_w, g.p_ue_w), np.random.default_rng(trial))
         u_best, _ = exhaustive_best(st, g, (g.p_bs_w, g.p_ue_w))
-        u_got = total_slot_utility(sel.decision, g, st)
+        u_got = total_slot_utility(sel, g, st)
         assert u_got <= u_best * (1 + 1e-12) + 1e-15
         mismatches += u_got < u_best * (1 - 1e-12) - 1e-15
     assert mismatches > 0
@@ -452,8 +494,8 @@ def test_tie_prefers_downlink():
                   bs_power_dbm=23.0, ue_power_dbm=23.0)
     st = fresh_state(1)
     sel = select_ues(st, g, (g.p_bs_w, g.p_ue_w), np.random.default_rng(0))
-    assert sel.decision.dl_ue[0] == 0
-    assert sel.decision.ul_ue[0] == NONE
+    assert sel.dl_ue[0] == 0
+    assert sel.ul_ue[0] == NONE
 
 
 def test_hd_select_direction_and_argmax():
@@ -462,8 +504,7 @@ def test_hd_select_direction_and_argmax():
     rng = np.random.default_rng(1)
     st.avg_dl[:] = 2.6e6 * rng.uniform(0.5, 4.0, 4)
     P = (g.p_bs_w, g.p_ue_w)
-    sel = hd_select_ues(st, g, P, DL, np.random.default_rng(0))
-    dec = sel.decision
+    dec = hd_select_ues(st, g, P, DL, np.random.default_rng(0))
     assert np.all(dec.ul_ue == NONE)
     # single cell: the pick is the best marginal utility over its UEs
     best = max(
@@ -472,7 +513,7 @@ def test_hd_select_direction_and_argmax():
     )
     assert dec.dl_ue[0] == best
     sel_ul = hd_select_ues(st, g, P, UL, np.random.default_rng(0))
-    assert np.all(sel_ul.decision.dl_ue == NONE)
+    assert np.all(sel_ul.dl_ue == NONE)
 
 
 def test_selection_never_reuses_a_ue():
@@ -480,8 +521,7 @@ def test_selection_never_reuses_a_ue():
         _, g = indoor_network(seed=trial, ues_per_cell=2)
         g = g.with_cancellation(85.0)
         st = fresh_state(g.n_ues)
-        sel = select_ues(st, g, (g.p_bs_w, g.p_ue_w), np.random.default_rng(trial))
-        dec = sel.decision
+        dec = select_ues(st, g, (g.p_bs_w, g.p_ue_w), np.random.default_rng(trial))
         used = np.concatenate([dec.dl_ue[dec.dl_ue >= 0], dec.ul_ue[dec.ul_ue >= 0]])
         assert len(used) == len(set(used.tolist()))
 

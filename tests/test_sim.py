@@ -12,7 +12,7 @@ import fdcell.sim as sim
 from conftest import make_decision, toy_gains
 from fdcell.channel import GainStack, dbm_to_w
 from fdcell.errors import ConfigError
-from fdcell.power_alloc import AllocConfig, allocate_with_fallback
+from fdcell.power_alloc import allocate_with_fallback
 from fdcell.scheduler import DL, UL, hd_select_ues, init_state, select_ues, update_state
 from fdcell.sim import (
     MODE_FD,
@@ -232,13 +232,13 @@ def test_fd_doubles_clean_single_cell():
     for t in range(slots):
         direction = DL if t % 2 == 0 else UL
         sel = hd_select_ues(st_hd, g, P, direction, rng_hd)
-        dec, _ = allocate_with_fallback(st_hd, sel, g, AllocConfig())
+        dec, _ = allocate_with_fallback(st_hd, sel, g)
         rate = slot_rates(dec, g)
         bits["HD"] += (rate[0].sum() + rate[1].sum()) * SLOT_DURATION_S
         st_hd = update_state(st_hd, dec, rate)
 
         sel = select_ues(st_fd, g, P, rng_fd)
-        dec, _ = allocate_with_fallback(st_fd, sel, g, AllocConfig())
+        dec, _ = allocate_with_fallback(st_fd, sel, g)
         rate = slot_rates(dec, g)
         bits["FD"] += (rate[0].sum() + rate[1].sum()) * SLOT_DURATION_S
         st_fd = update_state(st_fd, dec, rate)
